@@ -14,11 +14,24 @@ namespace erpd::edge {
 
 using geom::Vec2;
 
+AdmissionPolicy point_budget_policy(const IngestConfig& ingest) {
+  return {.capacity = ingest.point_budget_per_frame, .cost_per_point = 1};
+}
+
+AdmissionPolicy deadline_policy(const ServiceConfig& service) {
+  return {.capacity = service.decode_merge_budget_us * 1000ull,
+          .cost_per_point = service.cost_per_point_ns,
+          .cost_per_object = service.cost_per_object_ns,
+          .defer_capacity = service.defer_capacity,
+          .max_defer_frames = service.max_defer_frames};
+}
+
 EdgeServer::EdgeServer(const sim::RoadNetwork& net, EdgeConfig cfg)
     : net_(net),
       cfg_(cfg),
       guard_(cfg.ingest),
-      admission_(cfg.service),
+      point_stage_(point_budget_policy(cfg.ingest)),
+      admission_(deadline_policy(cfg.service)),
       tracker_(cfg.tracker),
       rules_(net, cfg.rules),
       predictor_(net, cfg.predictor) {
@@ -32,6 +45,7 @@ EdgeServer::EdgeServer(const sim::RoadNetwork& net, EdgeConfig cfg)
                "EdgeServer: staleness_decay must be in [0,1), got ",
                cfg_.staleness_decay);
   cfg_.redundancy.validate();
+  cfg_.service.validate();
 }
 
 sim::AgentKind EdgeServer::classify_extent(const geom::Aabb& box) {
@@ -180,26 +194,28 @@ FrameOutput EdgeServer::process_frame(
     const std::vector<sim::AgentSnapshot>* truth) {
   FrameOutput out;
 
-  // ---- Ingest admission (DESIGN.md §12) -----------------------------------
-  // With admission control off and no wire payloads attached, the guard is
-  // bypassed entirely: `uploads` aliases the input and this frame is
-  // bit-identical to the pre-hardening pipeline.
+  // ---- Ingest (DESIGN.md §12, §17) ---------------------------------------
+  // Three steps, in order: the guard (validation + reputation), the point
+  // budget, then service-mode deadline admission. The last two are the one
+  // rank-and-grant shedder under two policies. With every layer off and no
+  // wire payloads attached, all three are bypassed: `uploads` aliases the
+  // input and this frame is bit-identical to the pre-hardening pipeline.
   std::vector<net::UploadFrame> admitted;
   const std::vector<net::UploadFrame>* input = &uploads_in;
   if (guard_.should_run(uploads_in)) {
     admitted = guard_.admit(uploads_in, t, &out.ingest);
     input = &admitted;
   }
-
-  // ---- Deadline admission (DESIGN.md §17) ---------------------------------
-  // Service mode only: charge each upload's estimated decode+merge cost
-  // against the per-frame latency budget, deferring or shedding what does
-  // not fit. Runs after the guard so only validated work competes for
-  // budget. Off by default: this frame stays bit-identical.
+  if (cfg_.ingest.enabled) {  // the guard ran: `admitted` holds its output
+    ServiceStats points;
+    admitted = point_stage_.run(std::move(admitted), &points);
+    out.ingest.shed_uploads = points.shed_objects;
+    if (shed_points_ctr_ != nullptr) shed_points_ctr_->add(points.shed_objects);
+  }
   if (cfg_.service.enabled) {
     std::vector<net::UploadFrame> batch =
         (input == &admitted) ? std::move(admitted) : *input;
-    admitted = admission_.run(std::move(batch), t, &out.service);
+    admitted = admission_.run(std::move(batch), &out.service);
     input = &admitted;
   }
   const std::vector<net::UploadFrame>& uploads = *input;

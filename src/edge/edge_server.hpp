@@ -103,8 +103,8 @@ struct FrameOutput {
   std::size_t coasting_tracks{0};
   /// Accepted relevance candidates whose source track was stale.
   std::size_t stale_candidates{0};
-  /// Ingest admission outcome for this frame (all zero when the guard did
-  /// not run).
+  /// Ingest admission outcome for this frame, including the point-budget
+  /// shed count (all zero when the guard did not run).
   IngestStats ingest{};
   /// Coverage-feedback messages to piggyback on the downlink, one per
   /// connected vehicle (empty when redundancy is off). The runner routes
@@ -117,6 +117,13 @@ struct FrameOutput {
   ServiceStats service{};
   ModuleTimings timings{};
 };
+
+/// The ingest point budget as an admission policy: cost = points, capacity
+/// = point_budget_per_frame, no deferral.
+AdmissionPolicy point_budget_policy(const IngestConfig& ingest);
+/// Service-mode deadline admission: decode_merge_budget_us converted to
+/// nanoseconds of estimated decode+merge cost.
+AdmissionPolicy deadline_policy(const ServiceConfig& service);
 
 class EdgeServer {
  public:
@@ -141,6 +148,9 @@ class EdgeServer {
     metrics_ = registry;
     guard_.attach_metrics(registry);
     admission_.attach_metrics(registry);
+    shed_points_ctr_ = registry != nullptr
+                           ? &registry->counter("ingest.shed_uploads")
+                           : nullptr;
   }
 
   /// Objects still parked in the admission controller's deferral lot (the
@@ -152,7 +162,11 @@ class EdgeServer {
   EdgeConfig cfg_;
   obs::MetricsRegistry* metrics_{nullptr};
   IngestGuard guard_;
+  /// The ingest point budget (runs when the guard is enabled).
+  AdmissionController point_stage_;
+  /// Service-mode deadline admission.
   AdmissionController admission_;
+  obs::Counter* shed_points_ctr_{nullptr};
   track::MultiObjectTracker tracker_;
   track::RuleEngine rules_;
   track::TrajectoryPredictor predictor_;

@@ -45,7 +45,6 @@ void IngestGuard::attach_metrics(obs::MetricsRegistry* registry) {
       on ? &registry->counter("ingest.rejected_semantic") : nullptr;
   quarantined_ctr_ =
       on ? &registry->counter("ingest.quarantined_vehicles") : nullptr;
-  shed_ctr_ = on ? &registry->counter("ingest.shed_uploads") : nullptr;
   quarantine_dropped_ctr_ =
       on ? &registry->counter("ingest.quarantine_dropped_frames") : nullptr;
 }
@@ -243,57 +242,6 @@ std::vector<net::UploadFrame> IngestGuard::admit(
     admitted.push_back(std::move(kept));
   }
 
-  // ---- Overload shedding ----
-  if (cfg_.enabled && cfg_.point_budget_per_frame > 0) {
-    struct Slot {
-      std::size_t frame;
-      std::size_t object;
-      std::size_t points;
-      sim::AgentId vehicle;
-    };
-    std::vector<Slot> slots;
-    std::size_t total = 0;
-    for (std::size_t fi = 0; fi < admitted.size(); ++fi) {
-      for (std::size_t oi = 0; oi < admitted[fi].objects.size(); ++oi) {
-        const std::size_t pts = admitted[fi].objects[oi].point_count;
-        slots.push_back({fi, oi, pts, admitted[fi].vehicle});
-        total += pts;
-      }
-    }
-    if (total > cfg_.point_budget_per_frame) {
-      // Value order: biggest clouds first (most perception value per
-      // header), with a full deterministic tie-break so the shed set is
-      // identical across platforms and thread counts.
-      std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
-        if (a.points != b.points) return a.points > b.points;
-        if (a.vehicle != b.vehicle) return a.vehicle < b.vehicle;
-        return a.object < b.object;
-      });
-      std::vector<std::vector<bool>> keep(admitted.size());
-      for (std::size_t fi = 0; fi < admitted.size(); ++fi) {
-        keep[fi].assign(admitted[fi].objects.size(), false);
-      }
-      std::size_t used = 0;
-      for (const Slot& s : slots) {
-        if (used + s.points <= cfg_.point_budget_per_frame) {
-          used += s.points;
-          keep[s.frame][s.object] = true;
-        } else {
-          ++stats->shed_uploads;
-          if (shed_ctr_ != nullptr) shed_ctr_->add();
-        }
-      }
-      for (std::size_t fi = 0; fi < admitted.size(); ++fi) {
-        net::UploadFrame& f = admitted[fi];
-        std::vector<net::ObjectUpload> remaining;
-        remaining.reserve(f.objects.size());
-        for (std::size_t oi = 0; oi < f.objects.size(); ++oi) {
-          if (keep[fi][oi]) remaining.push_back(std::move(f.objects[oi]));
-        }
-        f.objects = std::move(remaining);
-      }
-    }
-  }
   return admitted;
 }
 

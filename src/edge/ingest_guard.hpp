@@ -7,9 +7,10 @@
 // sanity), and frames must pass per-vehicle semantic checks (finite pose,
 // bounded pose jump, objects inside map bounds, per-frame object/point
 // caps). Offending vehicles accumulate strikes into a quarantine with
-// exponential-backoff readmission, and an optional per-frame point budget
-// deterministically sheds the lowest-value uploads under overload instead
-// of blowing the frame deadline.
+// exponential-backoff readmission. The guard does validation and reputation
+// only; the optional per-frame point budget that sheds the lowest-value
+// uploads under overload is an AdmissionController stage EdgeServer runs
+// right after it (edge/service.hpp).
 //
 // Determinism: the guard runs single-threaded in upload order and all state
 // transitions are pure functions of the admitted sequence and simulated
@@ -29,7 +30,8 @@
 namespace erpd::edge {
 
 struct IngestConfig {
-  /// Master switch for semantic validation + quarantine + shedding. Wire
+  /// Master switch for semantic validation + quarantine + the point budget.
+  /// Wire
   /// payload validation (try_decode of ObjectUpload::wire) always runs when
   /// a payload is present, independent of this flag: a corrupted buffer must
   /// never be trusted just because admission control is off.
@@ -59,7 +61,8 @@ struct IngestConfig {
   double quarantine_max{16.0};
   /// Total points admitted per frame across the fleet; 0 disables shedding.
   /// Under overload the largest uploads are kept (they carry the most
-  /// perception value per header) and the rest shed deterministically.
+  /// perception value per header) and the rest shed deterministically, by
+  /// EdgeServer's point-budget admission stage.
   std::size_t point_budget_per_frame{0};
 
   void validate() const;
@@ -95,8 +98,8 @@ class IngestGuard {
 
   /// Run the admission pipeline over one frame's uploads (in order):
   /// quarantine gate -> semantic frame checks -> per-object wire validation
-  /// and bounds checks -> reputation update -> overload shedding. Returns
-  /// the admitted frames; `t` is the edge's simulated clock.
+  /// and bounds checks -> reputation update. Returns the admitted frames;
+  /// `t` is the edge's simulated clock.
   std::vector<net::UploadFrame> admit(
       const std::vector<net::UploadFrame>& uploads, double t,
       IngestStats* stats);
@@ -132,7 +135,6 @@ class IngestGuard {
   obs::Counter* rejected_crc_ctr_{nullptr};
   obs::Counter* rejected_semantic_ctr_{nullptr};
   obs::Counter* quarantined_ctr_{nullptr};
-  obs::Counter* shed_ctr_{nullptr};
   obs::Counter* quarantine_dropped_ctr_{nullptr};
 };
 

@@ -95,7 +95,6 @@ obs::RunManifest make_manifest(const RunnerConfig& cfg,
       .fold(cfg.redundancy.delta_enabled ? 1 : 0)
       .fold(cfg.redundancy.keyframe_interval);
   fp.fold(cfg.service.enabled ? 1 : 0)
-      .fold(static_cast<std::int64_t>(cfg.service.queue_lane_depth))
       .fold(static_cast<std::int64_t>(cfg.service.queue_drain_max))
       .fold(static_cast<std::int64_t>(cfg.service.decode_merge_budget_us))
       .fold(static_cast<std::int64_t>(cfg.service.cost_per_point_ns))

@@ -8,9 +8,6 @@
 namespace erpd::edge {
 
 void ServiceConfig::validate() const {
-  ERPD_REQUIRE(queue_lane_depth > 0,
-               "ServiceConfig: queue_lane_depth must be > 0, got ",
-               queue_lane_depth);
   ERPD_REQUIRE(max_defer_frames >= 0,
                "ServiceConfig: max_defer_frames must be >= 0, got ",
                max_defer_frames);
@@ -19,67 +16,36 @@ void ServiceConfig::validate() const {
                "free and the deadline budget could never shed");
 }
 
-AdmissionController::AdmissionController(ServiceConfig cfg)
-    : cfg_(cfg) {
-  cfg_.validate();
-}
-
 void AdmissionController::attach_metrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    arrived_ctr_ = nullptr;
-    admitted_ctr_ = nullptr;
-    deferred_ctr_ = nullptr;
-    shed_ctr_ = nullptr;
-    granted_ns_ctr_ = nullptr;
-    denied_ns_ctr_ = nullptr;
-    return;
-  }
-  arrived_ctr_ = &registry->counter("service.arrived_objects");
-  admitted_ctr_ = &registry->counter("service.admitted_objects");
-  deferred_ctr_ = &registry->counter("service.deferred_objects");
-  shed_ctr_ = &registry->counter("service.shed_objects");
-  granted_ns_ctr_ = &registry->counter("service.budget_granted_ns");
-  denied_ns_ctr_ = &registry->counter("service.budget_denied_ns");
+  const bool on = registry != nullptr;
+  arrived_ctr_ = on ? &registry->counter("service.arrived_objects") : nullptr;
+  admitted_ctr_ = on ? &registry->counter("service.admitted_objects") : nullptr;
+  deferred_ctr_ = on ? &registry->counter("service.deferred_objects") : nullptr;
+  shed_ctr_ = on ? &registry->counter("service.shed_objects") : nullptr;
+  granted_ctr_ = on ? &registry->counter("service.budget_granted_ns") : nullptr;
+  denied_ctr_ = on ? &registry->counter("service.budget_denied_ns") : nullptr;
 }
-
-namespace {
-
-/// One admission candidate: either a fresh object (age 0, pointing into the
-/// incoming frames) or a carried one from the parking lot.
-struct Candidate {
-  net::ObjectUpload obj;
-  sim::AgentId vehicle{sim::kInvalidAgent};
-  geom::Pose pose{};
-  double timestamp{0.0};
-  std::uint64_t upload_seq{0};
-  int age{0};
-  std::uint64_t order{0};
-};
-
-}  // namespace
 
 std::vector<net::UploadFrame> AdmissionController::run(
-    std::vector<net::UploadFrame> uploads, double t, ServiceStats* stats) {
-  (void)t;
+    std::vector<net::UploadFrame> uploads, ServiceStats* stats) {
   ERPD_REQUIRE(stats != nullptr, "AdmissionController::run: stats is null");
   *stats = ServiceStats{};
 
-  // Budget 0 = latency shedding off: pass everything through, but still
-  // account arrivals so the fate identity holds trivially.
-  if (cfg_.decode_merge_budget_us == 0) {
+  // Capacity 0 = shedding off: pass everything through, but still account
+  // arrivals so the fate identity holds trivially.
+  if (policy_.capacity == 0) {
     for (const net::UploadFrame& f : uploads) {
       stats->arrived_objects += f.objects.size();
       stats->admitted_objects += f.objects.size();
       for (const net::ObjectUpload& o : f.objects) {
-        stats->admitted_cost_ns += cost_ns(o);
+        stats->admitted_cost += cost(o);
       }
     }
     ERPD_ENSURE(parked_.empty(),
-                "AdmissionController: parked objects with a zero budget; the "
-                "budget knob must not change mid-run");
+                "AdmissionController: parked objects with a zero capacity; "
+                "the budget knob must not change mid-run");
     if (arrived_ctr_ != nullptr) arrived_ctr_->add(stats->arrived_objects);
     if (admitted_ctr_ != nullptr) admitted_ctr_->add(stats->admitted_objects);
-    stats->carried_objects = 0;
     return uploads;
   }
 
@@ -87,18 +53,13 @@ std::vector<net::UploadFrame> AdmissionController::run(
   // fresh object. Order counters are assigned in input order, which is
   // deterministic because the guard/runner already emit uploads in a fixed
   // order.
-  std::vector<Candidate> candidates;
-  candidates.reserve(parked_.size() + 16);
-  for (Parked& p : parked_) {
-    candidates.push_back(Candidate{std::move(p.obj), p.vehicle, p.pose,
-                                   p.timestamp, p.upload_seq, p.age + 1,
-                                   p.order});
-  }
-  stats->carried_objects = parked_.size();
+  std::vector<Candidate> candidates = std::move(parked_);
   parked_.clear();
+  for (Candidate& c : candidates) ++c.age;
+  stats->carried_objects = candidates.size();
 
   // Fresh frames keep their skeletons (pose sync for the fleet registry)
-  // even when every object is deferred or shed, mirroring the ingest guard.
+  // even when every object is deferred or shed.
   std::vector<net::UploadFrame> fresh = std::move(uploads);
   for (net::UploadFrame& f : fresh) {
     for (net::ObjectUpload& o : f.objects) {
@@ -111,9 +72,9 @@ std::vector<net::UploadFrame> AdmissionController::run(
   }
 
   // Admission order: oldest deferrals first (they expire soonest and their
-  // payload is already stale), then biggest clouds first — the same
-  // keep-the-most-perception-value rule as the guard's point-budget shed —
-  // with (vehicle, order) as the deterministic tie-break.
+  // payload is already stale), then biggest clouds first — they carry the
+  // most perception value per header — with (vehicle, order) as the
+  // deterministic tie-break.
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
               if (a.age != b.age) return a.age > b.age;
@@ -124,25 +85,25 @@ std::vector<net::UploadFrame> AdmissionController::run(
               return a.order < b.order;
             });
 
-  net::LatencyBudget budget(cfg_.decode_merge_budget_us * 1000ull);
-  budget.attach(granted_ns_ctr_, denied_ns_ctr_);
-
+  net::FrameBudget budget(policy_.capacity);
+  std::uint64_t denied_cost = 0;
   std::vector<Candidate> admitted;
   admitted.reserve(candidates.size());
   for (Candidate& c : candidates) {
-    const std::uint64_t cost = cost_ns(c.obj);
-    if (budget.try_grant(cost)) {
-      stats->admitted_cost_ns += cost;
+    const std::uint64_t units = cost(c.obj);
+    if (budget.try_grant(units)) {
+      stats->admitted_cost += units;
       ++stats->admitted_objects;
       admitted.push_back(std::move(c));
       continue;
     }
+    denied_cost += units;
     // Denied: defer if the object is still fresh enough and the parking lot
     // has room, otherwise shed. Both are final fates for this frame.
-    if (c.age < cfg_.max_defer_frames && parked_.size() < cfg_.defer_capacity) {
+    if (c.age < policy_.max_defer_frames &&
+        parked_.size() < policy_.defer_capacity) {
       ++stats->deferred_objects;
-      parked_.push_back(Parked{std::move(c.obj), c.vehicle, c.pose,
-                               c.timestamp, c.upload_seq, c.age, c.order});
+      parked_.push_back(std::move(c));
     } else {
       ++stats->shed_objects;
     }
@@ -195,6 +156,8 @@ std::vector<net::UploadFrame> AdmissionController::run(
   if (admitted_ctr_ != nullptr) admitted_ctr_->add(stats->admitted_objects);
   if (deferred_ctr_ != nullptr) deferred_ctr_->add(stats->deferred_objects);
   if (shed_ctr_ != nullptr) shed_ctr_->add(stats->shed_objects);
+  if (granted_ctr_ != nullptr) granted_ctr_->add(stats->admitted_cost);
+  if (denied_ctr_ != nullptr) denied_ctr_->add(denied_cost);
   return out;
 }
 

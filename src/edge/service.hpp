@@ -1,22 +1,25 @@
 #pragma once
-// Service-mode edge pipeline: SLO-aware admission control (DESIGN.md §17).
+// Edge admission: the service-mode knobs and the one rank-and-grant shedder
+// (DESIGN.md §12, §17).
 //
 // The paper's edge is an always-on service, not a lockstep callee: uploads
-// arrive through bounded ingest queues and the decode+merge stage runs under
-// a per-frame deadline budget. This header holds the knobs (ServiceConfig,
-// default-off so the classic pipeline stays bit-identical) and the admission
-// controller that generalizes the ingest guard's point-budget shedding into
-// LATENCY-aware shedding: each upload's decode+merge cost is estimated from
-// its point/object counts, charged against a net::LatencyBudget, and work
-// that does not fit is deferred to the next frame (bounded parking lot) or
-// shed — lowest perception value first.
+// arrive under a drain cap and the decode+merge stage runs under a
+// per-frame deadline budget. This header holds the knobs (ServiceConfig,
+// default-off so the lockstep pipeline stays bit-identical) and the
+// admission controller: each upload object's cost is estimated from its
+// point/object counts under an AdmissionPolicy, charged biggest cloud first
+// against a net::FrameBudget, and work that does not fit is deferred to the
+// next frame (bounded parking lot) or shed. EdgeServer runs two instances:
+// the ingest point budget (cost = points, no deferral) and service-mode
+// deadline admission (cost = estimated nanoseconds).
 //
 // Determinism: the controller runs single-threaded in upload order after the
 // ingest guard; every decision is a pure function of the admitted upload
-// sequence and the config, so results are bit-identical across worker counts
-// and hash seeds. Every object entering admission lands in exactly one fate
-// per frame — admitted, deferred, or shed — and a ContractViolation fires if
-// the partition ever leaks (ServiceStats identity, checked per frame).
+// sequence and the policy, so results are bit-identical across worker
+// counts and hash seeds. Every object entering admission lands in exactly
+// one fate per frame — admitted, deferred, or shed — and a
+// ContractViolation fires if the partition ever leaks (ServiceStats
+// identity, checked per frame).
 
 #include <cstdint>
 #include <vector>
@@ -28,15 +31,12 @@
 namespace erpd::edge {
 
 struct ServiceConfig {
-  /// Master switch for service mode (ingest queues in the runner + deadline
+  /// Master switch for service mode (drain cap in the runner + deadline
   /// admission at the edge). Off by default: the lockstep pipeline is
   /// untouched and every committed fingerprint stays byte-identical.
   bool enabled{false};
-  /// Upload frames one ingest-queue lane buffers before refusing pushes
-  /// (per-producer bound; a refused frame is billed as backpressure).
-  std::size_t queue_lane_depth{4};
-  /// Upload frames drained from the ingest queue per pipeline frame across
-  /// all lanes; the overflow is dropped as backpressure. 0 = unbounded.
+  /// Surviving upload frames the edge takes per pipeline frame, in fan-out
+  /// slot order; the overflow is dropped as backpressure. 0 = unbounded.
   std::size_t queue_drain_max{0};
   /// Per-frame decode+merge deadline budget in microseconds of estimated
   /// cost. 0 disables latency shedding (admission passes everything).
@@ -55,7 +55,19 @@ struct ServiceConfig {
   void validate() const;
 };
 
-/// Per-process_frame admission outcome, for FrameOutput/MethodMetrics.
+/// What one admission stage charges and what it does with denied work.
+struct AdmissionPolicy {
+  /// Per-frame capacity in cost units; 0 passes everything through.
+  std::uint64_t capacity{0};
+  /// Cost model: units per uploaded point plus a fixed cost per object.
+  std::uint64_t cost_per_point{0};
+  std::uint64_t cost_per_object{0};
+  /// Parking lot for denied objects (0/0 = shed every denied object).
+  std::size_t defer_capacity{0};
+  int max_defer_frames{0};
+};
+
+/// Per-frame admission outcome, for FrameOutput/MethodMetrics.
 /// Event-count identity, checked per frame:
 ///   arrived + carried == admitted + deferred + shed.
 /// Summed over a run this collapses to the fresh-object fate partition
@@ -63,75 +75,73 @@ struct ServiceConfig {
 /// because every deferral is carried into a later frame unless it is still
 /// parked when the run ends.
 struct ServiceStats {
-  /// Fresh objects entering admission this frame (post ingest guard).
+  /// Fresh objects entering admission this frame.
   std::size_t arrived_objects{0};
   /// Parked objects re-considered this frame.
   std::size_t carried_objects{0};
-  /// Objects granted decode+merge budget this frame (fresh or carried).
+  /// Objects granted budget this frame (fresh or carried).
   std::size_t admitted_objects{0};
   /// Objects (newly) parked for a later frame.
   std::size_t deferred_objects{0};
   /// Objects dropped: budget denied with no parking room, or expired.
   std::size_t shed_objects{0};
-  /// Estimated decode+merge cost admitted this frame (ns).
-  std::uint64_t admitted_cost_ns{0};
+  /// Estimated cost admitted this frame (policy units).
+  std::uint64_t admitted_cost{0};
 };
 
-/// SLO-aware admission controller. Owned by EdgeServer; runs between the
-/// ingest guard and the merge stage when ServiceConfig::enabled.
+/// Rank-and-grant admission controller. Owned by EdgeServer; runs between
+/// the ingest guard and the merge stage.
 class AdmissionController {
  public:
-  explicit AdmissionController(ServiceConfig cfg = {});
-
-  const ServiceConfig& config() const { return cfg_; }
+  explicit AdmissionController(AdmissionPolicy policy = {})
+      : policy_(policy) {}
 
   /// Attach an observability registry (not owned; null detaches). Admission
   /// decisions then bump service.* counters. Write-only, as everywhere.
   void attach_metrics(obs::MetricsRegistry* registry);
 
-  /// Estimated decode+merge cost of one upload object under the config's
-  /// cost model.
-  std::uint64_t cost_ns(const net::ObjectUpload& o) const {
-    return cfg_.cost_per_object_ns + cfg_.cost_per_point_ns * o.point_count;
+  /// Estimated cost of one upload object under the policy's cost model.
+  std::uint64_t cost(const net::ObjectUpload& o) const {
+    return policy_.cost_per_object + policy_.cost_per_point * o.point_count;
   }
 
-  /// Run deadline admission over one frame's (guard-admitted) uploads plus
-  /// the parking lot. Returns the admitted frames: re-admitted deferred
-  /// objects first (grouped by their source frame), then the fresh frames —
-  /// so fresh poses overwrite parked ones in the edge's fleet registry.
-  /// Fresh frame skeletons (validated pose, no surviving objects) are kept,
-  /// mirroring the ingest guard.
+  /// Run admission over one frame's (guard-admitted) uploads plus the
+  /// parking lot. Returns the admitted frames: re-admitted deferred objects
+  /// first (grouped by their source frame), then the fresh frames — so
+  /// fresh poses overwrite parked ones in the edge's fleet registry. Fresh
+  /// frame skeletons (validated pose, no surviving objects) are kept.
   std::vector<net::UploadFrame> run(std::vector<net::UploadFrame> uploads,
-                                    double t, ServiceStats* stats);
+                                    ServiceStats* stats);
 
   /// Objects currently parked for a later frame.
   std::size_t parked_count() const { return parked_.size(); }
 
  private:
-  /// One deferred object, carrying enough of its source frame to be
-  /// re-emitted as an UploadFrame later.
-  struct Parked {
+  /// One admission candidate: a fresh object (age 0) or a parked one,
+  /// carrying enough of its source frame to be re-emitted as an
+  /// UploadFrame later.
+  struct Candidate {
     net::ObjectUpload obj;
     sim::AgentId vehicle{sim::kInvalidAgent};
     geom::Pose pose{};
     double timestamp{0.0};
     std::uint64_t upload_seq{0};
-    /// Completed deferrals when parked (0 on first park); the object ages by
-    /// one each frame it is carried, and is shed at max_defer_frames.
+    /// Completed deferrals (0 when fresh); the object ages by one each
+    /// frame it is carried, and is shed at max_defer_frames.
     int age{0};
     /// Monotone arrival tick, the final deterministic tie-break.
     std::uint64_t order{0};
   };
 
-  ServiceConfig cfg_;
-  std::vector<Parked> parked_;
+  AdmissionPolicy policy_;
+  std::vector<Candidate> parked_;
   std::uint64_t next_order_{0};
   obs::Counter* arrived_ctr_{nullptr};
   obs::Counter* admitted_ctr_{nullptr};
   obs::Counter* deferred_ctr_{nullptr};
   obs::Counter* shed_ctr_{nullptr};
-  obs::Counter* granted_ns_ctr_{nullptr};
-  obs::Counter* denied_ns_ctr_{nullptr};
+  obs::Counter* granted_ctr_{nullptr};
+  obs::Counter* denied_ctr_{nullptr};
 };
 
 }  // namespace erpd::edge

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "core/check.hpp"
-#include "core/mpsc_queue.hpp"
 #include "core/thread_pool.hpp"
 #include "obs/span.hpp"
 #include "pointcloud/encoding.hpp"
@@ -59,14 +58,10 @@ namespace {
 /// exceeds its budget); object-granular uploads drop whole objects.
 std::vector<net::UploadFrame> apply_uplink_cap(
     std::vector<net::UploadFrame> frames, std::size_t budget_bytes,
-    std::size_t rotate, obs::MetricsRegistry* metrics) {
+    std::size_t rotate) {
   std::vector<net::UploadFrame> out;
   if (frames.empty()) return out;
   net::FrameBudget budget(budget_bytes);
-  if (metrics != nullptr) {
-    budget.attach(&metrics->counter("uplink.cap_granted_bytes"),
-                  &metrics->counter("uplink.cap_denied_bytes"));
-  }
   const std::size_t n = frames.size();
   for (std::size_t k = 0; k < n; ++k) {
     net::UploadFrame& f = frames[(rotate + k) % n];
@@ -298,7 +293,6 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
         }
       }
       // --- Vehicle-side sensing & extraction ---
-      std::vector<net::UploadFrame> uploads;
       std::vector<geom::Vec2> sites;
       std::vector<sim::AgentId> site_ids;
       for (auto& [vid, client] : clients) {
@@ -321,75 +315,20 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
 
       // Sensing + extraction fans out across vehicles: each task reads the
       // (const) world and mutates only its own client and its own output
-      // slot, so the merge is just reading the slots in site order —
-      // identical to the serial loop for any thread count. The snapshot is
-      // hoisted out so N clients share one copy (world state does not change
-      // within a frame).
+      // slot, so reading the slots in site order afterwards is identical to
+      // the serial loop for any thread count. The snapshot is hoisted out so
+      // N clients share one copy (world state does not change within a
+      // frame). stage.fanout is the wall time of the whole parallel region;
+      // the per-vehicle scan and extraction costs are recorded inside
+      // make_upload (stage.sense / stage.extract).
       const std::vector<sim::AgentSnapshot> truth = world.snapshot();
       std::vector<ClientFrameStats> stats(site_ids.size());
-      // Byte fates resolved during/just after the fan-out. In the classic
-      // path only offered/lost are used; service mode adds backpressure.
-      std::size_t offered_bytes = 0;
-      std::size_t lost_bytes = 0;
-      std::size_t backpressure_bytes = 0;
-      std::size_t backpressure_uploads = 0;
-      if (service_mode) {
-        // --- Service-mode ingest queue (DESIGN.md §17) ---
-        // The sensing fan-out is the producer side of a bounded MPSC lane
-        // queue (lane = fan-out slot, so producers never share a lane).
-        // Each worker decides channel loss with the same pure
-        // (seed, vehicle, frame) hash the serial path uses and pushes the
-        // surviving frame; the consumer drains in lane order under the
-        // drain cap after the pool joins. A refused push or drain overflow
-        // is the explicit backpressure fate — billed per frame like
-        // lost/capped, never silently dropped.
-        core::MpscLaneQueue<net::UploadFrame> queue(
-            site_ids.size(), cfg_.service.queue_lane_depth);
-        std::vector<std::size_t> slot_bytes(site_ids.size(), 0);
-        std::vector<std::uint8_t> slot_lost(site_ids.size(), 0);
-        std::vector<std::uint8_t> slot_refused(site_ids.size(), 0);
-        {
-          obs::StageSpan fanout_span(metrics, "stage.fanout");
-          core::parallel_for(site_ids.size(), 1, [&](std::size_t i) {
-            net::UploadFrame f =
-                clients.at(site_ids[i])
-                    .make_upload(world, &voronoi, i, &stats[i], &truth);
-            slot_bytes[i] = f.total_bytes();
-            if (faults && channel.uplink_lost(f.vehicle, frame, world.time())) {
-              slot_lost[i] = 1;
-              return;
-            }
-            if (!queue.try_push(i, std::move(f))) slot_refused[i] = 1;
-          });
-        }
-        upload_frames_offered += site_ids.size();
-        for (std::size_t i = 0; i < site_ids.size(); ++i) {
-          offered_bytes += slot_bytes[i];
-          if (slot_lost[i] != 0) {
-            ++upload_frames_lost;
-            lost_bytes += slot_bytes[i];
-          } else if (slot_refused[i] != 0) {
-            ++backpressure_uploads;
-            backpressure_bytes += slot_bytes[i];
-          }
-        }
-        uploads.reserve(site_ids.size());
-        queue.drain(
-            cfg_.service.queue_drain_max,
-            [&](net::UploadFrame&& f) { uploads.push_back(std::move(f)); },
-            [&](net::UploadFrame&& f) {
-              ++backpressure_uploads;
-              backpressure_bytes += f.total_bytes();
-            });
-      } else {
-        uploads.resize(site_ids.size());
-        // stage.fanout: wall time of the whole parallel sensing+extraction
-        // region. The per-vehicle scan and extraction costs are recorded
-        // inside make_upload (stage.sense / stage.extract).
+      std::vector<net::UploadFrame> slots(site_ids.size());
+      {
         obs::StageSpan fanout_span(metrics, "stage.fanout");
         core::parallel_for(site_ids.size(), 1, [&](std::size_t i) {
-          uploads[i] = clients.at(site_ids[i])
-                           .make_upload(world, &voronoi, i, &stats[i], &truth);
+          slots[i] = clients.at(site_ids[i])
+                         .make_upload(world, &voronoi, i, &stats[i], &truth);
         });
       }
       double max_extract = 0.0;
@@ -403,32 +342,36 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
         suppressed_bytes += s.suppressed_bytes;
       }
 
-      // --- Uplink channel faults ---
-      // Byte accounting: every offered byte gets exactly one fate this
-      // frame — delivered to the edge, lost to channel faults, dropped by
-      // ingest-queue backpressure (service mode only), or shed by the
-      // shared cap. (Bytes the redundancy layer avoided sending were never
-      // offered; they are tracked separately as suppressed.) Service mode
-      // already resolved offered/lost/backpressure inside the fan-out.
-      if (!service_mode) {
-        for (const net::UploadFrame& f : uploads) {
-          offered_bytes += f.total_bytes();
-        }
-        upload_frames_offered += uploads.size();
-        if (faults) {
-          // Per-message Bernoulli loss + burst outages: a lost upload frame
-          // never reaches the edge (and never consumes cap budget).
-          std::vector<net::UploadFrame> kept;
-          kept.reserve(uploads.size());
-          for (net::UploadFrame& f : uploads) {
-            if (channel.uplink_lost(f.vehicle, frame, world.time())) {
-              ++upload_frames_lost;
-              lost_bytes += f.total_bytes();
-            } else {
-              kept.push_back(std::move(f));
-            }
-          }
-          uploads = std::move(kept);
+      // --- Uplink fates, billed in slot order ---
+      // Every offered byte gets exactly one fate this frame: lost to channel
+      // faults, dropped as backpressure by the service-mode drain cap (the
+      // first queue_drain_max surviving frames reach the edge), shed by the
+      // shared cap, or delivered. (Bytes the redundancy layer avoided sending
+      // were never offered; they are tracked separately as suppressed.)
+      // Loss is a pure (seed, vehicle, frame) hash, so billing it serially
+      // here is thread-count-independent.
+      const std::size_t drain_max =
+          service_mode ? cfg_.service.queue_drain_max : 0;
+      std::size_t offered_bytes = 0;
+      std::size_t lost_bytes = 0;
+      std::size_t backpressure_bytes = 0;
+      std::size_t backpressure_uploads = 0;
+      std::vector<net::UploadFrame> uploads;
+      uploads.reserve(slots.size());
+      upload_frames_offered += slots.size();
+      for (net::UploadFrame& f : slots) {
+        const std::size_t bytes = f.total_bytes();
+        offered_bytes += bytes;
+        if (faults && channel.uplink_lost(f.vehicle, frame, world.time())) {
+          // A lost upload frame never reaches the edge (and never consumes
+          // cap budget).
+          ++upload_frames_lost;
+          lost_bytes += bytes;
+        } else if (drain_max != 0 && uploads.size() >= drain_max) {
+          ++backpressure_uploads;
+          backpressure_bytes += bytes;
+        } else {
+          uploads.push_back(std::move(f));
         }
       }
 
@@ -436,7 +379,7 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
       std::vector<net::UploadFrame> delivered =
           capped ? apply_uplink_cap(std::move(uploads),
                                     cfg_.wireless.uplink_budget_bytes(),
-                                    static_cast<std::size_t>(frame), metrics)
+                                    static_cast<std::size_t>(frame))
                  : std::move(uploads);
 
       // Cap shedding measured before wire faults: corruption can *add* bytes

@@ -72,10 +72,10 @@ struct RunnerConfig {
   /// source of truth into both ClientConfig and EdgeConfig so vehicle and
   /// edge always agree on thresholds. Off by default: bit-identical runs.
   RedundancyConfig redundancy{};
-  /// Service-mode edge pipeline (DESIGN.md §17): bounded MPSC ingest queues
-  /// between the sensing fan-out and the edge plus deadline-budget admission
-  /// inside the edge. The runner copies this single source of truth into
-  /// EdgeConfig. Off by default: bit-identical runs.
+  /// Service-mode edge pipeline (DESIGN.md §17): a drain cap between the
+  /// sensing fan-out and the edge plus deadline-budget admission inside the
+  /// edge. The runner copies this single source of truth into EdgeConfig.
+  /// Off by default: bit-identical runs.
   ServiceConfig service{};
   /// Optional observer of the edge's per-frame dissemination decisions (as
   /// selected, before channel faults). Used by the golden-scenario harness.
@@ -178,12 +178,12 @@ struct MethodMetrics {
   int coverage_feedback_lost_msgs{0};
   // Service mode (DESIGN.md §17; all zero with the knob off). The uplink
   // byte partition above gains one fate: offered == delivered-to-edge +
-  // lost + backpressure (ingest-queue refusals/drain overflow) + capped.
+  // lost + backpressure (drain-cap overflow) + capped.
   // Ingest-object fates obey Σarrived == Σadmitted + Σshed + parked
   // residual over a run (deferrals re-arrive as carried work).
-  /// Offered uplink bytes dropped by ingest-queue backpressure, per frame.
+  /// Offered uplink bytes dropped as drain-cap backpressure, per frame.
   double uplink_backpressure_bytes_per_frame{0.0};
-  /// Upload frames refused by a full queue lane or the drain cap.
+  /// Upload frames dropped by the drain cap.
   int service_backpressure_uploads{0};
   /// Objects entering deadline admission over the run.
   int service_arrived_objects{0};

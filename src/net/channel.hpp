@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/check.hpp"
-#include "obs/metrics.hpp"
 
 namespace erpd::net {
 
@@ -52,108 +51,44 @@ struct WirelessConfig {
   }
 };
 
-/// Per-frame byte budget with first-come-first-served granting.
+/// Per-frame budget with first-come-first-served granting, in integer units:
+/// bytes for the uplink cap, nanoseconds of estimated decode+merge cost for
+/// service-mode admission (DESIGN.md §17). Integer units keep every grant
+/// decision exact and platform-independent. A denied grant leaves the budget
+/// untouched, so its headroom stays available to later (smaller) requests.
 class FrameBudget {
  public:
-  explicit FrameBudget(std::size_t capacity_bytes)
-      : capacity_(capacity_bytes) {}
+  explicit FrameBudget(std::uint64_t capacity) : capacity_(capacity) {}
 
-  std::size_t capacity() const { return capacity_; }
-  std::size_t used() const { return used_; }
+  std::uint64_t capacity() const { return capacity_; }
+  std::uint64_t used() const { return used_; }
 
-  /// Attach byte counters fed by every grant decision: `granted` accumulates
-  /// admitted bytes, `denied` the bytes refused (the shortfall for partial
-  /// grants). Either may be null. Observability only — recording never
-  /// changes what is granted.
-  void attach(obs::Counter* granted, obs::Counter* denied) {
-    granted_ = granted;
-    denied_ = denied;
-  }
-
-  /// Bytes still grantable this frame. Guarded so a corrupted or
-  /// over-granted state reports 0 instead of underflowing std::size_t to a
+  /// Units still grantable this frame. Guarded so a corrupted or
+  /// over-granted state reports 0 instead of underflowing to a
   /// near-infinite budget; ERPD_DCHECK still flags the broken invariant in
   /// checked builds.
-  std::size_t remaining() const {
+  std::uint64_t remaining() const {
     ERPD_DCHECK(used_ <= capacity_, "FrameBudget: used ", used_,
                 " exceeds capacity ", capacity_);
     return used_ <= capacity_ ? capacity_ - used_ : 0;
   }
 
   /// True if the whole request fits; grants it atomically.
-  bool try_grant(std::size_t bytes) {
-    if (bytes > remaining()) {
-      if (denied_ != nullptr) denied_->add(bytes);
-      return false;
-    }
-    used_ += bytes;
-    ERPD_ENSURE(used_ <= capacity_, "FrameBudget: grant of ", bytes,
-                " bytes overflowed capacity ", capacity_);
-    if (granted_ != nullptr) granted_->add(bytes);
+  bool try_grant(std::uint64_t units) {
+    if (units > remaining()) return false;
+    used_ += units;
+    ERPD_ENSURE(used_ <= capacity_, "FrameBudget: grant of ", units,
+                " overflowed capacity ", capacity_);
     return true;
   }
 
-  /// Grant as much of the request as fits; returns granted bytes.
-  std::size_t grant_partial(std::size_t bytes) {
-    const std::size_t g = bytes <= remaining() ? bytes : remaining();
+  /// Grant as much of the request as fits; returns the granted units.
+  std::uint64_t grant_partial(std::uint64_t units) {
+    const std::uint64_t g = units <= remaining() ? units : remaining();
     used_ += g;
     ERPD_ENSURE(used_ <= capacity_, "FrameBudget: partial grant of ", g,
-                " bytes overflowed capacity ", capacity_);
-    if (granted_ != nullptr) granted_->add(g);
-    if (denied_ != nullptr) denied_->add(bytes - g);
+                " overflowed capacity ", capacity_);
     return g;
-  }
-
-  void reset() { used_ = 0; }
-
- private:
-  std::size_t capacity_;
-  std::size_t used_{0};
-  obs::Counter* granted_{nullptr};
-  obs::Counter* denied_{nullptr};
-};
-
-/// Per-frame simulated-latency budget with first-come-first-served granting
-/// — FrameBudget's grant discipline over integer nanoseconds instead of
-/// bytes. The edge's admission controller (DESIGN.md §17) charges each
-/// upload's estimated decode+merge cost against one of these; integer
-/// nanoseconds keep every grant decision exact and platform-independent.
-class LatencyBudget {
- public:
-  explicit LatencyBudget(std::uint64_t capacity_ns) : capacity_(capacity_ns) {}
-
-  std::uint64_t capacity() const { return capacity_; }
-  std::uint64_t used() const { return used_; }
-
-  /// Attach cost counters fed by every grant decision: `granted` accumulates
-  /// admitted nanoseconds, `denied` the refused ones. Either may be null.
-  /// Observability only — recording never changes what is granted.
-  void attach(obs::Counter* granted, obs::Counter* denied) {
-    granted_ = granted;
-    denied_ = denied;
-  }
-
-  /// Nanoseconds still grantable this frame. Same underflow guard as
-  /// FrameBudget::remaining.
-  std::uint64_t remaining() const {
-    ERPD_DCHECK(used_ <= capacity_, "LatencyBudget: used ", used_,
-                " exceeds capacity ", capacity_);
-    return used_ <= capacity_ ? capacity_ - used_ : 0;
-  }
-
-  /// True if the whole cost fits; grants it atomically. A denied grant
-  /// leaves the budget untouched, so the freed headroom stays available for
-  /// later (cheaper) requests — the re-grant discipline FrameBudget uses.
-  bool try_grant(std::uint64_t cost_ns) {
-    if (cost_ns > remaining()) {
-      if (denied_ != nullptr) denied_->add(cost_ns);
-      return false;
-    }
-    used_ += cost_ns;
-    ERPD_ENSURE(used_ <= capacity_, "LatencyBudget: grant of ", cost_ns,
-                " ns overflowed capacity ", capacity_);
-    if (granted_ != nullptr) granted_->add(cost_ns);
-    return true;
   }
 
   void reset() { used_ = 0; }
@@ -161,8 +96,6 @@ class LatencyBudget {
  private:
   std::uint64_t capacity_;
   std::uint64_t used_{0};
-  obs::Counter* granted_{nullptr};
-  obs::Counter* denied_{nullptr};
 };
 
 /// Transfer completion delay for a message of `bytes` over a link of

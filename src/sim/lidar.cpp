@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "core/check.hpp"
 #include "core/detlint.hpp"
@@ -46,12 +45,6 @@ LidarSensor::LidarSensor(LidarConfig cfg) : cfg_(cfg) {
       azimuth_world_.push_back(az_world);
       azimuth_dirs_.push_back(geom::Vec2::from_heading(az_world));
     }
-  }
-  // Reference-path escape hatch (see set_brute_force). Reading configuration
-  // from the environment here mirrors ERPD_THREADS: it selects between two
-  // bit-identical implementations, never different outputs.
-  if (const char* env = std::getenv("ERPD_LIDAR_BRUTE_FORCE")) {
-    brute_force_ = env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
   }
 }
 

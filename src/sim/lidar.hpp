@@ -90,9 +90,7 @@ class LidarSensor {
   /// Route scans through the brute-force reference path: the pre-index
   /// O(azimuths x candidates) loop, kept as an executable specification.
   /// The accelerated path is bit-identical to it (pinned by
-  /// test_lidar_equivalence). Defaults to the ERPD_LIDAR_BRUTE_FORCE
-  /// environment variable (any value except "" / "0" enables it) so the
-  /// whole pipeline can be cross-checked without a rebuild.
+  /// test_lidar_equivalence). Off by default.
   void set_brute_force(bool brute) { brute_force_ = brute; }
   bool brute_force() const { return brute_force_; }
 

@@ -42,13 +42,18 @@ TEST(Wireless, NegativeOrZeroRatesAreRejected) {
   EXPECT_NO_THROW(WirelessConfig{}.validate());
 }
 
+// Bytes and nanoseconds share the one budget class; the nanosecond scale
+// (5 s of decode+merge cost) needs capacities beyond 32 bits.
 TEST(FrameBudget, GrantAllOrNothing) {
-  FrameBudget b(100);
-  EXPECT_TRUE(b.try_grant(60));
-  EXPECT_FALSE(b.try_grant(50));
-  EXPECT_EQ(b.used(), 60u);
-  EXPECT_TRUE(b.try_grant(40));
-  EXPECT_EQ(b.remaining(), 0u);
+  for (const std::uint64_t unit : {1ull, 50'000'000ull}) {
+    FrameBudget b(100 * unit);
+    EXPECT_TRUE(b.try_grant(60 * unit));
+    EXPECT_FALSE(b.try_grant(50 * unit));  // a denial leaves the budget intact
+    EXPECT_EQ(b.used(), 60 * unit);
+    EXPECT_EQ(b.remaining(), 40 * unit);
+    EXPECT_TRUE(b.try_grant(40 * unit));  // headroom re-granted to smaller work
+    EXPECT_EQ(b.remaining(), 0u);
+  }
 }
 
 TEST(FrameBudget, PartialGrant) {

@@ -1,8 +1,8 @@
 // Unit tests for the edge ingest admission layer (DESIGN.md §12): semantic
 // frame validation, strike accumulation into exponential-backoff quarantine,
-// wire-payload validation via pc::try_decode, deterministic overload
-// shedding — plus the end-to-end exactly-once downlink fate accounting the
-// layer's counters rely on.
+// wire-payload validation via pc::try_decode, the point-budget stage's
+// deterministic overload shedding — plus the end-to-end exactly-once
+// downlink fate accounting the layer's counters rely on.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <limits>
 
 #include "core/check.hpp"
+#include "edge/edge_server.hpp"
 #include "edge/ingest_guard.hpp"
 #include "edge/system_runner.hpp"
 #include "obs/metrics.hpp"
@@ -286,13 +287,16 @@ TEST(IngestGuard, CleanFramesDecayStrikes) {
   EXPECT_FALSE(guard.quarantined(9, t));
 }
 
-TEST(IngestGuard, SheddingKeepsBiggestCloudsAndIsDeterministic) {
+// The ingest point budget is the admission controller under the point
+// policy (cost = points, no deferral); EdgeServer runs it right after the
+// guard.
+TEST(PointStage, SheddingKeepsBiggestCloudsAndIsDeterministic) {
   IngestConfig cfg = enabled_config();
   cfg.point_budget_per_frame = 105;
-  IngestGuard a(cfg);
-  IngestGuard b(cfg);
-  IngestStats sa;
-  IngestStats sb;
+  AdmissionController a(point_budget_policy(cfg));
+  AdmissionController b(point_budget_policy(cfg));
+  ServiceStats sa;
+  ServiceStats sb;
 
   std::vector<net::UploadFrame> uploads = {
       make_frame(1, 0.1, {0.0, 0.0}, 1, 60),
@@ -300,7 +304,7 @@ TEST(IngestGuard, SheddingKeepsBiggestCloudsAndIsDeterministic) {
       make_frame(3, 0.1, {20.0, 0.0}, 1, 30),
       make_frame(4, 0.1, {30.0, 0.0}, 1, 5),
   };
-  const auto ra = a.admit(uploads, 0.2, &sa);
+  const auto ra = a.run(uploads, &sa);
   // Greedy by size under a 105-point budget: keep 60 and 40; 30 no longer
   // fits, but the 5-point cloud still does.
   ASSERT_EQ(ra.size(), 4u);
@@ -308,27 +312,38 @@ TEST(IngestGuard, SheddingKeepsBiggestCloudsAndIsDeterministic) {
   EXPECT_EQ(ra[1].objects.size(), 1u);
   EXPECT_EQ(ra[2].objects.size(), 0u);  // shed
   EXPECT_EQ(ra[3].objects.size(), 1u);
-  EXPECT_EQ(sa.shed_uploads, 1u);
+  EXPECT_EQ(sa.shed_objects, 1u);
 
   // Bit-identical on a replay.
-  const auto rb = b.admit(uploads, 0.2, &sb);
+  const auto rb = b.run(uploads, &sb);
   ASSERT_EQ(rb.size(), ra.size());
   for (std::size_t i = 0; i < ra.size(); ++i) {
     EXPECT_EQ(rb[i].objects.size(), ra[i].objects.size()) << i;
   }
-  EXPECT_EQ(sb.shed_uploads, sa.shed_uploads);
+  EXPECT_EQ(sb.shed_objects, sa.shed_objects);
+
+  // Equal-size clouds where only one fits: the lower vehicle id wins even
+  // though it arrived second (biggest first, then vehicle ascending).
+  ServiceStats tie;
+  const auto rt = a.run({make_frame(8, 0.2, {0.0, 0.0}, 1, 60),
+                         make_frame(7, 0.2, {10.0, 0.0}, 1, 60)},
+                        &tie);
+  ASSERT_EQ(rt.size(), 2u);
+  EXPECT_EQ(rt[0].objects.size(), 0u);  // vehicle 8 shed
+  EXPECT_EQ(rt[1].objects.size(), 1u);  // vehicle 7 kept
+  EXPECT_EQ(tie.shed_objects, 1u);
 }
 
-TEST(IngestGuard, NoSheddingWithinBudget) {
+TEST(PointStage, NoSheddingWithinBudget) {
   IngestConfig cfg = enabled_config();
   cfg.point_budget_per_frame = 1000;
-  IngestGuard guard(cfg);
-  IngestStats stats;
-  const auto admitted = guard.admit(
-      {make_frame(1, 0.1, {0.0, 0.0}, 3, 50)}, 0.2, &stats);
+  AdmissionController stage(point_budget_policy(cfg));
+  ServiceStats stats;
+  const auto admitted =
+      stage.run({make_frame(1, 0.1, {0.0, 0.0}, 3, 50)}, &stats);
   ASSERT_EQ(admitted.size(), 1u);
   EXPECT_EQ(admitted[0].objects.size(), 3u);
-  EXPECT_EQ(stats.shed_uploads, 0u);
+  EXPECT_EQ(stats.shed_objects, 0u);
 }
 
 TEST(IngestGuard, CountersRecordThroughTheRegistry) {

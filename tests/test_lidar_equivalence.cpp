@@ -13,7 +13,7 @@
 // Randomized brute-force-equivalence suite for the accelerated LiDAR scan
 // (DESIGN.md §14). The azimuth-interval index, SoA ray casting, hoisted tan
 // table, and NormalSampler noise path promise BIT-identical output to the
-// retained reference path (set_brute_force / ERPD_LIDAR_BRUTE_FORCE) — not
+// retained reference path (set_brute_force) — not
 // merely numerically-close output: the pipeline's behavior fingerprints and
 // golden snapshots hash the cloud bytes. So every comparison below is on
 // exact bit patterns, never EXPECT_NEAR.
@@ -203,21 +203,6 @@ TEST(LidarEquivalenceDirected, EyeInsideCircumcircleAndBox) {
   const LidarScan ref = run_scan(lidar, true, pose, targets, 78);
   const LidarScan got = run_scan(lidar, false, pose, targets, 78);
   expect_identical(ref, got, 78);
-}
-
-// ERPD_LIDAR_BRUTE_FORCE must reach the sensor through the environment too
-// (the env path is how whole-pipeline cross-checks run without a rebuild);
-// exercised via the constructor-read flag.
-TEST(LidarEquivalenceDirected, EnvFlagSelectsReferencePath) {
-  LidarConfig cfg;
-  cfg.channels = 4;
-  cfg.azimuth_step_deg = 4.0;
-  ASSERT_EQ(setenv("ERPD_LIDAR_BRUTE_FORCE", "1", 1), 0);
-  const LidarSensor brute(cfg);
-  ASSERT_EQ(unsetenv("ERPD_LIDAR_BRUTE_FORCE"), 0);
-  const LidarSensor accel(cfg);
-  EXPECT_TRUE(brute.brute_force());
-  EXPECT_FALSE(accel.brute_force());
 }
 
 }  // namespace

@@ -1,29 +1,21 @@
 // Unit tests for the service-mode edge pipeline (DESIGN.md §17): the
-// deterministic MPSC ingest queue (capacity, backpressure fates, drain
-// order under 1/2/8 parallel producers — the TSan-run stress for the
-// determinism suite), the LatencyBudget grant discipline, the SLO-aware
-// admission controller's admit/defer/shed fate partition, and the
-// off-by-default bit-identity contract of ServiceConfig.
+// admission controller's admit/defer/shed fate partition under the deadline
+// policy, the drain-cap backpressure fate, and the off-by-default
+// bit-identity contract of ServiceConfig.
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-#include <string>
 #include <vector>
 
 #include "core/check.hpp"
-#include "core/mpsc_queue.hpp"
 #include "core/thread_pool.hpp"
 #include "edge/service.hpp"
 #include "edge/system_runner.hpp"
-#include "net/channel.hpp"
 #include "obs/metrics.hpp"
 #include "scenario_harness.hpp"
 
 namespace erpd {
 namespace {
-
-const std::size_t kThreadCounts[] = {1, 2, 8};
 
 /// Restores the auto pool size when a test exits.
 struct PoolGuard {
@@ -31,128 +23,7 @@ struct PoolGuard {
 };
 
 // ---------------------------------------------------------------------------
-// MpscLaneQueue
-// ---------------------------------------------------------------------------
-
-TEST(MpscLaneQueue, RejectsZeroLaneDepth) {
-  EXPECT_THROW((core::MpscLaneQueue<int>(4, 0)), erpd::ContractViolation);
-}
-
-TEST(MpscLaneQueue, LaneCapacityBoundsPushes) {
-  core::MpscLaneQueue<int> q(2, 2);
-  EXPECT_TRUE(q.try_push(0, 10));
-  EXPECT_TRUE(q.try_push(0, 11));
-  EXPECT_FALSE(q.try_push(0, 12));  // lane 0 full
-  EXPECT_TRUE(q.try_push(1, 20));   // other lanes unaffected
-  EXPECT_EQ(q.size(), 3u);
-}
-
-TEST(MpscLaneQueue, DrainDeliversInLaneThenPushOrder) {
-  core::MpscLaneQueue<int> q(3, 4);
-  // Push out of lane order on purpose: drain order must depend only on the
-  // lane indices, never on arrival order.
-  EXPECT_TRUE(q.try_push(2, 30));
-  EXPECT_TRUE(q.try_push(0, 10));
-  EXPECT_TRUE(q.try_push(1, 20));
-  EXPECT_TRUE(q.try_push(0, 11));
-
-  std::vector<int> got;
-  const auto stats = q.drain(
-      0, [&](int v) { got.push_back(v); }, [](int) { FAIL(); });
-  EXPECT_EQ(got, (std::vector<int>{10, 11, 20, 30}));
-  EXPECT_EQ(stats.delivered, 4u);
-  EXPECT_EQ(stats.dropped, 0u);
-  EXPECT_EQ(q.size(), 0u);  // drain leaves the queue empty
-}
-
-TEST(MpscLaneQueue, DrainCapDropsHighestLanesExactlyOnce) {
-  core::MpscLaneQueue<int> q(4, 1);
-  for (std::size_t lane = 0; lane < 4; ++lane) {
-    ASSERT_TRUE(q.try_push(lane, static_cast<int>(lane)));
-  }
-  std::vector<int> delivered;
-  std::vector<int> dropped;
-  const auto stats = q.drain(
-      3, [&](int v) { delivered.push_back(v); },
-      [&](int v) { dropped.push_back(v); });
-  // Lanes drain in ascending order, so the cap always drops the tail.
-  EXPECT_EQ(delivered, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(dropped, (std::vector<int>{3}));
-  EXPECT_EQ(stats.delivered, 3u);
-  EXPECT_EQ(stats.dropped, 1u);
-}
-
-TEST(MpscLaneQueue, ClearEmptiesAndLanesAreReusable) {
-  core::MpscLaneQueue<int> q(2, 1);
-  EXPECT_TRUE(q.try_push(0, 1));
-  q.clear();
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_TRUE(q.try_push(0, 2));  // capacity restored after clear
-  int got = 0;
-  q.drain(0, [&](int v) { got = v; }, [](int) { FAIL(); });
-  EXPECT_EQ(got, 2);
-}
-
-// The determinism/TSan stress: parallel producers (one lane each, the
-// pipeline's fan-out discipline) must yield a drain sequence that is
-// bit-identical across worker counts — and data-race-free under TSan.
-TEST(MpscLaneQueue, DrainOrderIdenticalAcrossThreadCounts) {
-  PoolGuard guard;
-  constexpr std::size_t kLanes = 64;
-  constexpr std::size_t kPerLane = 8;
-
-  const auto produce_and_drain = [](std::size_t threads) {
-    core::set_thread_count(threads);
-    core::MpscLaneQueue<std::uint64_t> q(kLanes, kPerLane);
-    core::parallel_for(kLanes, 1, [&](std::size_t lane) {
-      for (std::size_t k = 0; k < kPerLane; ++k) {
-        ASSERT_TRUE(q.try_push(lane, lane * 1000 + k));
-      }
-    });
-    // Pool join above is the happens-before edge; drain single-threaded.
-    std::vector<std::uint64_t> out;
-    out.reserve(kLanes * kPerLane);
-    q.drain(
-        0, [&](std::uint64_t v) { out.push_back(v); },
-        [](std::uint64_t) { FAIL(); });
-    return out;
-  };
-
-  const std::vector<std::uint64_t> ref = produce_and_drain(1);
-  ASSERT_EQ(ref.size(), kLanes * kPerLane);
-  for (const std::size_t t : kThreadCounts) {
-    EXPECT_EQ(produce_and_drain(t), ref) << t << " threads";
-  }
-}
-
-// ---------------------------------------------------------------------------
-// LatencyBudget
-// ---------------------------------------------------------------------------
-
-TEST(LatencyBudget, GrantDisciplineMatchesFrameBudget) {
-  net::LatencyBudget b(1000);
-  EXPECT_EQ(b.remaining(), 1000u);
-  EXPECT_TRUE(b.try_grant(600));
-  EXPECT_FALSE(b.try_grant(500));  // denied grant leaves the budget intact
-  EXPECT_EQ(b.remaining(), 400u);
-  EXPECT_TRUE(b.try_grant(400));  // freed headroom re-granted to smaller work
-  EXPECT_EQ(b.remaining(), 0u);
-  b.reset();
-  EXPECT_EQ(b.remaining(), 1000u);
-}
-
-TEST(LatencyBudget, AttachedCountersRecordEveryDecision) {
-  obs::MetricsRegistry reg;
-  net::LatencyBudget b(100);
-  b.attach(&reg.counter("granted"), &reg.counter("denied"));
-  EXPECT_TRUE(b.try_grant(60));
-  EXPECT_FALSE(b.try_grant(50));
-  EXPECT_EQ(reg.counter("granted").value(), 60u);
-  EXPECT_EQ(reg.counter("denied").value(), 50u);
-}
-
-// ---------------------------------------------------------------------------
-// AdmissionController
+// AdmissionController (deadline policy)
 // ---------------------------------------------------------------------------
 
 net::UploadFrame service_frame(sim::AgentId vehicle, double timestamp,
@@ -180,9 +51,6 @@ std::size_t total_objects(const std::vector<net::UploadFrame>& frames) {
 
 TEST(ServiceConfig, ValidateRejectsBadValues) {
   edge::ServiceConfig cfg;
-  cfg.queue_lane_depth = 0;
-  EXPECT_THROW(cfg.validate(), erpd::ContractViolation);
-  cfg = {};
   cfg.max_defer_frames = -1;
   EXPECT_THROW(cfg.validate(), erpd::ContractViolation);
   cfg = {};
@@ -195,11 +63,11 @@ TEST(ServiceConfig, ValidateRejectsBadValues) {
 TEST(AdmissionController, ZeroBudgetPassesEverythingThrough) {
   edge::ServiceConfig cfg;
   cfg.enabled = true;  // budget stays 0: no latency shedding
-  edge::AdmissionController ac(cfg);
+  edge::AdmissionController ac(edge::deadline_policy(cfg));
   edge::ServiceStats stats;
   const auto out =
       ac.run({service_frame(1, 0.1, {50, 20}), service_frame(2, 0.1, {30})},
-             0.1, &stats);
+             &stats);
   EXPECT_EQ(total_objects(out), 3u);
   EXPECT_EQ(stats.arrived_objects, 3u);
   EXPECT_EQ(stats.admitted_objects, 3u);
@@ -215,19 +83,19 @@ TEST(AdmissionController, BudgetShedsSmallestCloudsFirst) {
   cfg.cost_per_point_ns = 100;
   cfg.max_defer_frames = 0;  // shed immediately, no parking
   cfg.decode_merge_budget_us = 13;  // 13000 ns
-  edge::AdmissionController ac(cfg);
+  edge::AdmissionController ac(edge::deadline_policy(cfg));
   edge::ServiceStats stats;
   // Costs: 100 pts -> 11000 ns, 50 pts -> 6000 ns, 10 pts -> 2000 ns.
   // Value order admits the 100-point cloud (11000), then denies the
   // 50-point one (6000 > 2000 left) but still re-grants the freed headroom
   // to the 10-point cloud (2000 ns) — FrameBudget's discipline.
   const auto out = ac.run(
-      {service_frame(1, 0.1, {10}), service_frame(2, 0.1, {100, 50})}, 0.1,
+      {service_frame(1, 0.1, {10}), service_frame(2, 0.1, {100, 50})},
       &stats);
   EXPECT_EQ(stats.arrived_objects, 3u);
   EXPECT_EQ(stats.admitted_objects, 2u);
   EXPECT_EQ(stats.shed_objects, 1u);
-  EXPECT_EQ(stats.admitted_cost_ns, 13000u);
+  EXPECT_EQ(stats.admitted_cost, 13000u);
   ASSERT_EQ(total_objects(out), 2u);
   // Both fresh frame skeletons survive (validated poses) even where an
   // object was shed.
@@ -245,13 +113,12 @@ TEST(AdmissionController, DeniedWorkIsParkedThenReadmittedWithPriority) {
   cfg.cost_per_point_ns = 100;
   cfg.decode_merge_budget_us = 12;  // fits one 100-point object per frame
   cfg.max_defer_frames = 3;
-  edge::AdmissionController ac(cfg);
+  edge::AdmissionController ac(edge::deadline_policy(cfg));
 
   // Frame 1: two equally expensive objects from two vehicles; vehicle 1 wins
   // the tie-break, vehicle 2's object is deferred.
   edge::ServiceStats s1;
-  ac.run({service_frame(1, 0.1, {100}), service_frame(2, 0.1, {100})}, 0.1,
-         &s1);
+  ac.run({service_frame(1, 0.1, {100}), service_frame(2, 0.1, {100})}, &s1);
   EXPECT_EQ(s1.admitted_objects, 1u);
   EXPECT_EQ(s1.deferred_objects, 1u);
   EXPECT_EQ(ac.parked_count(), 1u);
@@ -259,7 +126,7 @@ TEST(AdmissionController, DeniedWorkIsParkedThenReadmittedWithPriority) {
   // Frame 2: the parked object (age 1) outranks an equally big fresh one and
   // is re-admitted first; the fresh one parks in turn.
   edge::ServiceStats s2;
-  const auto out2 = ac.run({service_frame(1, 0.2, {100})}, 0.2, &s2);
+  const auto out2 = ac.run({service_frame(1, 0.2, {100})}, &s2);
   EXPECT_EQ(s2.carried_objects, 1u);
   EXPECT_EQ(s2.admitted_objects, 1u);
   EXPECT_EQ(s2.deferred_objects, 1u);
@@ -280,7 +147,7 @@ TEST(AdmissionController, DeferralExpiresIntoShedAtMaxDeferFrames) {
   cfg.cost_per_point_ns = 100;
   cfg.decode_merge_budget_us = 12;
   cfg.max_defer_frames = 2;
-  edge::AdmissionController ac(cfg);
+  edge::AdmissionController ac(edge::deadline_policy(cfg));
 
   // Each frame two fresh 100-point objects arrive but the budget fits only
   // one, so the backlog grows. Deferrals re-enter one frame older; once the
@@ -292,7 +159,7 @@ TEST(AdmissionController, DeferralExpiresIntoShedAtMaxDeferFrames) {
   for (int frame = 0; frame < 6; ++frame) {
     edge::ServiceStats s;
     const double t = 0.1 * (frame + 1);
-    ac.run({service_frame(1, t, {100, 100})}, t, &s);
+    ac.run({service_frame(1, t, {100, 100})}, &s);
     ASSERT_EQ(s.arrived_objects + s.carried_objects,
               s.admitted_objects + s.deferred_objects + s.shed_objects)
         << "frame " << frame;
@@ -312,9 +179,9 @@ TEST(AdmissionController, ParkingLotCapacityOverflowsIntoShed) {
   cfg.cost_per_point_ns = 100;
   cfg.decode_merge_budget_us = 1;  // 1000 ns: nothing with points fits
   cfg.defer_capacity = 2;
-  edge::AdmissionController ac(cfg);
+  edge::AdmissionController ac(edge::deadline_policy(cfg));
   edge::ServiceStats stats;
-  ac.run({service_frame(1, 0.1, {10, 10, 10, 10})}, 0.1, &stats);
+  ac.run({service_frame(1, 0.1, {10, 10, 10, 10})}, &stats);
   EXPECT_EQ(stats.arrived_objects, 4u);
   EXPECT_EQ(stats.admitted_objects, 0u);
   EXPECT_EQ(stats.deferred_objects, 2u);  // defer_capacity
@@ -330,10 +197,10 @@ TEST(AdmissionController, CountersRecordThroughTheRegistry) {
   cfg.cost_per_point_ns = 100;
   cfg.decode_merge_budget_us = 12;
   cfg.max_defer_frames = 0;
-  edge::AdmissionController ac(cfg);
+  edge::AdmissionController ac(edge::deadline_policy(cfg));
   ac.attach_metrics(&reg);
   edge::ServiceStats stats;
-  ac.run({service_frame(1, 0.1, {100, 100})}, 0.1, &stats);
+  ac.run({service_frame(1, 0.1, {100, 100})}, &stats);
   EXPECT_EQ(reg.counter("service.arrived_objects").value(), 2u);
   EXPECT_EQ(reg.counter("service.admitted_objects").value(), 1u);
   EXPECT_EQ(reg.counter("service.shed_objects").value(), 1u);
@@ -362,7 +229,6 @@ TEST(ServiceMode, DisabledConfigIsBitIdenticalWhateverTheKnobsSay) {
   // enabled=false must gate every other knob: junk values change nothing.
   edge::ServiceConfig junk;
   junk.enabled = false;
-  junk.queue_lane_depth = 1;
   junk.queue_drain_max = 1;
   junk.decode_merge_budget_us = 1;
   junk.cost_per_point_ns = 1;
