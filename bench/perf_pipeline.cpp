@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -60,7 +61,6 @@ StageStats stats_of(std::vector<double> v) {
 struct RunResult {
   double wall_seconds{0.0};
   std::size_t frames{0};
-  std::size_t raw_points{0};
   double sensing_seconds{0.0};  // summed sensing wall time
   StageStats sensing;
   StageStats extract;
@@ -69,10 +69,13 @@ struct RunResult {
   StageStats dissemination;
   edge::MethodMetrics metrics;
   obs::RunManifest manifest;
+  /// Everything the run recorded: stage histograms, fate counters, pool
+  /// gauges.
+  std::unique_ptr<obs::MetricsRegistry> registry;
 };
 
 RunResult run_once(edge::Method method, bool redundancy, std::uint64_t seed,
-                   double duration, obs::MetricsRegistry* registry = nullptr) {
+                   double duration) {
   sim::ScenarioConfig cfg;
   cfg.seed = seed;
   cfg.speed_kmh = 30.0;
@@ -85,14 +88,14 @@ RunResult run_once(edge::Method method, bool redundancy, std::uint64_t seed,
   sim::Scenario sc = sim::make_unprotected_left_turn(cfg);
   edge::RunnerConfig rc = edge::make_runner_config(method, bench::bench_wireless());
   rc.duration = duration;
-  rc.metrics = registry;
   rc.redundancy.enabled = redundancy;
 
   std::vector<double> sensing, extract, merge, track, diss;
   RunResult r;
+  r.registry = std::make_unique<obs::MetricsRegistry>();
+  rc.metrics = r.registry.get();
   rc.on_frame = [&](const edge::FrameTrace& tr) {
     ++r.frames;
-    r.raw_points += tr.raw_points;
     sensing.push_back(tr.sensing_wall_seconds);
     extract.push_back(tr.extract_max_seconds);
     merge.push_back(tr.merge_seconds);
@@ -224,10 +227,8 @@ int main(int argc, char** argv) {
                                                      : edge::to_string(method);
 
     // Parallel (auto) pass, then the pinned serial pass over the same seeds.
-    // The first parallel run also carries the obs registry, whose stage
-    // histograms and counters go into the artifact alongside the FrameTrace
-    // percentiles.
-    obs::MetricsRegistry registry;
+    // The first parallel run's registry (stage histograms and counters) goes
+    // into the artifact alongside the FrameTrace percentiles.
     double par_wall = 0.0, ser_wall = 0.0, par_sense = 0.0, ser_sense = 0.0;
     std::size_t frames = 0, raw_points = 0;
     std::vector<RunResult> par_runs;
@@ -235,12 +236,11 @@ int main(int argc, char** argv) {
 
     core::set_thread_count(0);
     for (std::size_t si = 0; si < seeds.size(); ++si) {
-      RunResult r = run_once(method, redundancy, seeds[si], duration,
-                             si == 0 ? &registry : nullptr);
+      RunResult r = run_once(method, redundancy, seeds[si], duration);
       par_wall += r.wall_seconds;
       par_sense += r.sensing_seconds;
       frames += r.frames;
-      raw_points += r.raw_points;
+      raw_points += r.registry->counter("client.raw_points").value();
       par_runs.push_back(std::move(r));
     }
     core::set_thread_count(1);
@@ -299,7 +299,7 @@ int main(int argc, char** argv) {
     json_stage(w, "merge", head.merge);
     json_stage(w, "track_relevance", head.track_relevance);
     json_stage(w, "dissemination", head.dissemination);
-    obs::append_registry(w, registry);
+    obs::append_registry(w, *head.registry);
     w.end_object();
   }
 

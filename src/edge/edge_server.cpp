@@ -210,7 +210,6 @@ FrameOutput EdgeServer::process_frame(
     ServiceStats points;
     admitted = point_stage_.run(std::move(admitted), &points);
     out.ingest.shed_uploads = points.shed_objects;
-    if (shed_points_ctr_ != nullptr) shed_points_ctr_->add(points.shed_objects);
   }
   if (cfg_.service.enabled) {
     std::vector<net::UploadFrame> batch =
@@ -352,10 +351,6 @@ FrameOutput EdgeServer::process_frame(
       }
       out.feedback_bytes += fb.wire_bytes();
       out.feedback.push_back(std::move(fb));
-    }
-    if (metrics_ != nullptr) {
-      metrics_->counter("coverage.feedback_msgs").add(out.feedback.size());
-      metrics_->counter("coverage.feedback_bytes").add(out.feedback_bytes);
     }
   }
 
@@ -575,17 +570,6 @@ FrameOutput EdgeServer::process_frame(
   out.selected.reserve(sel.chosen.size());
   for (const core::Candidate& c : sel.chosen) {
     out.selected.push_back({c.to, c.track_id, c.about, c.bytes, c.relevance});
-  }
-
-  if (metrics_ != nullptr) {
-    metrics_->counter("edge.detections").add(out.detections);
-    metrics_->counter("edge.confirmed_tracks").add(out.confirmed_tracks);
-    metrics_->counter("edge.moving_tracks").add(out.moving_tracks);
-    metrics_->counter("edge.coasting_tracks").add(out.coasting_tracks);
-    metrics_->counter("edge.candidates").add(out.candidates);
-    metrics_->counter("edge.stale_candidates").add(out.stale_candidates);
-    metrics_->counter("diss.selected_msgs").add(out.selected.size());
-    metrics_->counter("diss.selected_bytes").add(out.downlink_bytes);
   }
   return out;
 }

@@ -141,17 +141,10 @@ class EdgeServer {
 
   /// Attach an observability registry (not owned; null detaches). Each
   /// process_frame then times its modules into the stage.merge / stage.track
-  /// / stage.relevance / stage.disseminate histograms and accumulates
-  /// edge.* / ingest.* counters. Purely write-only: decisions never read
-  /// metrics.
-  void attach_metrics(obs::MetricsRegistry* registry) {
-    metrics_ = registry;
-    guard_.attach_metrics(registry);
-    admission_.attach_metrics(registry);
-    shed_points_ctr_ = registry != nullptr
-                           ? &registry->counter("ingest.shed_uploads")
-                           : nullptr;
-  }
+  /// / stage.relevance / stage.disseminate histograms. The counts it returns
+  /// in FrameOutput are booked by the caller. Purely write-only: decisions
+  /// never read metrics.
+  void attach_metrics(obs::MetricsRegistry* registry) { metrics_ = registry; }
 
   /// Objects still parked in the admission controller's deferral lot (the
   /// run-level fate identity's residual term).
@@ -166,7 +159,6 @@ class EdgeServer {
   AdmissionController point_stage_;
   /// Service-mode deadline admission.
   AdmissionController admission_;
-  obs::Counter* shed_points_ctr_{nullptr};
   track::MultiObjectTracker tracker_;
   track::RuleEngine rules_;
   track::TrajectoryPredictor predictor_;

@@ -38,17 +38,6 @@ void IngestConfig::validate() const {
 
 IngestGuard::IngestGuard(IngestConfig cfg) : cfg_(cfg) { cfg_.validate(); }
 
-void IngestGuard::attach_metrics(obs::MetricsRegistry* registry) {
-  const bool on = registry != nullptr;
-  rejected_crc_ctr_ = on ? &registry->counter("ingest.rejected_crc") : nullptr;
-  rejected_semantic_ctr_ =
-      on ? &registry->counter("ingest.rejected_semantic") : nullptr;
-  quarantined_ctr_ =
-      on ? &registry->counter("ingest.quarantined_vehicles") : nullptr;
-  quarantine_dropped_ctr_ =
-      on ? &registry->counter("ingest.quarantine_dropped_frames") : nullptr;
-}
-
 bool IngestGuard::should_run(
     const std::vector<net::UploadFrame>& uploads) const {
   if (cfg_.enabled) return true;
@@ -81,7 +70,6 @@ void IngestGuard::note_offense(VehicleState& vs, double t,
   vs.quarantine_until = t + backoff;
   if (backoff < cfg_.quarantine_max) ++vs.quarantines;
   ++stats->quarantine_events;
-  if (quarantined_ctr_ != nullptr) quarantined_ctr_->add();
 }
 
 std::vector<net::UploadFrame> IngestGuard::admit(
@@ -97,7 +85,6 @@ std::vector<net::UploadFrame> IngestGuard::admit(
   for (const net::UploadFrame& f : uploads) {
     if (cfg_.enabled && quarantined(f.vehicle, t)) {
       ++stats->quarantine_dropped;
-      if (quarantine_dropped_ctr_ != nullptr) quarantine_dropped_ctr_->add();
       continue;
     }
 
@@ -131,7 +118,6 @@ std::vector<net::UploadFrame> IngestGuard::admit(
     }
     if (reject) {
       ++stats->rejected_semantic;
-      if (rejected_semantic_ctr_ != nullptr) rejected_semantic_ctr_->add();
       note_offense(vs, t, stats);
       continue;
     }
@@ -169,15 +155,7 @@ std::vector<net::UploadFrame> IngestGuard::admit(
                 r.status == pc::DecodeStatus::kTruncatedHeader ||
                 r.status == pc::DecodeStatus::kSizeMismatch ||
                 r.status == pc::DecodeStatus::kBadChecksum;
-            if (transport) {
-              ++stats->rejected_crc;
-              if (rejected_crc_ctr_ != nullptr) rejected_crc_ctr_->add();
-            } else {
-              ++stats->rejected_semantic;
-              if (rejected_semantic_ctr_ != nullptr) {
-                rejected_semantic_ctr_->add();
-              }
-            }
+            ++(transport ? stats->rejected_crc : stats->rejected_semantic);
             continue;
           }
           net::ObjectUpload checked = o;
@@ -191,7 +169,6 @@ std::vector<net::UploadFrame> IngestGuard::admit(
         if (!r.ok()) {
           ++dropped_objects;
           ++stats->rejected_crc;
-          if (rejected_crc_ctr_ != nullptr) rejected_crc_ctr_->add();
           continue;
         }
         // A validated keyframe with an object identity becomes the delta
@@ -216,7 +193,6 @@ std::vector<net::UploadFrame> IngestGuard::admit(
            std::abs(o.centroid_world.y) > cfg_.max_abs_coord)) {
         ++dropped_objects;
         ++stats->rejected_semantic;
-        if (rejected_semantic_ctr_ != nullptr) rejected_semantic_ctr_->add();
         continue;
       }
       kept.objects.push_back(o);

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "net/message.hpp"
-#include "obs/metrics.hpp"
 #include "pointcloud/encoding.hpp"
 #include "sim/types.hpp"
 
@@ -68,7 +67,8 @@ struct IngestConfig {
   void validate() const;
 };
 
-/// Per-process_frame admission outcome, for FrameOutput/MethodMetrics.
+/// Per-process_frame admission outcome: the guard's whole tally. The runner
+/// books it into the ingest.* counters.
 struct IngestStats {
   /// Objects whose wire payload failed validation (CRC / header sanity).
   std::size_t rejected_crc{0};
@@ -87,10 +87,6 @@ class IngestGuard {
   explicit IngestGuard(IngestConfig cfg = {});
 
   const IngestConfig& config() const { return cfg_; }
-
-  /// Attach an observability registry (not owned; null detaches). Admission
-  /// decisions then bump the ingest.* counters. Write-only, as everywhere.
-  void attach_metrics(obs::MetricsRegistry* registry);
 
   /// True when admit() could change this batch: admission control is on, or
   /// some upload carries an on-the-wire payload that must be validated.
@@ -132,10 +128,6 @@ class IngestGuard {
   /// for deterministic eviction.
   std::map<sim::AgentId, std::map<std::uint64_t, pc::EncodedCloud>> bases_;
   static constexpr std::size_t kMaxBasesPerVehicle = 64;
-  obs::Counter* rejected_crc_ctr_{nullptr};
-  obs::Counter* rejected_semantic_ctr_{nullptr};
-  obs::Counter* quarantined_ctr_{nullptr};
-  obs::Counter* quarantine_dropped_ctr_{nullptr};
 };
 
 }  // namespace erpd::edge

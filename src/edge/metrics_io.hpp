@@ -65,10 +65,6 @@
 // Every exported FrameTrace field, in struct declaration order.
 #define ERPD_FRAME_TRACE_FIELDS(X) \
   X(frame)                         \
-  X(vehicles)                      \
-  X(raw_points)                    \
-  X(offered_bytes)                 \
-  X(delivered_bytes)               \
   X(sensing_wall_seconds)          \
   X(extract_max_seconds)           \
   X(merge_seconds)                 \

@@ -16,36 +16,21 @@ void ServiceConfig::validate() const {
                "free and the deadline budget could never shed");
 }
 
-void AdmissionController::attach_metrics(obs::MetricsRegistry* registry) {
-  const bool on = registry != nullptr;
-  arrived_ctr_ = on ? &registry->counter("service.arrived_objects") : nullptr;
-  admitted_ctr_ = on ? &registry->counter("service.admitted_objects") : nullptr;
-  deferred_ctr_ = on ? &registry->counter("service.deferred_objects") : nullptr;
-  shed_ctr_ = on ? &registry->counter("service.shed_objects") : nullptr;
-  granted_ctr_ = on ? &registry->counter("service.budget_granted_ns") : nullptr;
-  denied_ctr_ = on ? &registry->counter("service.budget_denied_ns") : nullptr;
-}
-
 std::vector<net::UploadFrame> AdmissionController::run(
     std::vector<net::UploadFrame> uploads, ServiceStats* stats) {
   ERPD_REQUIRE(stats != nullptr, "AdmissionController::run: stats is null");
   *stats = ServiceStats{};
 
-  // Capacity 0 = shedding off: pass everything through, but still account
-  // arrivals so the fate identity holds trivially.
+  // Capacity 0 = shedding off: pass everything through, granting no budget,
+  // but still account arrivals so the fate identity holds trivially.
   if (policy_.capacity == 0) {
     for (const net::UploadFrame& f : uploads) {
       stats->arrived_objects += f.objects.size();
       stats->admitted_objects += f.objects.size();
-      for (const net::ObjectUpload& o : f.objects) {
-        stats->admitted_cost += cost(o);
-      }
     }
     ERPD_ENSURE(parked_.empty(),
                 "AdmissionController: parked objects with a zero capacity; "
                 "the budget knob must not change mid-run");
-    if (arrived_ctr_ != nullptr) arrived_ctr_->add(stats->arrived_objects);
-    if (admitted_ctr_ != nullptr) admitted_ctr_->add(stats->admitted_objects);
     return uploads;
   }
 
@@ -86,7 +71,6 @@ std::vector<net::UploadFrame> AdmissionController::run(
             });
 
   net::FrameBudget budget(policy_.capacity);
-  std::uint64_t denied_cost = 0;
   std::vector<Candidate> admitted;
   admitted.reserve(candidates.size());
   for (Candidate& c : candidates) {
@@ -97,7 +81,7 @@ std::vector<net::UploadFrame> AdmissionController::run(
       admitted.push_back(std::move(c));
       continue;
     }
-    denied_cost += units;
+    stats->denied_cost += units;
     // Denied: defer if the object is still fresh enough and the parking lot
     // has room, otherwise shed. Both are final fates for this frame.
     if (c.age < policy_.max_defer_frames &&
@@ -151,13 +135,6 @@ std::vector<net::UploadFrame> AdmissionController::run(
     }
     out.push_back(std::move(f));
   }
-
-  if (arrived_ctr_ != nullptr) arrived_ctr_->add(stats->arrived_objects);
-  if (admitted_ctr_ != nullptr) admitted_ctr_->add(stats->admitted_objects);
-  if (deferred_ctr_ != nullptr) deferred_ctr_->add(stats->deferred_objects);
-  if (shed_ctr_ != nullptr) shed_ctr_->add(stats->shed_objects);
-  if (granted_ctr_ != nullptr) granted_ctr_->add(stats->admitted_cost);
-  if (denied_ctr_ != nullptr) denied_ctr_->add(denied_cost);
   return out;
 }
 

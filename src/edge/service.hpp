@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "net/message.hpp"
-#include "obs/metrics.hpp"
 #include "sim/types.hpp"
 
 namespace erpd::edge {
@@ -67,7 +66,8 @@ struct AdmissionPolicy {
   int max_defer_frames{0};
 };
 
-/// Per-frame admission outcome, for FrameOutput/MethodMetrics.
+/// Per-frame admission outcome: the controller's whole tally. The runner
+/// books service-mode admission into the service.* counters.
 /// Event-count identity, checked per frame:
 ///   arrived + carried == admitted + deferred + shed.
 /// Summed over a run this collapses to the fresh-object fate partition
@@ -85,8 +85,11 @@ struct ServiceStats {
   std::size_t deferred_objects{0};
   /// Objects dropped: budget denied with no parking room, or expired.
   std::size_t shed_objects{0};
-  /// Estimated cost admitted this frame (policy units).
+  /// Budget granted this frame (policy units); 0 when the policy has no
+  /// capacity and admission passes everything through.
   std::uint64_t admitted_cost{0};
+  /// Budget requested by denied objects this frame (policy units).
+  std::uint64_t denied_cost{0};
 };
 
 /// Rank-and-grant admission controller. Owned by EdgeServer; runs between
@@ -95,10 +98,6 @@ class AdmissionController {
  public:
   explicit AdmissionController(AdmissionPolicy policy = {})
       : policy_(policy) {}
-
-  /// Attach an observability registry (not owned; null detaches). Admission
-  /// decisions then bump service.* counters. Write-only, as everywhere.
-  void attach_metrics(obs::MetricsRegistry* registry);
 
   /// Estimated cost of one upload object under the policy's cost model.
   std::uint64_t cost(const net::ObjectUpload& o) const {
@@ -136,12 +135,6 @@ class AdmissionController {
   AdmissionPolicy policy_;
   std::vector<Candidate> parked_;
   std::uint64_t next_order_{0};
-  obs::Counter* arrived_ctr_{nullptr};
-  obs::Counter* admitted_ctr_{nullptr};
-  obs::Counter* deferred_ctr_{nullptr};
-  obs::Counter* shed_ctr_{nullptr};
-  obs::Counter* granted_ctr_{nullptr};
-  obs::Counter* denied_ctr_{nullptr};
 };
 
 }  // namespace erpd::edge

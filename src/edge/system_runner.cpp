@@ -109,8 +109,9 @@ std::vector<net::UploadFrame> apply_uplink_cap(
 /// pure hash of (seed, vehicle, frame), and the loop runs in delivery order
 /// on the caller's thread, so the result is thread-count-independent.
 /// `last_clean` caches each vehicle's previous delivered (pre-mangle) frame
-/// for stale replay.
-void apply_wire_faults(std::vector<net::UploadFrame>& delivered,
+/// for stale replay. Returns how many frames the channel corrupted
+/// (Byzantine frames are not corruption).
+std::size_t apply_wire_faults(std::vector<net::UploadFrame>& delivered,
                        const net::LossyChannel& channel, int frame, double t,
                        const pc::EncodingConfig& enc_cfg,
                        std::map<sim::AgentId, net::UploadFrame>& last_clean) {
@@ -132,6 +133,7 @@ void apply_wire_faults(std::vector<net::UploadFrame>& delivered,
     }
   };
 
+  std::size_t corrupted = 0;
   std::vector<net::UploadFrame> duplicates;
   for (net::UploadFrame& f : delivered) {
     const bool cache_replay = channel.corruption_active();
@@ -153,7 +155,10 @@ void apply_wire_faults(std::vector<net::UploadFrame>& delivered,
         o.centroid_world += off;
       }
     } else {
-      switch (channel.uplink_corruption(f.vehicle, frame)) {
+      const net::CorruptionKind kind =
+          channel.uplink_corruption(f.vehicle, frame);
+      if (kind != net::CorruptionKind::kNone) ++corrupted;
+      switch (kind) {
         case net::CorruptionKind::kNone:
           break;
         case net::CorruptionKind::kBitFlip: {
@@ -194,7 +199,103 @@ void apply_wire_faults(std::vector<net::UploadFrame>& delivered,
     if (cache_replay) last_clean[f.vehicle] = std::move(clean);
   }
   for (net::UploadFrame& d : duplicates) delivered.push_back(std::move(d));
+  return corrupted;
 }
+
+/// Every counter the runner books, resolved once per run. Resolving also
+/// registers each name, so a run's registry always lists the full set, zeros
+/// included. The runner is the only booking site: components return tallies
+/// (ClientFrameStats, FrameOutput, the channel's fate predicates) and the
+/// runner books them, serially on its own thread.
+struct RunCounters {
+  obs::MetricsRegistry& r;
+  // Vehicle fan-out.
+  obs::Counter& raw_points = r.counter("client.raw_points");
+  obs::Counter& client_bytes = r.counter("client.upload_bytes");
+  // Uplink fates.
+  obs::Counter& offered_frames = r.counter("uplink.offered_frames");
+  obs::Counter& offered_bytes = r.counter("uplink.offered_bytes");
+  obs::Counter& delivered_bytes = r.counter("uplink.delivered_bytes");
+  obs::Counter& lost_bytes = r.counter("uplink.lost_bytes");
+  obs::Counter& capped_bytes = r.counter("uplink.capped_bytes");
+  obs::Counter& suppressed_bytes = r.counter("uplink.suppressed_bytes");
+  obs::Counter& backpressure_bytes = r.counter("uplink.backpressure_bytes");
+  obs::Counter& backpressure_frames = r.counter("service.backpressure_uploads");
+  obs::Counter& up_lost_msgs = r.counter("net.uplink_lost_msgs");
+  obs::Counter& up_corrupted_msgs = r.counter("net.uplink_corrupted_msgs");
+  // Downlink fates.
+  obs::Counter& down_lost_msgs = r.counter("net.downlink_lost_msgs");
+  obs::Counter& down_corrupted_msgs = r.counter("net.downlink_corrupted_msgs");
+  obs::Counter& deadline_miss = r.counter("net.downlink_deadline_miss");
+  obs::Counter& delivered_msgs = r.counter("diss.delivered_msgs");
+  obs::Counter& feedback_lost_msgs = r.counter("coverage.feedback_lost_msgs");
+  // Edge output (FrameOutput).
+  obs::Counter& pipeline_frames = r.counter("frames.pipeline");
+  obs::Counter& downlink_bytes = r.counter("downlink.bytes");
+  obs::Counter& selected_msgs = r.counter("diss.selected_msgs");
+  obs::Counter& selected_bytes = r.counter("diss.selected_bytes");
+  obs::Counter& detections = r.counter("edge.detections");
+  obs::Counter& confirmed_tracks = r.counter("edge.confirmed_tracks");
+  obs::Counter& moving_tracks = r.counter("edge.moving_tracks");
+  obs::Counter& coasting_tracks = r.counter("edge.coasting_tracks");
+  obs::Counter& candidates = r.counter("edge.candidates");
+  obs::Counter& stale_candidates = r.counter("edge.stale_candidates");
+  obs::Counter& feedback_msgs = r.counter("coverage.feedback_msgs");
+  obs::Counter& feedback_bytes = r.counter("coverage.feedback_bytes");
+  obs::Counter& rejected_crc = r.counter("ingest.rejected_crc");
+  obs::Counter& rejected_semantic = r.counter("ingest.rejected_semantic");
+  obs::Counter& quarantined = r.counter("ingest.quarantined_vehicles");
+  obs::Counter& quarantine_dropped =
+      r.counter("ingest.quarantine_dropped_frames");
+  obs::Counter& shed_uploads = r.counter("ingest.shed_uploads");
+  obs::Counter& arrived_objects = r.counter("service.arrived_objects");
+  obs::Counter& admitted_objects = r.counter("service.admitted_objects");
+  obs::Counter& deferred_objects = r.counter("service.deferred_objects");
+  obs::Counter& shed_objects = r.counter("service.shed_objects");
+  obs::Counter& budget_granted = r.counter("service.budget_granted_ns");
+  obs::Counter& budget_denied = r.counter("service.budget_denied_ns");
+
+  /// Book one edge frame: everything process_frame tallied.
+  void book(const FrameOutput& fo) {
+    pipeline_frames.add();
+    downlink_bytes.add(fo.downlink_bytes);
+    selected_msgs.add(fo.selected.size());
+    selected_bytes.add(fo.downlink_bytes);
+    detections.add(fo.detections);
+    confirmed_tracks.add(fo.confirmed_tracks);
+    moving_tracks.add(fo.moving_tracks);
+    coasting_tracks.add(fo.coasting_tracks);
+    candidates.add(fo.candidates);
+    stale_candidates.add(fo.stale_candidates);
+    feedback_msgs.add(fo.feedback.size());
+    feedback_bytes.add(fo.feedback_bytes);
+    rejected_crc.add(fo.ingest.rejected_crc);
+    rejected_semantic.add(fo.ingest.rejected_semantic);
+    quarantined.add(fo.ingest.quarantine_events);
+    quarantine_dropped.add(fo.ingest.quarantine_dropped);
+    shed_uploads.add(fo.ingest.shed_uploads);
+    arrived_objects.add(fo.service.arrived_objects);
+    admitted_objects.add(fo.service.admitted_objects);
+    deferred_objects.add(fo.service.deferred_objects);
+    shed_objects.add(fo.service.shed_objects);
+    budget_granted.add(fo.service.admitted_cost);
+    budget_denied.add(fo.service.denied_cost);
+  }
+};
+
+/// Merges the run registry into the caller's on every exit from run(), a
+/// thrown ContractViolation included, so a violated run still reports what
+/// it recorded.
+struct MergeOnExit {
+  const obs::MetricsRegistry& from;
+  obs::MetricsRegistry* into;
+  ~MergeOnExit() {
+    if (into != nullptr) into->merge(from);
+  }
+};
+
+/// Counter value as a double, for the MethodMetrics ratios.
+double count(const obs::Counter& c) { return static_cast<double>(c.value()); }
 
 }  // namespace
 
@@ -218,9 +319,18 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
   sim::World& world = sc.world;
   const sim::RoadNetwork& net = world.network();
 
-  obs::MetricsRegistry* const metrics = cfg_.metrics;
+  // The run registry is the single source of every count MethodMetrics
+  // reports (DESIGN.md §11): the loop books into it, the end of the run
+  // derives from it, and the caller's registry only receives a merged copy.
+  obs::MetricsRegistry reg;
+  const MergeOnExit merge_on_exit{reg, cfg_.metrics};
+  RunCounters ctr{reg};
+  obs::Histogram& upload_hist = reg.histogram("stage.upload");
+  obs::Histogram& downlink_hist = reg.histogram("stage.downlink");
+  obs::Histogram& e2e_hist = reg.histogram("stage.e2e");
+
   ClientConfig client_cfg = cfg_.client;
-  client_cfg.metrics = metrics;
+  client_cfg.metrics = &reg;
 
   std::map<sim::AgentId, VehicleClient> clients;
   if (cfg_.method != Method::kSingle) {
@@ -232,15 +342,14 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
   }
 
   EdgeServer server(net, cfg_.edge);
-  server.attach_metrics(metrics);
+  server.attach_metrics(&reg);
   // Thread-pool scheduling counters are recorded as a start/end delta so a
   // shared global pool does not leak earlier runs' work into this run.
   const core::PoolStats pool_start = core::global_pool().stats();
 
   MethodMetrics m;
-  net::BandwidthMeter up_meter;
-  net::BandwidthMeter down_meter;
-  double sum_objects = 0.0;
+  // Latency sums the registry cannot hold exactly: simulated transfer delays
+  // and host wall times, summed in frame order.
   double sum_e2e = 0.0;
   double sum_extract = 0.0;
   double sum_upload = 0.0;
@@ -248,23 +357,12 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
   double sum_track = 0.0;
   double sum_diss = 0.0;
   double sum_downlink = 0.0;
-  double sum_offered = 0.0;
-  double sum_lost = 0.0;
-  double sum_capped = 0.0;
-  double sum_suppressed = 0.0;
-  double sum_backpressure = 0.0;
-  int pipeline_frames = 0;
 
-  // Fault-injection bookkeeping. With an inactive FaultConfig the channel
-  // never drops, jitters or disconnects anything and every counter below
-  // stays zero, so the run is bit-identical to the lossless pipeline.
+  // Fault injection. With an inactive FaultConfig the channel never drops,
+  // jitters or disconnects anything and every fault counter stays zero, so
+  // the run is bit-identical to the lossless pipeline.
   net::LossyChannel channel(cfg_.fault);
-  channel.attach_metrics(metrics);
   const bool faults = channel.active();
-  std::size_t upload_frames_offered = 0;
-  std::size_t upload_frames_lost = 0;
-  std::size_t downlink_selected = 0;
-  std::size_t downlink_missed = 0;
   // Tracks which clients were offline last pipeline frame, to reset their
   // local pipeline state on reconnect.
   std::map<sim::AgentId, bool> offline_prev;
@@ -325,7 +423,7 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
       std::vector<ClientFrameStats> stats(site_ids.size());
       std::vector<net::UploadFrame> slots(site_ids.size());
       {
-        obs::StageSpan fanout_span(metrics, "stage.fanout");
+        obs::StageSpan fanout_span(&reg, "stage.fanout");
         core::parallel_for(site_ids.size(), 1, [&](std::size_t i) {
           slots[i] = clients.at(site_ids[i])
                          .make_upload(world, &voronoi, i, &stats[i], &truth);
@@ -333,42 +431,40 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
       }
       double max_extract = 0.0;
       double sensing_wall = 0.0;  // summed per-vehicle scan time (CPU cost)
-      std::size_t raw_points = 0;
-      std::size_t suppressed_bytes = 0;
       for (const ClientFrameStats& s : stats) {
         max_extract = std::max(max_extract, s.processing_seconds);
         sensing_wall += s.sensing_seconds;
-        raw_points += s.raw_points;
-        suppressed_bytes += s.suppressed_bytes;
+        ctr.raw_points.add(s.raw_points);
+        ctr.client_bytes.add(s.uploaded_bytes);
+        ctr.suppressed_bytes.add(s.suppressed_bytes);
       }
 
-      // --- Uplink fates, billed in slot order ---
+      // --- Uplink fates, booked in slot order ---
       // Every offered byte gets exactly one fate this frame: lost to channel
       // faults, dropped as backpressure by the service-mode drain cap (the
       // first queue_drain_max surviving frames reach the edge), shed by the
       // shared cap, or delivered. (Bytes the redundancy layer avoided sending
-      // were never offered; they are tracked separately as suppressed.)
-      // Loss is a pure (seed, vehicle, frame) hash, so billing it serially
+      // were never offered; they are booked separately as suppressed.)
+      // Loss is a pure (seed, vehicle, frame) hash, so booking it serially
       // here is thread-count-independent.
       const std::size_t drain_max =
           service_mode ? cfg_.service.queue_drain_max : 0;
       std::size_t offered_bytes = 0;
       std::size_t lost_bytes = 0;
       std::size_t backpressure_bytes = 0;
-      std::size_t backpressure_uploads = 0;
       std::vector<net::UploadFrame> uploads;
       uploads.reserve(slots.size());
-      upload_frames_offered += slots.size();
+      ctr.offered_frames.add(slots.size());
       for (net::UploadFrame& f : slots) {
         const std::size_t bytes = f.total_bytes();
         offered_bytes += bytes;
         if (faults && channel.uplink_lost(f.vehicle, frame, world.time())) {
           // A lost upload frame never reaches the edge (and never consumes
           // cap budget).
-          ++upload_frames_lost;
+          ctr.up_lost_msgs.add();
           lost_bytes += bytes;
         } else if (drain_max != 0 && uploads.size() >= drain_max) {
-          ++backpressure_uploads;
+          ctr.backpressure_frames.add();
           backpressure_bytes += bytes;
         } else {
           uploads.push_back(std::move(f));
@@ -395,9 +491,6 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
           "uplink byte partition: lost ", lost_bytes, " + backpressure ",
           backpressure_bytes, " + delivered ", delivered_pre_faults,
           " exceeds offered ", offered_bytes);
-      const std::size_t capped_bytes = offered_bytes - lost_bytes -
-                                       backpressure_bytes -
-                                       delivered_pre_faults;
 
       // --- Payload corruption & Byzantine senders ---
       // Applied to what actually crosses the wire (post-cap). Mangled
@@ -405,121 +498,75 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
       // with pc::try_decode; duplicated/replayed frames consume downstream
       // bytes like any other transmission.
       if (wire_faults) {
-        apply_wire_faults(delivered, channel, frame, world.time(),
-                          client_cfg.encoding, replay_cache);
+        ctr.up_corrupted_msgs.add(
+            apply_wire_faults(delivered, channel, frame, world.time(),
+                              client_cfg.encoding, replay_cache));
       }
 
       std::size_t delivered_bytes = 0;
       for (const net::UploadFrame& f : delivered) {
         delivered_bytes += f.total_bytes();
       }
-      up_meter.add(delivered_bytes);
-      sum_offered += static_cast<double>(offered_bytes);
-      sum_lost += static_cast<double>(lost_bytes);
-      sum_capped += static_cast<double>(capped_bytes);
-      sum_suppressed += static_cast<double>(suppressed_bytes);
-      sum_backpressure += static_cast<double>(backpressure_bytes);
-      m.service_backpressure_uploads += static_cast<int>(backpressure_uploads);
-      if (metrics != nullptr) {
-        metrics->counter("uplink.offered_bytes").add(offered_bytes);
-        metrics->counter("uplink.delivered_bytes").add(delivered_bytes);
-        metrics->counter("uplink.lost_bytes").add(lost_bytes);
-        metrics->counter("uplink.capped_bytes").add(capped_bytes);
-        metrics->counter("uplink.suppressed_bytes").add(suppressed_bytes);
-        // Only touched in service mode so a default-config registry dump
-        // stays byte-identical to the pre-service pipeline.
-        if (service_mode) {
-          metrics->counter("uplink.backpressure_bytes").add(backpressure_bytes);
-          metrics->counter("service.backpressure_uploads")
-              .add(backpressure_uploads);
-        }
-      }
+      ctr.offered_bytes.add(offered_bytes);
+      ctr.delivered_bytes.add(delivered_bytes);
+      ctr.lost_bytes.add(lost_bytes);
+      ctr.capped_bytes.add(offered_bytes - lost_bytes - backpressure_bytes -
+                           delivered_pre_faults);
+      ctr.backpressure_bytes.add(backpressure_bytes);
 
       // --- Edge server ---
       const FrameOutput fo =
           server.process_frame(delivered, world.time(), &truth);
+      ctr.book(fo);
 
       if (cfg_.on_decisions) cfg_.on_decisions(frame, fo.selected);
 
       // --- Deliver disseminations back to drivers ---
       // Each selected message independently survives the lossy downlink and
-      // must land within the configured deadline; lost or late messages are
-      // never applied to driver knowledge and count as misses.
-      downlink_selected += fo.selected.size();
+      // must land within the configured deadline. Exactly one fate per
+      // message, booked once: lost, else corrupted (fails the receiver's
+      // integrity check), else past the deadline, else delivered. Only
+      // delivered messages reach driver knowledge.
       double max_down_jitter = 0.0;
       for (const net::Dissemination& d : fo.selected) {
-        // Exactly one fate per message, billed exactly once: lost (billed
-        // net.downlink_lost_msgs inside the channel), else corrupted (billed
-        // net.downlink_corrupted_msgs inside the channel), else possibly
-        // past deadline (billed net.downlink_deadline_miss here). A lost or
-        // corrupted message never also counts as a deadline miss.
-        bool miss = false;
         if (faults) {
           if (channel.downlink_lost(d.to, d.track_id, frame, world.time())) {
-            miss = true;
-          } else if (channel.downlink_corrupted(d.to, d.track_id, frame)) {
-            // Fails the receiver's integrity check and is discarded.
-            miss = true;
-          } else {
-            const double jit = channel.downlink_jitter(d.to, d.track_id, frame);
-            max_down_jitter = std::max(max_down_jitter, jit);
-            if (cfg_.fault.downlink_deadline > 0.0) {
-              const double delay =
-                  net::transfer_delay(d.bytes, cfg_.wireless.downlink_mbps,
-                                      cfg_.wireless.base_latency) +
-                  jit;
-              if (delay > cfg_.fault.downlink_deadline) {
-                miss = true;
-                if (metrics != nullptr) {
-                  metrics->counter("net.downlink_deadline_miss").add();
-                }
-              }
-            }
+            ctr.down_lost_msgs.add();
+            continue;
           }
-        }
-        if (miss) {
-          ++downlink_missed;
-          continue;
+          if (channel.downlink_corrupted(d.to, d.track_id, frame)) {
+            ctr.down_corrupted_msgs.add();
+            continue;
+          }
+          const double jit = channel.downlink_jitter(d.to, d.track_id, frame);
+          max_down_jitter = std::max(max_down_jitter, jit);
+          const double delay =
+              net::transfer_delay(d.bytes, cfg_.wireless.downlink_mbps,
+                                  cfg_.wireless.base_latency) +
+              jit;
+          if (cfg_.fault.downlink_deadline > 0.0 &&
+              delay > cfg_.fault.downlink_deadline) {
+            ctr.deadline_miss.add();
+            continue;
+          }
         }
         if (d.about != sim::kInvalidAgent) {
           world.notify_vehicle(d.to, d.about);
         }
         m.delivered_relevance += d.relevance;
-        if (metrics != nullptr) {
-          metrics->counter("diss.delivered_msgs").add();
-        }
+        ctr.delivered_msgs.add();
       }
-      m.disseminations += static_cast<int>(fo.selected.size());
       // Coverage feedback rides the same lossy downlink: a dropped message
       // simply leaves the vehicle's last feedback in place until it ages out
       // (max_feedback_age), after which the vehicle uploads everything again.
       for (const net::CoverageFeedback& fb : fo.feedback) {
-        ++m.coverage_feedback_msgs;
         if (faults && channel.feedback_lost(fb.to, frame, world.time())) {
-          ++m.coverage_feedback_lost_msgs;
-          if (metrics != nullptr) {
-            metrics->counter("coverage.feedback_lost_msgs").add();
-          }
+          ctr.feedback_lost_msgs.add();
           continue;
         }
         const auto it = clients.find(fb.to);
         if (it != clients.end()) it->second.receive_feedback(fb);
       }
-      down_meter.add(fo.downlink_bytes + fo.feedback_bytes);
-      m.coasted_track_frames += static_cast<int>(fo.coasting_tracks);
-      m.stale_relevance_frames += static_cast<int>(fo.stale_candidates);
-      m.ingest_rejected_crc += static_cast<int>(fo.ingest.rejected_crc);
-      m.ingest_rejected_semantic +=
-          static_cast<int>(fo.ingest.rejected_semantic);
-      m.ingest_quarantined_vehicles +=
-          static_cast<int>(fo.ingest.quarantine_events);
-      m.ingest_shed_uploads += static_cast<int>(fo.ingest.shed_uploads);
-      m.service_arrived_objects += static_cast<int>(fo.service.arrived_objects);
-      m.service_admitted_objects +=
-          static_cast<int>(fo.service.admitted_objects);
-      m.service_deferred_objects +=
-          static_cast<int>(fo.service.deferred_objects);
-      m.service_shed_objects += static_cast<int>(fo.service.shed_objects);
 
       // --- Latency accounting ---
       const double t_upload =
@@ -542,27 +589,17 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
                          fo.timings.relevance_seconds +
                          fo.timings.dissemination_seconds + t_down;
       sum_e2e += e2e;
-      sum_objects += static_cast<double>(fo.moving_tracks);
-      ++pipeline_frames;
-      if (metrics != nullptr) {
-        // stage.upload / stage.downlink are simulated transfer delays
-        // (deterministic for a seed); stage.e2e additionally folds in the
-        // host-measured module times, so it varies run to run like any
-        // wall-clock span.
-        metrics->histogram("stage.upload").record_seconds(t_upload);
-        metrics->histogram("stage.downlink").record_seconds(t_down);
-        metrics->histogram("stage.e2e").record_seconds(e2e);
-        metrics->counter("downlink.bytes").add(fo.downlink_bytes);
-        metrics->counter("frames.pipeline").add();
-      }
+      // stage.upload / stage.downlink are simulated transfer delays
+      // (deterministic for a seed); stage.e2e additionally folds in the
+      // host-measured module times, so it varies run to run like any
+      // wall-clock span.
+      upload_hist.record_seconds(t_upload);
+      downlink_hist.record_seconds(t_down);
+      e2e_hist.record_seconds(e2e);
 
       if (cfg_.on_frame) {
         FrameTrace tr;
         tr.frame = frame;
-        tr.vehicles = site_ids.size();
-        tr.raw_points = raw_points;
-        tr.offered_bytes = offered_bytes;
-        tr.delivered_bytes = delivered_bytes;
         tr.sensing_wall_seconds = sensing_wall;
         tr.extract_max_seconds = max_extract;
         tr.merge_seconds = fo.timings.merge_seconds;
@@ -613,21 +650,30 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
   m.collisions = static_cast<int>(world.collisions().size());
   m.min_key_distance = world.min_pair_distance(sc.ego, sc.threat);
 
-  const double elapsed = cfg_.duration;
-  m.uplink_mbps = up_meter.mbps(elapsed);
-  m.downlink_mbps = down_meter.mbps(elapsed);
-  m.uplink_bytes_per_frame = up_meter.bytes_per_frame();
-  m.downlink_bytes_per_frame = down_meter.bytes_per_frame();
-  if (pipeline_frames > 0) {
-    const double n = pipeline_frames;
-    m.uplink_offered_bytes_per_frame = sum_offered / n;
+  // --- Derive every count, byte and ratio from the run registry ---
+  // Counters are exact integer sums; the floating-point operation order
+  // below is pinned by the behaviour fingerprints.
+  const std::uint64_t frames = ctr.pipeline_frames.value();
+  const double up_bytes = count(ctr.delivered_bytes);
+  const double down_bytes = static_cast<double>(ctr.downlink_bytes.value() +
+                                                ctr.feedback_bytes.value());
+  m.uplink_mbps = up_bytes * 8.0 / 1e6 / cfg_.duration;
+  m.downlink_mbps = down_bytes * 8.0 / 1e6 / cfg_.duration;
+  if (frames > 0) {
+    const double n = static_cast<double>(frames);
+    const double offered = count(ctr.offered_bytes);
+    m.uplink_bytes_per_frame = up_bytes / n;
+    m.downlink_bytes_per_frame = down_bytes / n;
+    m.uplink_offered_bytes_per_frame = offered / n;
     m.uplink_drop_ratio =
-        sum_offered > 0.0 ? (sum_lost + sum_capped) / sum_offered : 0.0;
-    m.uplink_suppressed_bytes_per_frame = sum_suppressed / n;
-    m.uplink_capped_bytes_per_frame = sum_capped / n;
-    m.uplink_lost_bytes_per_frame = sum_lost / n;
-    m.uplink_backpressure_bytes_per_frame = sum_backpressure / n;
-    m.avg_objects_detected = sum_objects / n;
+        offered > 0.0
+            ? (count(ctr.lost_bytes) + count(ctr.capped_bytes)) / offered
+            : 0.0;
+    m.uplink_suppressed_bytes_per_frame = count(ctr.suppressed_bytes) / n;
+    m.uplink_capped_bytes_per_frame = count(ctr.capped_bytes) / n;
+    m.uplink_lost_bytes_per_frame = count(ctr.lost_bytes) / n;
+    m.uplink_backpressure_bytes_per_frame = count(ctr.backpressure_bytes) / n;
+    m.avg_objects_detected = count(ctr.moving_tracks) / n;
     m.e2e_latency = sum_e2e / n;
     m.extraction_seconds = sum_extract / n;
     m.upload_seconds = sum_upload / n;
@@ -636,14 +682,32 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
     m.dissemination_decision_seconds = sum_diss / n;
     m.downlink_transfer_seconds = sum_downlink / n;
   }
-  if (upload_frames_offered > 0) {
-    m.uplink_loss_ratio = static_cast<double>(upload_frames_lost) /
-                          static_cast<double>(upload_frames_offered);
+  if (ctr.offered_frames.value() > 0) {
+    m.uplink_loss_ratio = count(ctr.up_lost_msgs) / count(ctr.offered_frames);
   }
-  if (downlink_selected > 0) {
-    m.downlink_deadline_miss_ratio = static_cast<double>(downlink_missed) /
-                                     static_cast<double>(downlink_selected);
+  const std::uint64_t selected = ctr.selected_msgs.value();
+  if (selected > 0) {
+    m.downlink_deadline_miss_ratio =
+        static_cast<double>(selected - ctr.delivered_msgs.value()) /
+        static_cast<double>(selected);
   }
+  const auto as_int = [](const obs::Counter& c) {
+    return static_cast<int>(c.value());
+  };
+  m.disseminations = as_int(ctr.selected_msgs);
+  m.coasted_track_frames = as_int(ctr.coasting_tracks);
+  m.stale_relevance_frames = as_int(ctr.stale_candidates);
+  m.ingest_rejected_crc = as_int(ctr.rejected_crc);
+  m.ingest_rejected_semantic = as_int(ctr.rejected_semantic);
+  m.ingest_quarantined_vehicles = as_int(ctr.quarantined);
+  m.ingest_shed_uploads = as_int(ctr.shed_uploads);
+  m.coverage_feedback_msgs = as_int(ctr.feedback_msgs);
+  m.coverage_feedback_lost_msgs = as_int(ctr.feedback_lost_msgs);
+  m.service_backpressure_uploads = as_int(ctr.backpressure_frames);
+  m.service_arrived_objects = as_int(ctr.arrived_objects);
+  m.service_admitted_objects = as_int(ctr.admitted_objects);
+  m.service_deferred_objects = as_int(ctr.deferred_objects);
+  m.service_shed_objects = as_int(ctr.shed_objects);
   if (service_mode) {
     m.service_parked_residual = static_cast<int>(server.service_parked());
     // Run-level object-fate identity: every object that ever entered
@@ -660,28 +724,23 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
                 " + parked ", m.service_parked_residual);
   }
 
-  if (metrics != nullptr) {
-    const core::PoolStats ps = core::global_pool().stats();
-    metrics->gauge("pool.workers").set(static_cast<double>(ps.workers));
-    metrics->gauge("pool.jobs")
-        .set(static_cast<double>(ps.jobs - pool_start.jobs));
-    metrics->gauge("pool.serial_jobs")
-        .set(static_cast<double>(ps.serial_jobs - pool_start.serial_jobs));
-    metrics->gauge("pool.chunks")
-        .set(static_cast<double>(ps.chunks - pool_start.chunks));
-    metrics->gauge("pool.max_job_chunks")
-        .set(static_cast<double>(ps.max_job_chunks));
-    // Per-lane executed chunks (lane 0 = the caller). Guard against a pool
-    // rebuilt mid-run with a different width.
-    for (std::size_t i = 0; i < ps.lane_chunks.size(); ++i) {
-      const std::uint64_t before = i < pool_start.lane_chunks.size()
-                                       ? pool_start.lane_chunks[i]
-                                       : 0;
-      char name[40];
-      std::snprintf(name, sizeof name, "pool.lane_chunks.%02zu", i);
-      metrics->gauge(name).set(
-          static_cast<double>(ps.lane_chunks[i] - before));
-    }
+  const core::PoolStats ps = core::global_pool().stats();
+  reg.gauge("pool.workers").set(static_cast<double>(ps.workers));
+  reg.gauge("pool.jobs").set(static_cast<double>(ps.jobs - pool_start.jobs));
+  reg.gauge("pool.serial_jobs")
+      .set(static_cast<double>(ps.serial_jobs - pool_start.serial_jobs));
+  reg.gauge("pool.chunks")
+      .set(static_cast<double>(ps.chunks - pool_start.chunks));
+  reg.gauge("pool.max_job_chunks")
+      .set(static_cast<double>(ps.max_job_chunks));
+  // Per-lane executed chunks (lane 0 = the caller). Guard against a pool
+  // rebuilt mid-run with a different width.
+  for (std::size_t i = 0; i < ps.lane_chunks.size(); ++i) {
+    const std::uint64_t before =
+        i < pool_start.lane_chunks.size() ? pool_start.lane_chunks[i] : 0;
+    char name[40];
+    std::snprintf(name, sizeof name, "pool.lane_chunks.%02zu", i);
+    reg.gauge(name).set(static_cast<double>(ps.lane_chunks[i] - before));
   }
   return m;
 }

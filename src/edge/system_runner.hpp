@@ -31,15 +31,11 @@ enum class Method : std::uint8_t { kSingle, kEmp, kOurs, kUnlimited };
 
 const char* to_string(Method m);
 
-/// Per-pipeline-frame stage sample, emitted through RunnerConfig::on_frame.
-/// Wall-clock fields are host measurements (profiling), byte fields are
-/// simulated wire traffic.
+/// Per-pipeline-frame host-time sample, emitted through
+/// RunnerConfig::on_frame (profiling only). Counts — points, bytes, fates —
+/// live in the run registry, not here.
 struct FrameTrace {
   int frame{0};
-  std::size_t vehicles{0};      ///< connected vehicles sensing this frame
-  std::size_t raw_points{0};    ///< LiDAR returns across the fleet
-  std::size_t offered_bytes{0};   ///< uplink bytes before the shared cap
-  std::size_t delivered_bytes{0}; ///< uplink bytes after the cap
   /// Host wall time summed over each vehicle's LiDAR scan — the sensor
   /// alone, excluding extraction (which is stage.extract) and the fan-out's
   /// scheduling overhead (stage.fanout). Denominator of the bench's
@@ -81,14 +77,15 @@ struct RunnerConfig {
   /// selected, before channel faults). Used by the golden-scenario harness.
   std::function<void(int frame, const std::vector<net::Dissemination>&)>
       on_decisions;
-  /// Optional observability registry (not owned). When set, the runner wires
-  /// it through every layer it drives — clients (stage.sense /
-  /// stage.extract), the edge server
-  /// (stage.merge/track/relevance/disseminate), the lossy channel and
-  /// the uplink cap — and records its own stage.fanout/upload/downlink/e2e
-  /// spans, byte/loss counters and thread-pool gauges. Recording is
-  /// write-only: a run with metrics attached produces bit-identical
-  /// simulated outputs to one without.
+  /// Optional observability registry (not owned). Every run records into a
+  /// run-local registry — stage spans from the clients (stage.sense /
+  /// stage.extract) and the edge (stage.merge/track/relevance/disseminate),
+  /// the runner's own stage.fanout/upload/downlink/e2e spans, every fate
+  /// and byte counter, and the thread-pool gauges — and derives
+  /// MethodMetrics from it. When set, that registry is merged into this one
+  /// as run() exits, on every path, a thrown ContractViolation included; a
+  /// registry reused across runs therefore holds their sum. Recording is
+  /// write-only: no decision ever reads a metric back.
   obs::MetricsRegistry* metrics{nullptr};
 };
 

@@ -294,18 +294,10 @@ net::UploadFrame VehicleClient::make_upload(
   }
 
   extract_span.stop();
-  if (cfg_.metrics != nullptr) {
-    cfg_.metrics->counter("client.raw_points").add(scan.cloud.size());
-    cfg_.metrics->counter("client.upload_bytes").add(frame.total_bytes());
-  }
   if (stats != nullptr) {
     stats->raw_points = scan.cloud.size();
     stats->sensing_seconds = sensing_seconds;
-    stats->uploaded_points = 0;
     stats->uploaded_bytes = frame.total_bytes();
-    for (const net::ObjectUpload& o : frame.objects) {
-      stats->uploaded_points += o.point_count;
-    }
     stats->processing_seconds = processing_seconds;
   }
   return frame;

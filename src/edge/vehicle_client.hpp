@@ -44,16 +44,15 @@ struct ClientConfig {
   /// pre-redundancy pipeline.
   RedundancyConfig redundancy{};
   /// Optional observability registry (not owned). make_upload records its
-  /// scan time into stage.sense, its extraction time into stage.extract,
-  /// and bumps client.raw_points / client.upload_bytes — from whichever
-  /// pool worker runs the client, which is why the registry must be
-  /// shareable across threads.
+  /// scan time into stage.sense and its extraction time into stage.extract
+  /// — from whichever pool worker runs the client, which is why the
+  /// registry must be shareable across threads. Its counts go out through
+  /// ClientFrameStats; the runner books them.
   obs::MetricsRegistry* metrics{nullptr};
 };
 
 struct ClientFrameStats {
   std::size_t raw_points{0};
-  std::size_t uploaded_points{0};
   std::size_t uploaded_bytes{0};
   /// Uplink bytes avoided this frame by the redundancy layer: coverage
   /// suppression savings plus delta-vs-keyframe savings. Zero when

@@ -15,14 +15,4 @@ double transfer_delay(std::size_t bytes, double mbps, double base_latency) {
   return base_latency + static_cast<double>(bytes) * 8.0 / (mbps * 1e6);
 }
 
-double BandwidthMeter::mbps(double elapsed_seconds) const {
-  if (elapsed_seconds <= 0.0) return 0.0;
-  return static_cast<double>(total_bytes_) * 8.0 / 1e6 / elapsed_seconds;
-}
-
-double BandwidthMeter::bytes_per_frame() const {
-  if (frames_ == 0) return 0.0;
-  return static_cast<double>(total_bytes_) / static_cast<double>(frames_);
-}
-
 }  // namespace erpd::net

@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "core/check.hpp"
 
@@ -103,32 +102,5 @@ class FrameBudget {
 /// ContractViolation) that the bandwidth is positive: a non-positive rate
 /// has no physical delay and must never silently model a free link.
 double transfer_delay(std::size_t bytes, double mbps, double base_latency);
-
-/// Running bandwidth accounting for the evaluation plots.
-class BandwidthMeter {
- public:
-  void add(std::size_t bytes) {
-    total_bytes_ += bytes;
-    ++frames_;
-  }
-
-  std::size_t total_bytes() const { return total_bytes_; }
-  std::size_t frames() const { return frames_; }
-
-  /// Average Mbit/s over `elapsed_seconds`.
-  double mbps(double elapsed_seconds) const;
-
-  /// Average bytes per recorded frame.
-  double bytes_per_frame() const;
-
-  void reset() {
-    total_bytes_ = 0;
-    frames_ = 0;
-  }
-
- private:
-  std::size_t total_bytes_{0};
-  std::size_t frames_{0};
-};
 
 }  // namespace erpd::net

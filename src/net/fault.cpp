@@ -2,6 +2,17 @@
 
 namespace erpd::net {
 
+namespace {
+
+/// One hash counter per (recipient, track) dissemination, so two messages in
+/// the same frame draw independent fates.
+std::uint64_t message_id(sim::AgentId to, int track_id) {
+  return core::seed_mix(static_cast<std::uint64_t>(to),
+                        static_cast<std::uint64_t>(track_id));
+}
+
+}  // namespace
+
 const char* to_string(CorruptionKind k) {
   switch (k) {
     case CorruptionKind::kNone: return "none";
@@ -37,29 +48,18 @@ bool LossyChannel::vehicle_offline(sim::AgentId vehicle, double t) const {
 
 bool LossyChannel::uplink_lost(sim::AgentId vehicle, int frame,
                                double t) const {
-  const bool lost =
-      in_outage(t) ||
-      (cfg_.uplink_loss > 0.0 &&
-       uniform(kUplinkDrop, static_cast<std::uint64_t>(vehicle),
-               static_cast<std::uint64_t>(frame)) < cfg_.uplink_loss);
-  if (lost && uplink_lost_ctr_ != nullptr) uplink_lost_ctr_->add();
-  return lost;
+  return in_outage(t) ||
+         (cfg_.uplink_loss > 0.0 &&
+          uniform(kUplinkDrop, static_cast<std::uint64_t>(vehicle),
+                  static_cast<std::uint64_t>(frame)) < cfg_.uplink_loss);
 }
 
 bool LossyChannel::downlink_lost(sim::AgentId to, int track_id, int frame,
                                  double t) const {
-  // Mix recipient and track into one counter so two disseminations in the
-  // same frame draw independent fates.
-  const std::uint64_t msg =
-      core::seed_mix(static_cast<std::uint64_t>(to),
-                     static_cast<std::uint64_t>(track_id));
-  const bool lost =
-      in_outage(t) || vehicle_offline(to, t) ||
-      (cfg_.downlink_loss > 0.0 &&
-       uniform(kDownlinkDrop, msg, static_cast<std::uint64_t>(frame)) <
-           cfg_.downlink_loss);
-  if (lost && downlink_lost_ctr_ != nullptr) downlink_lost_ctr_->add();
-  return lost;
+  return in_outage(t) || vehicle_offline(to, t) ||
+         (cfg_.downlink_loss > 0.0 &&
+          uniform(kDownlinkDrop, message_id(to, track_id),
+                  static_cast<std::uint64_t>(frame)) < cfg_.downlink_loss);
 }
 
 bool LossyChannel::feedback_lost(sim::AgentId to, int frame, double t) const {
@@ -79,11 +79,8 @@ double LossyChannel::uplink_jitter(int frame) const {
 double LossyChannel::downlink_jitter(sim::AgentId to, int track_id,
                                      int frame) const {
   if (cfg_.jitter_mean <= 0.0) return 0.0;
-  const std::uint64_t msg =
-      core::seed_mix(static_cast<std::uint64_t>(to),
-                     static_cast<std::uint64_t>(track_id));
-  const double u =
-      uniform(kDownlinkJitter, msg, static_cast<std::uint64_t>(frame));
+  const double u = uniform(kDownlinkJitter, message_id(to, track_id),
+                           static_cast<std::uint64_t>(frame));
   return -cfg_.jitter_mean * std::log1p(-u);
 }
 
@@ -97,25 +94,15 @@ CorruptionKind LossyChannel::uplink_corruption(sim::AgentId vehicle,
   }
   // The kind comes from an independent word of the same stream so the
   // Bernoulli decision and the mangle shape do not correlate.
-  const auto kind = static_cast<CorruptionKind>(
+  return static_cast<CorruptionKind>(
       1 + corruption_word(vehicle, frame, /*salt=*/0) % 4);
-  if (uplink_corrupt_ctr_ != nullptr) uplink_corrupt_ctr_->add();
-  return kind;
 }
 
 bool LossyChannel::downlink_corrupted(sim::AgentId to, int track_id,
                                       int frame) const {
   if (cfg_.downlink_corruption <= 0.0) return false;
-  const std::uint64_t msg =
-      core::seed_mix(static_cast<std::uint64_t>(to),
-                     static_cast<std::uint64_t>(track_id));
-  const bool corrupted =
-      uniform(kDownlinkCorrupt, msg, static_cast<std::uint64_t>(frame)) <
-      cfg_.downlink_corruption;
-  if (corrupted && downlink_corrupt_ctr_ != nullptr) {
-    downlink_corrupt_ctr_->add();
-  }
-  return corrupted;
+  return uniform(kDownlinkCorrupt, message_id(to, track_id),
+                 static_cast<std::uint64_t>(frame)) < cfg_.downlink_corruption;
 }
 
 bool LossyChannel::is_byzantine(sim::AgentId vehicle, double t) const {

@@ -20,7 +20,6 @@
 
 #include "core/check.hpp"
 #include "core/rng.hpp"
-#include "obs/metrics.hpp"
 #include "sim/types.hpp"
 
 namespace erpd::net {
@@ -160,7 +159,8 @@ struct FaultConfig {
 
 /// Stateless view over a FaultConfig that answers per-message fault queries.
 /// Every method is const and a pure function of its arguments, so callers may
-/// query in any order, from any thread, and replay decisions exactly.
+/// query in any order, from any thread, and replay decisions exactly. The
+/// channel books nothing: the caller tallies the fates it is told.
 class LossyChannel {
  public:
   explicit LossyChannel(const FaultConfig& cfg) : cfg_(cfg) {
@@ -169,27 +169,6 @@ class LossyChannel {
 
   const FaultConfig& config() const { return cfg_; }
   bool active() const { return cfg_.active(); }
-
-  /// Cache fault counters from `registry` (null detaches). Each
-  /// uplink_lost / downlink_lost query that answers "lost" then bumps
-  /// net.uplink_lost_msgs / net.downlink_lost_msgs, and each corruption
-  /// query that answers non-kNone bumps net.uplink_corrupted_msgs /
-  /// net.downlink_corrupted_msgs. Recording is write-only: the fault
-  /// decisions stay pure functions of (seed, stream, ids, frame).
-  void attach_metrics(obs::MetricsRegistry* registry) {
-    uplink_lost_ctr_ =
-        registry != nullptr ? &registry->counter("net.uplink_lost_msgs")
-                            : nullptr;
-    downlink_lost_ctr_ =
-        registry != nullptr ? &registry->counter("net.downlink_lost_msgs")
-                            : nullptr;
-    uplink_corrupt_ctr_ =
-        registry != nullptr ? &registry->counter("net.uplink_corrupted_msgs")
-                            : nullptr;
-    downlink_corrupt_ctr_ =
-        registry != nullptr ? &registry->counter("net.downlink_corrupted_msgs")
-                            : nullptr;
-  }
 
   /// True while a channel-wide burst outage covers simulated time `t`.
   bool in_outage(double t) const {
@@ -215,7 +194,6 @@ class LossyChannel {
   /// rides the downlink, so it shares the downlink fate model (burst
   /// outages, recipient offline, Bernoulli downlink_loss) but draws from its
   /// own hash stream: feedback fates never perturb dissemination fates.
-  /// Not counter-billed here — the runner bills coverage.feedback_lost_msgs.
   bool feedback_lost(sim::AgentId to, int frame, double t) const;
 
   /// Exponential latency jitter added to the shared uplink transfer this
@@ -266,10 +244,6 @@ class LossyChannel {
   double uniform(std::uint64_t stream, std::uint64_t a, std::uint64_t b) const;
 
   FaultConfig cfg_;
-  obs::Counter* uplink_lost_ctr_{nullptr};
-  obs::Counter* downlink_lost_ctr_{nullptr};
-  obs::Counter* uplink_corrupt_ctr_{nullptr};
-  obs::Counter* downlink_corrupt_ctr_{nullptr};
 };
 
 }  // namespace erpd::net

@@ -1,5 +1,7 @@
 #include "obs/metrics.hpp"
 
+#include <cmath>
+
 namespace erpd::obs {
 
 double Histogram::quantile(double q) const {
@@ -7,8 +9,10 @@ double Histogram::quantile(double q) const {
   if (n == 0) return 0.0;
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
-  // Rank of the requested sample (1-based, ceil so q=1 hits the last one).
-  std::uint64_t rank = static_cast<std::uint64_t>(q * static_cast<double>(n));
+  // Nearest rank of the requested sample: ceil(q * n), 1-based, clamped to
+  // [1, n] so q = 0 hits the first sample and q = 1 the last.
+  std::uint64_t rank =
+      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(n)));
   if (rank == 0) rank = 1;
   if (rank > n) rank = n;
   std::uint64_t cum = 0;

@@ -100,8 +100,9 @@ class Histogram {
     return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);
   }
 
-  /// Approximate quantile (q in [0, 1]) by linear interpolation inside the
-  /// bucket where the cumulative count crosses q. Exact for bucket 0.
+  /// Approximate quantile (q in [0, 1]): finds the bucket holding the
+  /// nearest-rank sample (rank ceil(q * n)) and interpolates linearly inside
+  /// it. Exact for bucket 0.
   double quantile(double q) const;
 
   void merge(const Histogram& other) {

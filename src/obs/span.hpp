@@ -4,9 +4,12 @@
 // A StageSpan measures wall-clock time between construction and stop() (or
 // destruction) and records it twice: into the registry's per-stage log2
 // histogram (nanosecond samples) and into an optional double* slot, which is
-// how the existing FrameTrace / ModuleTimings wall-clock fields are fed
-// without a second clock read. A null registry disables histogram recording
-// but still fills the slot, so instrumented code needs no branches.
+// how the FrameTrace / ModuleTimings wall-clock fields are fed without a
+// second clock read. Spans are the only metric components record
+// themselves; counts are returned as tallies and booked by SystemRunner. In
+// a closed-loop run the registry is the runner's run registry; a component
+// driven on its own may pass null, which records nothing but still fills
+// the slot, so instrumented code needs no branches.
 //
 // Span taxonomy (the paper's per-module latency decomposition, Fig. 14):
 //   stage.fanout   whole sensing+extraction fan-out (all vehicles)
@@ -18,9 +21,12 @@
 //   stage.relevance relevance estimation over candidate pairs
 //   stage.disseminate dissemination knapsack decision
 //   stage.downlink simulated downlink transfer delay
-//   stage.e2e      whole simulated frame latency
-// (stage.upload / stage.downlink / stage.e2e are simulated latencies, not
-// host wall clock; they are recorded via Histogram::record_seconds directly.)
+//   stage.e2e      whole frame latency: slowest extraction + upload + edge
+//                  modules + downlink
+// (the runner records stage.upload / stage.downlink / stage.e2e via
+// Histogram::record_seconds directly, not as spans. Upload and downlink are
+// simulated transfer delays; e2e adds the host-measured module times to
+// them, so it varies run to run.)
 
 #include <chrono>
 #include <string_view>
@@ -39,10 +45,6 @@ class StageSpan {
       : hist_(registry != nullptr ? &registry->histogram(stage) : nullptr),
         out_(wall_out),
         start_(std::chrono::steady_clock::now()) {}
-
-  /// Record into an already-resolved histogram (hot paths that cache it).
-  explicit StageSpan(Histogram* hist, double* wall_out = nullptr)
-      : hist_(hist), out_(wall_out), start_(std::chrono::steady_clock::now()) {}
 
   StageSpan(const StageSpan&) = delete;
   StageSpan& operator=(const StageSpan&) = delete;

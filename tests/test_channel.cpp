@@ -157,21 +157,6 @@ TEST(TransferDelay, NonPositiveBandwidthIsAContractViolation) {
   EXPECT_GT(transfer_delay(1000, 1e-9, 0.0), 0.0);
 }
 
-TEST(BandwidthMeter, Accumulates) {
-  BandwidthMeter m;
-  m.add(1000);
-  m.add(3000);
-  EXPECT_EQ(m.total_bytes(), 4000u);
-  EXPECT_EQ(m.frames(), 2u);
-  EXPECT_DOUBLE_EQ(m.bytes_per_frame(), 2000.0);
-  // 4000 B over 1 s = 0.032 Mbit/s.
-  EXPECT_NEAR(m.mbps(1.0), 0.032, 1e-9);
-  m.reset();
-  EXPECT_EQ(m.total_bytes(), 0u);
-  EXPECT_DOUBLE_EQ(m.bytes_per_frame(), 0.0);
-  EXPECT_DOUBLE_EQ(m.mbps(0.0), 0.0);
-}
-
 TEST(UploadFrame, TotalBytesIncludesOverhead) {
   UploadFrame f;
   EXPECT_EQ(f.total_bytes(), UploadFrame::kFrameOverhead);

@@ -1,12 +1,17 @@
-// Golden end-to-end regression test (ctest label: fault).
+// Golden end-to-end regression tests (ctest label: fault).
 //
-// Runs the default intersection scenario for 100 ticks (10 s at 10 Hz) at
-// seed 42 with the Ours method and no faults, and asserts that the exact
-// per-frame dissemination decision list and the simulated-metrics
+// GoldenScenario runs the default intersection scenario for 100 ticks (10 s
+// at 10 Hz) at seed 42 with the Ours method and no faults, and asserts that
+// the exact per-frame dissemination decision list and the simulated-metrics
 // fingerprint match the committed snapshot in
 // tests/golden/intersection_seed42.golden.
 //
-// When behavior changes intentionally, regenerate the snapshot with
+// RegistryGolden pins every counter and histogram sample count a run books
+// (not host-time sums, not pool.* gauges) for the same clean run and for one
+// fault case that drives every fate counter nonzero
+// (tests/golden/registry_*.golden).
+//
+// When behavior changes intentionally, regenerate the snapshots with
 //   ./test_golden_scenario --update-golden
 // (or ERPD_UPDATE_GOLDEN=1) and commit the diff — the point is that such a
 // change is visible in review, never silent.
@@ -22,6 +27,7 @@
 #include <sstream>
 #include <string>
 
+#include "obs/metrics.hpp"
 #include "scenario_harness.hpp"
 
 namespace erpd {
@@ -29,8 +35,25 @@ namespace {
 
 bool g_update_golden = false;
 
-std::string golden_path() {
-  return std::string(ERPD_TESTS_DIR) + "/golden/intersection_seed42.golden";
+std::string golden_path(const std::string& name) {
+  return std::string(ERPD_TESTS_DIR) + "/golden/" + name + ".golden";
+}
+
+/// Compare `got` with the committed snapshot `name`, or rewrite the snapshot
+/// under --update-golden. A mismatch prints a line diff.
+void expect_golden(const std::string& name, const std::string& got) {
+  const std::string path = golden_path(name);
+  if (g_update_golden || std::getenv("ERPD_UPDATE_GOLDEN") != nullptr) {
+    ASSERT_TRUE(harness::write_file(path, got)) << "cannot write " << path;
+    GTEST_SKIP() << "golden updated: " << path;
+  }
+  std::ifstream f(path);
+  ASSERT_TRUE(f) << "missing golden snapshot " << path
+                 << " — run with --update-golden to create it";
+  std::stringstream want;
+  want << f.rdbuf();
+  EXPECT_EQ(want.str(), got)
+      << name << " changed; if intentional, regenerate with --update-golden.";
 }
 
 /// Run the pinned scenario and serialize decisions + fingerprint.
@@ -69,42 +92,53 @@ std::string render_snapshot() {
 }
 
 TEST(GoldenScenario, MatchesCommittedSnapshot) {
-  const std::string got = render_snapshot();
+  expect_golden("intersection_seed42", render_snapshot());
+}
 
-  if (g_update_golden || std::getenv("ERPD_UPDATE_GOLDEN") != nullptr) {
-    ASSERT_TRUE(harness::write_file(golden_path(), got))
-        << "cannot write " << golden_path();
-    GTEST_SKIP() << "golden updated: " << golden_path();
+/// Run `rc` for 10 s on the seed-42 intersection and serialize its registry:
+/// one line per counter value and per histogram sample count, by name.
+std::string render_registry(edge::RunnerConfig rc) {
+  sim::Scenario sc =
+      sim::make_unprotected_left_turn(harness::default_intersection(42));
+  obs::MetricsRegistry reg;
+  rc.metrics = &reg;
+  rc.duration = 10.0;
+  edge::SystemRunner(rc).run(sc);
+  std::ostringstream out;
+  for (const auto& [name, v] : reg.counters()) {
+    out << "counter " << name << ' ' << v << '\n';
   }
-
-  std::ifstream f(golden_path());
-  ASSERT_TRUE(f) << "missing golden snapshot " << golden_path()
-                 << " — run with --update-golden to create it";
-  std::stringstream want;
-  want << f.rdbuf();
-
-  // Equality over the whole snapshot; on mismatch print the first divergent
-  // line so the diff is actionable without digging through hexfloats.
-  if (got != want.str()) {
-    std::istringstream a(want.str());
-    std::istringstream b(got);
-    std::string la;
-    std::string lb;
-    int line = 0;
-    while (true) {
-      ++line;
-      const bool ha = static_cast<bool>(std::getline(a, la));
-      const bool hb = static_cast<bool>(std::getline(b, lb));
-      if (!ha && !hb) break;
-      if (la != lb || ha != hb) {
-        FAIL() << "golden mismatch at line " << line << "\n  committed: "
-               << (ha ? la : "<eof>") << "\n  got:       "
-               << (hb ? lb : "<eof>")
-               << "\nIf intentional, regenerate with --update-golden.";
-      }
-    }
+  for (const auto& [name, h] : reg.histograms()) {
+    out << "histogram " << name << " count " << h->count() << '\n';
   }
-  SUCCEED();
+  return out.str();
+}
+
+TEST(RegistryGolden, CleanOurs) {
+  expect_golden("registry_ours_seed42",
+                render_registry(harness::make_fault_runner(
+                    edge::Method::kOurs, harness::FaultCase{})));
+}
+
+TEST(RegistryGolden, EveryFateBooked) {
+  // Loss, corruption, a downlink deadline, ingest shedding, redundancy and
+  // service mode with a drain cap: every fate counter ends nonzero.
+  harness::FaultCase fc;
+  fc.fault.seed = 0xb00c;
+  fc.fault.uplink_loss = fc.fault.downlink_loss = 0.10;
+  fc.fault.uplink_corruption = fc.fault.downlink_corruption = 0.10;
+  fc.fault.jitter_mean = 0.02;
+  fc.fault.downlink_deadline = 0.050;
+  fc.harden_ingest = true;
+  fc.ingest_point_budget = 600;
+  fc.redundancy = true;
+  fc.service = true;
+  fc.service_budget_us = 60;
+  fc.staleness_decay = 0.10;
+  fc.max_coast_frames = 4;
+  edge::RunnerConfig rc = harness::make_fault_runner(edge::Method::kOurs, fc);
+  rc.service.queue_drain_max = 4;
+  expect_golden("registry_fault_seed42", render_registry(rc));
 }
 
 }  // namespace

@@ -346,18 +346,16 @@ TEST(PointStage, NoSheddingWithinBudget) {
   EXPECT_EQ(stats.shed_objects, 0u);
 }
 
-TEST(IngestGuard, CountersRecordThroughTheRegistry) {
-  obs::MetricsRegistry reg;
+TEST(IngestGuard, StatsTallyEveryFate) {
   IngestConfig cfg = enabled_config();
   cfg.strike_threshold = 1;  // quarantine on the first offense
   IngestGuard guard(cfg);
-  guard.attach_metrics(&reg);
   IngestStats stats;
   guard.admit({make_frame(1, 0.1, {kNan, 0.0})}, 0.1, &stats);
   guard.admit({make_frame(1, 0.3, {0.0, 0.0})}, 0.3, &stats);  // quarantined
-  EXPECT_EQ(reg.counter("ingest.rejected_semantic").value(), 1u);
-  EXPECT_EQ(reg.counter("ingest.quarantined_vehicles").value(), 1u);
-  EXPECT_EQ(reg.counter("ingest.quarantine_dropped_frames").value(), 1u);
+  EXPECT_EQ(stats.rejected_semantic, 1u);
+  EXPECT_EQ(stats.quarantine_events, 1u);
+  EXPECT_EQ(stats.quarantine_dropped, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/check.hpp"
 #include "core/thread_pool.hpp"
 #include "edge/metrics_io.hpp"
 #include "obs/json.hpp"
@@ -50,6 +51,16 @@ TEST(Histogram, RecordAndStats) {
   EXPECT_DOUBLE_EQ(h.mean(), 2.0);
   // Two thirds of the samples are exact zeros; quantile is exact there.
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
+
+  // Nearest rank is ceil(q * n): p99 of {1, 1000} is 1000 and p50 of
+  // {1, 100, 10000} is 100, so each lands in that sample's bucket.
+  obs::Histogram two, three;
+  for (const std::uint64_t v : {1, 1000}) two.record(v);
+  for (const std::uint64_t v : {1, 100, 10000}) three.record(v);
+  EXPECT_GE(two.quantile(0.99), 512.0);  // bucket [512, 1024)
+  EXPECT_LE(two.quantile(0.99), 1024.0);
+  EXPECT_GE(three.quantile(0.5), 64.0);  // bucket [64, 128)
+  EXPECT_LE(three.quantile(0.5), 128.0);
 }
 
 void fill_shard(obs::MetricsRegistry& r, std::uint64_t a, std::uint64_t b) {
@@ -205,10 +216,6 @@ TEST(Schema, MethodMetricsKeysMatchGolden) {
 TEST(Schema, FrameTraceKeysMatchGolden) {
   const std::vector<std::string_view> golden = {
       "frame",
-      "vehicles",
-      "raw_points",
-      "offered_bytes",
-      "delivered_bytes",
       "sensing_wall_seconds",
       "extract_max_seconds",
       "merge_seconds",
@@ -255,24 +262,60 @@ TEST(Export, CsvCarriesManifestAndCounters) {
   EXPECT_NE(csv.find("counter,c.x,7"), std::string::npos);
 }
 
-// The determinism contract end to end: attaching a registry to the closed
-// loop must not change a single simulated metric.
-TEST(ObsContract, RegistryDoesNotPerturbSimulation) {
-  const auto fingerprint = [](obs::MetricsRegistry* reg) {
+// The determinism contract end to end, plus registry reuse. Attaching a
+// registry must not change a single simulated metric. A registry reused
+// across two runs ends with their sum, while each run's MethodMetrics is
+// derived from its own run registry and so equals the same run done alone.
+TEST(ObsContract, RegistryNeverPerturbsAndReuseSumsRuns) {
+  const auto run = [](std::uint64_t seed, obs::MetricsRegistry* reg) {
     sim::Scenario sc =
-        sim::make_unprotected_left_turn(harness::default_intersection(42));
+        sim::make_unprotected_left_turn(harness::default_intersection(seed));
     edge::RunnerConfig rc =
         harness::make_fault_runner(edge::Method::kOurs, harness::FaultCase{});
-    rc.duration = 4.0;
+    rc.duration = 3.0;
     rc.metrics = reg;
-    edge::SystemRunner runner(rc);
-    return harness::metrics_fingerprint(runner.run(sc));
+    return edge::SystemRunner(rc).run(sc);
   };
+  obs::MetricsRegistry alone_a, alone_b, shared;
+  const edge::MethodMetrics bare = run(42, nullptr);
+  const edge::MethodMetrics a = run(42, &alone_a);
+  const edge::MethodMetrics b = run(7, &alone_b);
+  const edge::MethodMetrics a2 = run(42, &shared);
+  const edge::MethodMetrics b2 = run(7, &shared);
+
+  const auto fp = harness::metrics_fingerprint;
+  EXPECT_EQ(fp(bare), fp(a));
+  ASSERT_NE(fp(a), fp(b));
+  for (const auto& [alone, reused] : {std::pair{&a, &a2}, std::pair{&b, &b2}}) {
+    EXPECT_EQ(fp(*alone), fp(*reused));
+    EXPECT_EQ(alone->uplink_mbps, reused->uplink_mbps);
+    EXPECT_EQ(alone->downlink_mbps, reused->downlink_mbps);
+  }
+  ASSERT_EQ(shared.counters().size(), alone_a.counters().size());
+  for (const auto& [name, v] : shared.counters()) {
+    EXPECT_EQ(v, alone_a.counter(name).value() + alone_b.counter(name).value())
+        << name;
+  }
+  for (const auto& [name, h] : shared.histograms()) {
+    EXPECT_EQ(h->count(), alone_a.histogram(name).count() +
+                              alone_b.histogram(name).count())
+        << name;
+  }
+}
+
+// A run that throws mid-loop still hands what it recorded to the caller.
+TEST(ObsContract, ThrowingRunStillMergesItsRegistry) {
+  sim::Scenario sc =
+      sim::make_unprotected_left_turn(harness::default_intersection(42));
+  edge::RunnerConfig rc =
+      harness::make_fault_runner(edge::Method::kOurs, harness::FaultCase{});
   obs::MetricsRegistry reg;
-  EXPECT_EQ(fingerprint(nullptr), fingerprint(&reg));
-  // And the run did actually record through the registry.
-  EXPECT_GT(reg.counters().size(), 0u);
-  EXPECT_GT(reg.histograms().size(), 0u);
+  rc.metrics = &reg;
+  rc.on_frame = [](const edge::FrameTrace& tr) {
+    ERPD_ENSURE(tr.frame < 4, "stop the run at frame 4");
+  };
+  EXPECT_THROW(edge::SystemRunner(rc).run(sc), ContractViolation);
+  EXPECT_EQ(reg.counter("frames.pipeline").value(), 5u);
 }
 
 }  // namespace

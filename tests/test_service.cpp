@@ -11,7 +11,6 @@
 #include "core/thread_pool.hpp"
 #include "edge/service.hpp"
 #include "edge/system_runner.hpp"
-#include "obs/metrics.hpp"
 #include "scenario_harness.hpp"
 
 namespace erpd {
@@ -189,8 +188,7 @@ TEST(AdmissionController, ParkingLotCapacityOverflowsIntoShed) {
   EXPECT_EQ(ac.parked_count(), 2u);
 }
 
-TEST(AdmissionController, CountersRecordThroughTheRegistry) {
-  obs::MetricsRegistry reg;
+TEST(AdmissionController, StatsTallyEveryFate) {
   edge::ServiceConfig cfg;
   cfg.enabled = true;
   cfg.cost_per_object_ns = 1000;
@@ -198,14 +196,13 @@ TEST(AdmissionController, CountersRecordThroughTheRegistry) {
   cfg.decode_merge_budget_us = 12;
   cfg.max_defer_frames = 0;
   edge::AdmissionController ac(edge::deadline_policy(cfg));
-  ac.attach_metrics(&reg);
   edge::ServiceStats stats;
   ac.run({service_frame(1, 0.1, {100, 100})}, &stats);
-  EXPECT_EQ(reg.counter("service.arrived_objects").value(), 2u);
-  EXPECT_EQ(reg.counter("service.admitted_objects").value(), 1u);
-  EXPECT_EQ(reg.counter("service.shed_objects").value(), 1u);
-  EXPECT_EQ(reg.counter("service.budget_granted_ns").value(), 11000u);
-  EXPECT_GT(reg.counter("service.budget_denied_ns").value(), 0u);
+  EXPECT_EQ(stats.arrived_objects, 2u);
+  EXPECT_EQ(stats.admitted_objects, 1u);
+  EXPECT_EQ(stats.shed_objects, 1u);
+  EXPECT_EQ(stats.admitted_cost, 11000u);
+  EXPECT_GT(stats.denied_cost, 0u);
 }
 
 // ---------------------------------------------------------------------------

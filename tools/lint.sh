@@ -17,6 +17,10 @@
 #   R6  no float == / != against a float literal — exact comparison of
 #       computed floats is almost always a latent nondeterminism bug; the
 #       rare sanctioned site carries `// lint-ok: R6 <reason>` on the line
+#   R7  one booking site: `obs::Counter*` / `obs::Counter&` and
+#       `counter("...")` lookups appear only in src/obs/ and
+#       src/edge/system_runner.cpp — components return tallies, the runner
+#       books them (DESIGN.md §11)
 #
 # clang-tidy runs against the compile database (build/compile_commands.json,
 # generated automatically by CMake via CMAKE_EXPORT_COMPILE_COMMANDS). When
@@ -115,6 +119,21 @@ for f in "${SOURCES[@]}"; do
           if printf '%s' "$stripped" | grep -qE '(==|!=)[[:space:]]*-?[0-9]+\.[0-9]|[0-9]\.[0-9]*f?[[:space:]]*(==|!=)'; then
             fail "R6 exact float comparison in $f:${hit%%:*}: ${stripped}"
           fi
+        done < /tmp/lint_hits.$$
+      fi
+      rm -f /tmp/lint_hits.$$
+      ;;
+  esac
+
+  # R7: counters are resolved and booked only by the registry itself and the
+  # runner; anywhere else a counter is a second booking of a fate.
+  case "$f" in
+    src/obs/*|src/edge/system_runner.cpp) ;;
+    src/*)
+      if strip_comments "$f" | grep -nE 'obs::Counter[[:space:]]*[*&]|counter\("' \
+          > /tmp/lint_hits.$$ 2>/dev/null; then
+        while IFS= read -r hit; do
+          fail "R7 counter booked outside the runner in $f:${hit%%:*}: ${hit#*:}"
         done < /tmp/lint_hits.$$
       fi
       rm -f /tmp/lint_hits.$$
