@@ -20,10 +20,10 @@ AdmissionPolicy point_budget_policy(const IngestConfig& ingest) {
 
 AdmissionPolicy deadline_policy(const ServiceConfig& service) {
   return {.capacity = service.decode_merge_budget_us * 1000ull,
-          .cost_per_point = service.cost_per_point_ns,
-          .cost_per_object = service.cost_per_object_ns,
-          .defer_capacity = service.defer_capacity,
-          .max_defer_frames = service.max_defer_frames};
+          .cost_per_point = kCostPerPointNs,
+          .cost_per_object = kCostPerObjectNs,
+          .defer_capacity = kDeferCapacity,
+          .max_defer_frames = kMaxDeferFrames};
 }
 
 EdgeServer::EdgeServer(const sim::RoadNetwork& net, EdgeConfig cfg)
@@ -39,13 +39,9 @@ EdgeServer::EdgeServer(const sim::RoadNetwork& net, EdgeConfig cfg)
   ERPD_REQUIRE(cfg_.min_relevance >= 0.0,
                "EdgeServer: min_relevance must be >= 0, got ",
                cfg_.min_relevance);
-  ERPD_REQUIRE(cfg_.visibility_radius > 0.0 && cfg_.self_radius > 0.0,
-               "EdgeServer: visibility/self radii must be > 0");
   ERPD_REQUIRE(cfg_.staleness_decay >= 0.0 && cfg_.staleness_decay < 1.0,
                "EdgeServer: staleness_decay must be in [0,1), got ",
                cfg_.staleness_decay);
-  cfg_.redundancy.validate();
-  cfg_.service.validate();
 }
 
 sim::AgentKind EdgeServer::classify_extent(const geom::Aabb& box) {
@@ -156,10 +152,8 @@ std::vector<track::Detection> EdgeServer::build_detections(
     above.reserve(total);
     for (const pc::PointCloud& s : stripped) above.append(s);
 
-    const pc::PointCloud thin = pc::voxel_downsample(above, cfg_.detect_voxel);
-    pc::DbscanConfig seg_cfg = cfg_.detect_dbscan;
-    seg_cfg.collect_clusters = true;
-    const pc::DbscanResult seg = pc::dbscan(thin, seg_cfg);
+    const pc::PointCloud thin = pc::voxel_downsample(above, kDetectVoxel);
+    const pc::DbscanResult seg = pc::dbscan(thin, kDetectDbscan);
     for (std::int32_t cid = 0; cid < seg.cluster_count; ++cid) {
       // cluster_indices is ascending, so the centroid sum runs in the same
       // order extract_clusters would use (bit-identical accumulation).
@@ -294,7 +288,6 @@ FrameOutput EdgeServer::process_frame(
   // points and fresh confirmed tracks inside it; an EMA smooths it so one
   // quiet frame does not flip a region back to "uncovered".
   if (cfg_.redundancy.enabled && !fleet_.empty()) {
-    const RedundancyConfig& red = cfg_.redundancy;
     std::vector<Vec2> sites;
     std::vector<sim::AgentId> owners;
     sites.reserve(fleet_.size());
@@ -310,21 +303,21 @@ FrameOutput EdgeServer::process_frame(
       for (const net::ObjectUpload& obj : f.objects) {
         if (const auto cell = part.cell_of(obj.centroid_world.xy())) {
           instant[*cell] +=
-              static_cast<double>(obj.point_count) / red.points_norm;
+              static_cast<double>(obj.point_count) / kCoveragePointsNorm;
         }
       }
     }
     for (const track::Track* tr : confirmed) {
       if (tr->misses != 0) continue;
       if (const auto cell = part.cell_of(tr->position())) {
-        instant[*cell] += red.track_weight;
+        instant[*cell] += kCoverageTrackWeight;
       }
     }
 
     // EMA update, keyed by owner so a region's history follows its vehicle.
     for (std::size_t i = 0; i < owners.size(); ++i) {
       double& conf = coverage_[owners[i]];
-      conf += red.coverage_alpha * (std::min(instant[i], 1.0) - conf);
+      conf += kCoverageAlpha * (std::min(instant[i], 1.0) - conf);
     }
     std::erase_if(coverage_, [this](const auto& kv) {
       return fleet_.find(kv.first) == fleet_.end();
@@ -364,14 +357,13 @@ FrameOutput EdgeServer::process_frame(
   auto visible_to = [&](const net::UploadFrame& frame, Vec2 track_pos) {
     for (const net::ObjectUpload& obj : frame.objects) {
       if (obj.object_granular) {
-        if (distance(obj.centroid_world.xy(), track_pos) <
-            cfg_.visibility_radius) {
+        if (distance(obj.centroid_world.xy(), track_pos) < kVisibilityRadius) {
           return true;
         }
       } else {
         int near = 0;
         for (const geom::Vec3& p : obj.cloud_world.points()) {
-          if (distance(p.xy(), track_pos) < cfg_.visibility_radius &&
+          if (distance(p.xy(), track_pos) < kVisibilityRadius &&
               ++near >= 3) {
             return true;
           }
@@ -405,11 +397,7 @@ FrameOutput EdgeServer::process_frame(
   // track id -> (vehicle -> relevance), reused for follower propagation.
   std::map<int, std::map<sim::AgentId, double>> relevance_of;
 
-  const bool need_relevance =
-      cfg_.strategy == DisseminationStrategy::kRelevanceGreedy ||
-      cfg_.strategy == DisseminationStrategy::kRelevanceOptimal;
-
-  if (need_relevance) {
+  if (cfg_.strategy == DisseminationStrategy::kRelevanceGreedy) {
     for (const auto& [vid, info] : fleet_) {
       const auto vt = vehicle_traj.find(vid);
       if (vt == vehicle_traj.end()) continue;
@@ -422,7 +410,7 @@ FrameOutput EdgeServer::process_frame(
         const track::Track* tr = tracker_.find(tid);
         if (tr == nullptr) continue;
         // Skip the vehicle's own track.
-        if (distance(tr->position(), info.position) < cfg_.self_radius) {
+        if (distance(tr->position(), info.position) < kSelfRadius) {
           continue;
         }
         // Directly observable objects need no dissemination (relevance 0).
@@ -455,7 +443,7 @@ FrameOutput EdgeServer::process_frame(
       if (tr == nullptr) continue;
       for (const auto& [vid, r] : rep_rel->second) {
         const auto& info = fleet_.at(vid);
-        if (distance(tr->position(), info.position) < cfg_.self_radius) {
+        if (distance(tr->position(), info.position) < kSelfRadius) {
           continue;
         }
         candidates.push_back({member, vid, r, tr->payload_bytes, tr->truth_id});
@@ -481,7 +469,7 @@ FrameOutput EdgeServer::process_frame(
           // The follower *receives* data, so it must be a connected vehicle.
           sim::AgentId follower_vid = sim::kInvalidAgent;
           for (const auto& [vid, info] : fleet_) {
-            if (distance(info.position, ftr->position()) < cfg_.self_radius) {
+            if (distance(info.position, ftr->position()) < kSelfRadius) {
               follower_vid = vid;
               break;
             }
@@ -498,7 +486,7 @@ FrameOutput EdgeServer::process_frame(
             // if connected, else via a fresh trajectory-pair estimate.
             double r_leader = 0.0;
             for (const auto& [vid, info] : fleet_) {
-              if (distance(info.position, ltr->position()) < cfg_.self_radius) {
+              if (distance(info.position, ltr->position()) < kSelfRadius) {
                 const auto it = per_vehicle.find(vid);
                 if (it != per_vehicle.end()) r_leader = it->second;
                 break;
@@ -533,7 +521,7 @@ FrameOutput EdgeServer::process_frame(
     // EMP / Unlimited: every confirmed track to every connected vehicle.
     for (const track::Track* tr : confirmed) {
       for (const auto& [vid, info] : fleet_) {
-        if (distance(tr->position(), info.position) < cfg_.self_radius) {
+        if (distance(tr->position(), info.position) < kSelfRadius) {
           continue;
         }
         candidates.push_back({tr->id, vid, 0.0, tr->payload_bytes,
@@ -552,9 +540,6 @@ FrameOutput EdgeServer::process_frame(
   switch (cfg_.strategy) {
     case DisseminationStrategy::kRelevanceGreedy:
       sel = core::greedy_dissemination(candidates, budget);
-      break;
-    case DisseminationStrategy::kRelevanceOptimal:
-      sel = core::optimal_dissemination(candidates, budget);
       break;
     case DisseminationStrategy::kRoundRobin:
       sel = core::round_robin_dissemination(candidates, budget, rr_cursor_);

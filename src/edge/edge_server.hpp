@@ -32,14 +32,28 @@
 namespace erpd::edge {
 
 enum class DisseminationStrategy : std::uint8_t {
-  kRelevanceGreedy,   // Ours (Algorithm 1)
-  kRelevanceOptimal,  // exact DP knapsack (ablation)
-  kRoundRobin,        // EMP
-  kBroadcast,         // Unlimited
+  kRelevanceGreedy,  // Ours (Algorithm 1)
+  kRoundRobin,       // EMP
+  kBroadcast,        // Unlimited
 };
+
+/// Server-side object detection for blob uploads (EMP / Unlimited): voxel
+/// thinning, then density clustering.
+inline constexpr double kDetectVoxel = 0.3;
+inline constexpr pc::DbscanConfig kDetectDbscan{
+    .eps = 1.2, .min_pts = 4, .collect_clusters = true};
+/// An object is visible to an uploader if that upload contains >= 3 points
+/// (or an object centroid) within this radius of the track.
+inline constexpr double kVisibilityRadius = 2.2;
+/// A track this close to a connected vehicle's reported pose *is* that
+/// vehicle.
+inline constexpr double kSelfRadius = 2.5;
+static_assert(kVisibilityRadius > 0.0 && kSelfRadius > 0.0);
 
 struct EdgeConfig {
   DisseminationStrategy strategy{DisseminationStrategy::kRelevanceGreedy};
+  /// Sets the downlink budget. SystemRunner overwrites it with
+  /// RunnerConfig::wireless.
   net::WirelessConfig wireless{};
   track::TrackerConfig tracker{};
   track::RuleConfig rules{};
@@ -55,15 +69,6 @@ struct EdgeConfig {
   /// would mis-rank the dissemination knapsack under uplink loss. 0 (default)
   /// disables the penalty (exact lossless-pipeline scoring).
   double staleness_decay{0.0};
-  /// Server-side object detection for blob uploads (EMP / Unlimited).
-  pc::DbscanConfig detect_dbscan{1.2, 4};
-  double detect_voxel{0.3};
-  /// An object is visible to an uploader if that upload contains >= 3 points
-  /// (or an object centroid) within this radius of the track.
-  double visibility_radius{2.2};
-  /// A track this close to a connected vehicle's reported pose *is* that
-  /// vehicle.
-  double self_radius{2.5};
   /// Untrusted-ingest admission control (DESIGN.md §12). Disabled by
   /// default; wire-payload validation still runs whenever uploads carry
   /// on-the-wire buffers.
@@ -122,7 +127,7 @@ struct FrameOutput {
 /// = point_budget_per_frame, no deferral.
 AdmissionPolicy point_budget_policy(const IngestConfig& ingest);
 /// Service-mode deadline admission: decode_merge_budget_us converted to
-/// nanoseconds of estimated decode+merge cost.
+/// nanoseconds of estimated decode+merge cost under the fixed cost model.
 AdmissionPolicy deadline_policy(const ServiceConfig& service);
 
 class EdgeServer {

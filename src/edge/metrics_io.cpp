@@ -46,13 +46,9 @@ obs::RunManifest make_manifest(const RunnerConfig& cfg,
       .fold(cfg.edge.min_relevance)
       .fold(cfg.edge.staleness_decay)
       .fold(cfg.edge.follower.alpha)
-      .fold(static_cast<int>(cfg.edge.follower.criterion))
-      .fold(cfg.edge.detect_voxel)
-      .fold(cfg.edge.visibility_radius)
-      .fold(cfg.edge.self_radius);
-  fp.fold(static_cast<int>(cfg.client.policy))
-      .fold(cfg.client.truth_match_radius);
-  fp.fold(cfg.duration).fold(cfg.frames_per_pipeline);
+      .fold(static_cast<int>(cfg.edge.follower.criterion));
+  fp.fold(static_cast<int>(cfg.client.policy));
+  fp.fold(cfg.duration);
   fp.fold(cfg.fault.seed)
       .fold(cfg.fault.uplink_loss)
       .fold(cfg.fault.downlink_loss)
@@ -83,24 +79,10 @@ obs::RunManifest make_manifest(const RunnerConfig& cfg,
       .fold(cfg.edge.ingest.quarantine_base)
       .fold(cfg.edge.ingest.quarantine_max)
       .fold(static_cast<std::int64_t>(cfg.edge.ingest.point_budget_per_frame));
-  fp.fold(cfg.redundancy.enabled ? 1 : 0)
-      .fold(cfg.redundancy.coverage_alpha)
-      .fold(cfg.redundancy.points_norm)
-      .fold(cfg.redundancy.track_weight)
-      .fold(cfg.redundancy.suppress_threshold)
-      .fold(cfg.redundancy.keep_fraction)
-      .fold(static_cast<std::int64_t>(cfg.redundancy.min_points))
-      .fold(cfg.redundancy.max_feedback_age)
-      .fold(static_cast<std::int64_t>(cfg.redundancy.seed))
-      .fold(cfg.redundancy.delta_enabled ? 1 : 0)
-      .fold(cfg.redundancy.keyframe_interval);
+  fp.fold(cfg.redundancy.enabled ? 1 : 0);
   fp.fold(cfg.service.enabled ? 1 : 0)
       .fold(static_cast<std::int64_t>(cfg.service.queue_drain_max))
-      .fold(static_cast<std::int64_t>(cfg.service.decode_merge_budget_us))
-      .fold(static_cast<std::int64_t>(cfg.service.cost_per_point_ns))
-      .fold(static_cast<std::int64_t>(cfg.service.cost_per_object_ns))
-      .fold(static_cast<std::int64_t>(cfg.service.defer_capacity))
-      .fold(cfg.service.max_defer_frames);
+      .fold(static_cast<std::int64_t>(cfg.service.decode_merge_budget_us));
 
   obs::RunManifest mf;
   mf.scenario = std::string(scenario);

@@ -7,15 +7,6 @@
 
 namespace erpd::edge {
 
-void ServiceConfig::validate() const {
-  ERPD_REQUIRE(max_defer_frames >= 0,
-               "ServiceConfig: max_defer_frames must be >= 0, got ",
-               max_defer_frames);
-  ERPD_REQUIRE(cost_per_object_ns > 0 || cost_per_point_ns > 0,
-               "ServiceConfig: cost model is all-zero; every upload would be "
-               "free and the deadline budget could never shed");
-}
-
 std::vector<net::UploadFrame> AdmissionController::run(
     std::vector<net::UploadFrame> uploads, ServiceStats* stats) {
   ERPD_REQUIRE(stats != nullptr, "AdmissionController::run: stats is null");

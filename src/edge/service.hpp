@@ -1,17 +1,18 @@
 #pragma once
-// Edge admission: the service-mode knobs and the one rank-and-grant shedder
-// (DESIGN.md §12, §17).
+// Edge admission: the service-mode settings and the one rank-and-grant
+// shedder (DESIGN.md §12, §17).
 //
 // The paper's edge is an always-on service, not a lockstep callee: uploads
 // arrive under a drain cap and the decode+merge stage runs under a
-// per-frame deadline budget. This header holds the knobs (ServiceConfig,
-// default-off so the lockstep pipeline stays bit-identical) and the
-// admission controller: each upload object's cost is estimated from its
-// point/object counts under an AdmissionPolicy, charged biggest cloud first
-// against a net::FrameBudget, and work that does not fit is deferred to the
-// next frame (bounded parking lot) or shed. EdgeServer runs two instances:
-// the ingest point budget (cost = points, no deferral) and service-mode
-// deadline admission (cost = estimated nanoseconds).
+// per-frame deadline budget. This header holds the settings (ServiceConfig,
+// default-off so the lockstep pipeline stays bit-identical), the fixed
+// deadline cost model, and the admission controller: each upload object's
+// cost is estimated from its point/object counts under an AdmissionPolicy,
+// charged biggest cloud first against a net::FrameBudget, and work that does
+// not fit is deferred to the next frame (bounded parking lot) or shed.
+// EdgeServer runs two instances: the ingest point budget (cost = points, no
+// deferral) and service-mode deadline admission (cost = estimated
+// nanoseconds).
 //
 // Determinism: the controller runs single-threaded in upload order after the
 // ingest guard; every decision is a pure function of the admitted upload
@@ -21,6 +22,7 @@
 // ContractViolation fires if the partition ever leaks (ServiceStats
 // identity, checked per frame).
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -40,19 +42,22 @@ struct ServiceConfig {
   /// Per-frame decode+merge deadline budget in microseconds of estimated
   /// cost. 0 disables latency shedding (admission passes everything).
   std::uint64_t decode_merge_budget_us{0};
-  /// Cost model: estimated decode+merge nanoseconds per uploaded point and
-  /// fixed overhead per object (detection, association, bookkeeping).
-  std::uint64_t cost_per_point_ns{90};
-  std::uint64_t cost_per_object_ns{4000};
-  /// Objects the deferral parking lot holds across frames; beyond it a
-  /// denied object is shed instead of deferred.
-  std::size_t defer_capacity{16};
-  /// Frames an object may be deferred before it is shed as expired (its
-  /// payload is stale by then; coasting tracks cover the gap).
-  int max_defer_frames{3};
-
-  void validate() const;
 };
+
+/// Deadline-admission cost model, read by deadline_policy(): estimated
+/// decode+merge nanoseconds per uploaded point plus a fixed overhead per
+/// object (detection, association, bookkeeping). Not all zero, or every
+/// upload would be free and the deadline budget could never shed.
+inline constexpr std::uint64_t kCostPerPointNs = 90;
+inline constexpr std::uint64_t kCostPerObjectNs = 4000;
+static_assert(kCostPerPointNs > 0 || kCostPerObjectNs > 0);
+/// Objects the deferral parking lot holds across frames; beyond it a denied
+/// object is shed instead of deferred.
+inline constexpr std::size_t kDeferCapacity = 16;
+/// Frames an object may be deferred before it is shed as expired (its
+/// payload is stale by then; coasting tracks cover the gap).
+inline constexpr int kMaxDeferFrames = 3;
+static_assert(kMaxDeferFrames >= 0);
 
 /// What one admission stage charges and what it does with denied work.
 struct AdmissionPolicy {

@@ -26,7 +26,6 @@ RunnerConfig make_runner_config(Method method,
   RunnerConfig rc;
   rc.method = method;
   rc.wireless = wireless;
-  rc.edge.wireless = wireless;
   switch (method) {
     case Method::kSingle:
       break;
@@ -44,7 +43,6 @@ RunnerConfig make_runner_config(Method method,
       // Effectively uncapped pipes.
       rc.wireless.uplink_mbps = 1e6;
       rc.wireless.downlink_mbps = 1e6;
-      rc.edge.wireless = rc.wireless;
       break;
   }
   return rc;
@@ -302,17 +300,14 @@ double count(const obs::Counter& c) { return static_cast<double>(c.value()); }
 SystemRunner::SystemRunner(RunnerConfig cfg) : cfg_(cfg) {
   cfg_.wireless.validate();
   cfg_.fault.validate();
-  cfg_.redundancy.validate();
-  cfg_.service.validate();
-  // One source of truth: both ends of the link use the runner's knobs.
+  // One source of truth: the edge's downlink budget and both ends of the
+  // link use the runner's settings.
+  cfg_.edge.wireless = cfg_.wireless;
   cfg_.client.redundancy = cfg_.redundancy;
   cfg_.edge.redundancy = cfg_.redundancy;
   cfg_.edge.service = cfg_.service;
   ERPD_REQUIRE(cfg_.duration > 0.0,
                "SystemRunner: duration must be > 0, got ", cfg_.duration);
-  ERPD_REQUIRE(cfg_.frames_per_pipeline >= 1,
-               "SystemRunner: frames_per_pipeline must be >= 1, got ",
-               cfg_.frames_per_pipeline);
 }
 
 MethodMetrics SystemRunner::run(sim::Scenario& sc) {
@@ -358,19 +353,16 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
   double sum_diss = 0.0;
   double sum_downlink = 0.0;
 
-  // Fault injection. With an inactive FaultConfig the channel never drops,
-  // jitters or disconnects anything and every fault counter stays zero, so
-  // the run is bit-identical to the lossless pipeline.
+  // Fault injection. Every fate below is asked of the channel; a default
+  // FaultConfig answers "no fault" to each question, so the run is
+  // bit-identical to the lossless pipeline.
   net::LossyChannel channel(cfg_.fault);
-  const bool faults = channel.active();
   // Tracks which clients were offline last pipeline frame, to reset their
   // local pipeline state on reconnect.
   std::map<sim::AgentId, bool> offline_prev;
   // Per-vehicle cache of the previously delivered (clean) upload frame, fed
   // to stale-replay corruption. Only maintained while corruption is active.
   std::map<sim::AgentId, net::UploadFrame> replay_cache;
-  const bool wire_faults =
-      faults && (channel.corruption_active() || channel.has_byzantine());
 
   const int steps =
       static_cast<int>(std::llround(cfg_.duration / world.config().dt));
@@ -378,8 +370,7 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
   const bool service_mode = cfg_.service.enabled;
 
   for (int frame = 0; frame < steps; ++frame) {
-    if (cfg_.method != Method::kSingle &&
-        frame % cfg_.frames_per_pipeline == 0) {
+    if (cfg_.method != Method::kSingle) {
       // Deferred spawns (World::schedule_vehicle) may have materialized
       // since the last pipeline frame; give each new connected vehicle a
       // client. For scenarios without deferred spawns this inserts nothing,
@@ -396,16 +387,14 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
       for (auto& [vid, client] : clients) {
         const sim::Vehicle* v = world.find_vehicle(vid);
         if (v == nullptr || v->finished(net) || v->crashed()) continue;
-        if (faults) {
-          // Disconnected vehicles neither sense-for-upload nor count as
-          // Voronoi sites; on reconnect the local pipeline restarts because
-          // its frame-differencing baseline is stale.
-          const bool off = channel.vehicle_offline(vid, world.time());
-          bool& was_off = offline_prev[vid];
-          if (was_off && !off) client.reset_pipeline();
-          was_off = off;
-          if (off) continue;
-        }
+        // Disconnected vehicles neither sense-for-upload nor count as
+        // Voronoi sites; on reconnect the local pipeline restarts because its
+        // frame-differencing baseline is stale.
+        const bool off = channel.vehicle_offline(vid, world.time());
+        bool& was_off = offline_prev[vid];
+        if (was_off && !off) client.reset_pipeline();
+        was_off = off;
+        if (off) continue;
         sites.push_back(v->position(net));
         site_ids.push_back(vid);
       }
@@ -458,7 +447,7 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
       for (net::UploadFrame& f : slots) {
         const std::size_t bytes = f.total_bytes();
         offered_bytes += bytes;
-        if (faults && channel.uplink_lost(f.vehicle, frame, world.time())) {
+        if (channel.uplink_lost(f.vehicle, frame, world.time())) {
           // A lost upload frame never reaches the edge (and never consumes
           // cap budget).
           ctr.up_lost_msgs.add();
@@ -497,11 +486,10 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
       // payloads travel as ObjectUpload::wire buffers the edge must validate
       // with pc::try_decode; duplicated/replayed frames consume downstream
       // bytes like any other transmission.
-      if (wire_faults) {
-        ctr.up_corrupted_msgs.add(
-            apply_wire_faults(delivered, channel, frame, world.time(),
-                              client_cfg.encoding, replay_cache));
-      }
+      ctr.up_corrupted_msgs.add(apply_wire_faults(delivered, channel, frame,
+                                                  world.time(),
+                                                  client_cfg.encoding,
+                                                  replay_cache));
 
       std::size_t delivered_bytes = 0;
       for (const net::UploadFrame& f : delivered) {
@@ -529,26 +517,24 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
       // delivered messages reach driver knowledge.
       double max_down_jitter = 0.0;
       for (const net::Dissemination& d : fo.selected) {
-        if (faults) {
-          if (channel.downlink_lost(d.to, d.track_id, frame, world.time())) {
-            ctr.down_lost_msgs.add();
-            continue;
-          }
-          if (channel.downlink_corrupted(d.to, d.track_id, frame)) {
-            ctr.down_corrupted_msgs.add();
-            continue;
-          }
-          const double jit = channel.downlink_jitter(d.to, d.track_id, frame);
-          max_down_jitter = std::max(max_down_jitter, jit);
-          const double delay =
-              net::transfer_delay(d.bytes, cfg_.wireless.downlink_mbps,
-                                  cfg_.wireless.base_latency) +
-              jit;
-          if (cfg_.fault.downlink_deadline > 0.0 &&
-              delay > cfg_.fault.downlink_deadline) {
-            ctr.deadline_miss.add();
-            continue;
-          }
+        if (channel.downlink_lost(d.to, d.track_id, frame, world.time())) {
+          ctr.down_lost_msgs.add();
+          continue;
+        }
+        if (channel.downlink_corrupted(d.to, d.track_id, frame)) {
+          ctr.down_corrupted_msgs.add();
+          continue;
+        }
+        const double jit = channel.downlink_jitter(d.to, d.track_id, frame);
+        max_down_jitter = std::max(max_down_jitter, jit);
+        const double delay =
+            net::transfer_delay(d.bytes, cfg_.wireless.downlink_mbps,
+                                cfg_.wireless.base_latency) +
+            jit;
+        if (cfg_.fault.downlink_deadline > 0.0 &&
+            delay > cfg_.fault.downlink_deadline) {
+          ctr.deadline_miss.add();
+          continue;
         }
         if (d.about != sim::kInvalidAgent) {
           world.notify_vehicle(d.to, d.about);
@@ -558,9 +544,9 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
       }
       // Coverage feedback rides the same lossy downlink: a dropped message
       // simply leaves the vehicle's last feedback in place until it ages out
-      // (max_feedback_age), after which the vehicle uploads everything again.
+      // (kMaxFeedbackAge), after which the vehicle uploads everything again.
       for (const net::CoverageFeedback& fb : fo.feedback) {
-        if (faults && channel.feedback_lost(fb.to, frame, world.time())) {
+        if (channel.feedback_lost(fb.to, frame, world.time())) {
           ctr.feedback_lost_msgs.add();
           continue;
         }
@@ -572,7 +558,7 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
       const double t_upload =
           net::transfer_delay(delivered_bytes, cfg_.wireless.uplink_mbps,
                               cfg_.wireless.base_latency) +
-          (faults ? channel.uplink_jitter(frame) : 0.0);
+          channel.uplink_jitter(frame);
       // The frame's dissemination completes when its slowest message lands.
       const double t_down = net::transfer_delay(
           fo.downlink_bytes + fo.feedback_bytes, cfg_.wireless.downlink_mbps,

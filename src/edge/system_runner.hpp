@@ -50,23 +50,23 @@ struct FrameTrace {
 
 struct RunnerConfig {
   Method method{Method::kOurs};
+  /// The one link config: the runner copies it into EdgeConfig, whose
+  /// downlink budget therefore always matches the runner's transfer delays.
   net::WirelessConfig wireless{};
   EdgeConfig edge{};
   ClientConfig client{};
-  /// Simulated duration (seconds).
+  /// Simulated duration (seconds). The perception pipeline runs on every
+  /// LiDAR frame (the world dt).
   double duration{25.0};
-  /// How often the perception pipeline runs (defaults to the world dt, i.e.
-  /// every LiDAR frame).
-  int frames_per_pipeline{1};
   /// Optional per-frame stage observer (used by the perf harness). Called
   /// from run() on the caller's thread, once per pipeline frame.
   std::function<void(const FrameTrace&)> on_frame;
-  /// Deterministic channel fault injection. Default-constructed config is
-  /// inactive: the run is bit-identical to the lossless pipeline.
+  /// Deterministic channel fault injection. The default config injects no
+  /// fault: the run is bit-identical to the lossless pipeline.
   net::FaultConfig fault{};
   /// Redundancy-aware uplink (DESIGN.md §16). The runner copies this single
   /// source of truth into both ClientConfig and EdgeConfig so vehicle and
-  /// edge always agree on thresholds. Off by default: bit-identical runs.
+  /// edge are always switched together. Off by default: bit-identical runs.
   RedundancyConfig redundancy{};
   /// Service-mode edge pipeline (DESIGN.md §17): a drain cap between the
   /// sensing fan-out and the edge plus deadline-budget admission inside the
@@ -136,7 +136,7 @@ struct MethodMetrics {
   double delivered_relevance{0.0};
   int disseminations{0};
   // Fault injection / graceful degradation (all zero when
-  // RunnerConfig::fault is inactive and no track ever coasts).
+  // RunnerConfig::fault injects nothing and no track ever coasts).
   /// Fraction of offered upload frames lost to channel faults, in [0, 1].
   double uplink_loss_ratio{0.0};
   /// Fraction of selected disseminations lost on the wire or delivered past

@@ -11,9 +11,7 @@
 namespace erpd::edge {
 
 VehicleClient::VehicleClient(sim::AgentId vehicle, ClientConfig cfg)
-    : vehicle_(vehicle), cfg_(cfg), extractor_(cfg.extractor) {
-  cfg_.redundancy.validate();
-}
+    : vehicle_(vehicle), cfg_(cfg), extractor_(cfg.extractor) {}
 
 void VehicleClient::reset_pipeline() {
   extractor_.reset();
@@ -71,32 +69,31 @@ bool VehicleClient::region_suppressed(geom::Vec2 pos) const {
   // EMA is self-regulating — once suppressed uploads (plus confirmed-track
   // weight) no longer sustain the confidence, it decays below the threshold
   // and full-rate uploads resume.
-  return r.confidence >= cfg_.redundancy.suppress_threshold;
+  return r.confidence >= kSuppressThreshold;
 }
 
 pc::PointCloud VehicleClient::suppress_points(const pc::PointCloud& pts,
                                               std::uint64_t frame_tag) const {
-  const RedundancyConfig& red = cfg_.redundancy;
-  if (pts.size() <= red.min_points) return pts;
+  if (pts.size() <= kKeepMinPoints) return pts;
   // Per-point Bernoulli keep draw: a pure hash of (suppression seed,
   // vehicle, upload seq, point index) — independent of thread count,
   // evaluation order and the host's hash seed.
   const std::uint64_t stream =
-      core::seed_mix(red.seed, static_cast<std::uint64_t>(vehicle_),
+      core::seed_mix(kSuppressSeed, static_cast<std::uint64_t>(vehicle_),
                      frame_tag);
   pc::PointCloud kept;
   kept.reserve(static_cast<std::size_t>(
-      static_cast<double>(pts.size()) * red.keep_fraction) + red.min_points);
+      static_cast<double>(pts.size()) * kKeepFraction) + kKeepMinPoints);
   for (std::size_t i = 0; i < pts.size(); ++i) {
     core::SplitMix64 gen(core::seed_mix(stream, i));
     const double u = std::ldexp(static_cast<double>(gen() >> 11), -53);
-    if (u < red.keep_fraction) kept.push_back(pts[i]);
+    if (u < kKeepFraction) kept.push_back(pts[i]);
   }
-  if (kept.size() >= red.min_points) return kept;
-  // Floor: keep the first min_points points by index (deterministic).
+  if (kept.size() >= kKeepMinPoints) return kept;
+  // Floor: keep the first kKeepMinPoints points by index (deterministic).
   pc::PointCloud floor_kept;
-  floor_kept.reserve(red.min_points);
-  for (std::size_t i = 0; i < red.min_points; ++i) floor_kept.push_back(pts[i]);
+  floor_kept.reserve(kKeepMinPoints);
+  for (std::size_t i = 0; i < kKeepMinPoints; ++i) floor_kept.push_back(pts[i]);
   return floor_kept;
 }
 
@@ -111,9 +108,9 @@ void VehicleClient::require_finite_pose(const geom::Pose& pose) {
 
 sim::AgentId VehicleClient::match_truth(
     const std::vector<sim::AgentSnapshot>& truth, geom::Vec2 centroid,
-    double radius, sim::AgentId self) {
+    sim::AgentId self) {
   sim::AgentId best = sim::kInvalidAgent;
-  double best_d = radius;
+  double best_d = kTruthMatchRadius;
   for (const sim::AgentSnapshot& a : truth) {
     if (a.id == self || a.parked) continue;
     const double d = distance(a.position, centroid);
@@ -160,15 +157,14 @@ net::UploadFrame VehicleClient::make_upload(
         local_truth = world.snapshot();
         truth = &local_truth;
       }
-      const RedundancyConfig& red = cfg_.redundancy;
-      const bool red_on = red.enabled;
+      const bool red_on = cfg_.redundancy.enabled;
       bool feedback_fresh = false;
       if (red_on) {
         frame.upload_seq = next_upload_seq_++;
         for (TrackedObject& o : objects_) o.matched = false;
         feedback_fresh =
             feedback_.has_value() &&
-            world.time() - feedback_->timestamp <= red.max_feedback_age;
+            world.time() - feedback_->timestamp <= kMaxFeedbackAge;
       }
       std::size_t suppressed = 0;
       for (const pc::ExtractedObject& obj : ex.objects) {
@@ -176,8 +172,7 @@ net::UploadFrame VehicleClient::make_upload(
         up.object_granular = true;
         up.centroid_world = obj.centroid_world;
         up.velocity_world = obj.velocity_world;
-        up.truth_id = match_truth(*truth, obj.centroid_world.xy(),
-                                  cfg_.truth_match_radius, vehicle_);
+        up.truth_id = match_truth(*truth, obj.centroid_world.xy(), vehicle_);
         if (!red_on) {
           up.point_count = obj.point_count;
           up.bytes = pc::encoded_size_bytes(obj.point_count);
@@ -191,14 +186,6 @@ net::UploadFrame VehicleClient::make_upload(
         if (feedback_fresh && region_suppressed(obj.centroid_world.xy())) {
           pts = suppress_points(pts, frame.upload_seq);
         }
-        if (!red.delta_enabled) {
-          up.point_count = pts.size();
-          up.bytes = pc::encoded_size_bytes(pts.size());
-          up.cloud_world = std::move(pts);
-          suppressed += full_bytes - up.bytes;
-          frame.objects.push_back(std::move(up));
-          continue;
-        }
         TrackedObject& st = match_object(obj.centroid_world, world.time());
         up.object_seq = st.object_seq;
         // The ack tells us whether our current keyframe was admitted by the
@@ -211,7 +198,7 @@ net::UploadFrame VehicleClient::make_upload(
             feedback_->last_admitted_upload_seq < st.keyframe_upload_seq;
         bool sent_delta = false;
         if (st.keyframe_upload_seq != 0 &&
-            st.uploads_since_keyframe < red.keyframe_interval &&
+            st.uploads_since_keyframe < kKeyframeInterval &&
             !base_missing) {
           const std::optional<pc::EncodedCloud> d =
               pc::encode_delta(pts, st.keyframe, cfg_.encoding);

@@ -26,6 +26,10 @@
 
 namespace erpd::edge {
 
+/// Distance within which an extracted object is matched to a ground-truth
+/// agent for harness bookkeeping.
+inline constexpr double kTruthMatchRadius = 2.5;
+
 enum class UploadPolicy : std::uint8_t {
   kOursMovingObjects,
   kEmpVoronoi,
@@ -36,10 +40,7 @@ struct ClientConfig {
   UploadPolicy policy{UploadPolicy::kOursMovingObjects};
   pc::MovingExtractorConfig extractor{};
   pc::EncodingConfig encoding{};
-  /// Distance within which an extracted object is matched to a ground-truth
-  /// agent for harness bookkeeping.
-  double truth_match_radius{2.5};
-  /// Redundancy-aware uplink knobs (coverage-feedback suppression + delta
+  /// Redundancy-aware uplink switch (coverage-feedback suppression + delta
   /// encoding). Off by default: make_upload is then byte-identical to the
   /// pre-redundancy pipeline.
   RedundancyConfig redundancy{};
@@ -134,13 +135,13 @@ class VehicleClient {
   /// True when `pos` falls in a well-covered *foreign* feedback region.
   bool region_suppressed(geom::Vec2 pos) const;
 
-  /// Seed-hashed down-sample to keep_fraction, floored at min_points.
+  /// Seed-hashed down-sample to kKeepFraction, floored at kKeepMinPoints.
   pc::PointCloud suppress_points(const pc::PointCloud& pts,
                                  std::uint64_t frame_tag) const;
 
   static sim::AgentId match_truth(
       const std::vector<sim::AgentSnapshot>& truth, geom::Vec2 centroid,
-      double radius, sim::AgentId self);
+      sim::AgentId self);
 };
 
 }  // namespace erpd::edge

@@ -11,8 +11,9 @@
 // therefore bit-identical for a given seed and independent of ERPD_THREADS
 // or evaluation order — the property the determinism suite locks in.
 //
-// A default-constructed FaultConfig is inactive and the whole layer is a
-// no-op: the closed loop behaves exactly as the lossless pre-fault pipeline.
+// A default-constructed FaultConfig answers "no fault" to every query, so the
+// closed loop, which always asks, behaves exactly as the lossless pre-fault
+// pipeline.
 
 #include <cmath>
 #include <cstdint>
@@ -98,14 +99,6 @@ struct FaultConfig {
   /// Byzantine senders (see Byzantine above).
   std::vector<Byzantine> byzantine;
 
-  /// True when any fault mechanism can alter the lossless pipeline.
-  bool active() const {
-    return uplink_loss > 0.0 || downlink_loss > 0.0 || jitter_mean > 0.0 ||
-           downlink_deadline > 0.0 || random_disconnect_rate > 0.0 ||
-           uplink_corruption > 0.0 || downlink_corruption > 0.0 ||
-           !outages.empty() || !disconnects.empty() || !byzantine.empty();
-  }
-
   void validate() const {
     ERPD_REQUIRE(uplink_loss >= 0.0 && uplink_loss <= 1.0,
                  "FaultConfig: uplink_loss must be in [0,1], got ",
@@ -168,7 +161,6 @@ class LossyChannel {
   }
 
   const FaultConfig& config() const { return cfg_; }
-  bool active() const { return cfg_.active(); }
 
   /// True while a channel-wide burst outage covers simulated time `t`.
   bool in_outage(double t) const {
@@ -216,7 +208,6 @@ class LossyChannel {
 
   /// True when `vehicle` is configured Byzantine at time `t`.
   bool is_byzantine(sim::AgentId vehicle, double t) const;
-  bool has_byzantine() const { return !cfg_.byzantine.empty(); }
   bool corruption_active() const { return cfg_.uplink_corruption > 0.0; }
 
   /// Raw 64-bit word from the corruption-payload stream, for callers that

@@ -210,10 +210,10 @@ TEST(Determinism, SystemRunnerEmpIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection: an all-zero FaultConfig must be a provable no-op, and an
-// active fault schedule must replay bit-identically for any worker count
-// (every drop/jitter decision is a pure function of seed + entity + frame,
-// never of scheduling).
+// Fault injection: a fault config that can never fire must be a provable
+// no-op, and an active fault schedule must replay bit-identically for any
+// worker count (every drop/jitter decision is a pure function of seed +
+// entity + frame, never of scheduling).
 // ---------------------------------------------------------------------------
 
 edge::MethodMetrics run_fault_case(const harness::FaultCase& fc,
@@ -223,27 +223,33 @@ edge::MethodMetrics run_fault_case(const harness::FaultCase& fc,
   return harness::run_case(edge::Method::kOurs, fc, /*duration=*/4.0).metrics;
 }
 
-TEST(Determinism, ZeroFaultConfigIsANoOp) {
+TEST(Determinism, InertFaultConfigIsANoOp) {
   PoolGuard guard;
   core::set_thread_count(1);
-  // Bypassing the fault layer entirely and routing through an inactive
-  // LossyChannel must fingerprint identically: the zero config may not
-  // perturb a single simulated quantity.
-  sim::Scenario a = sim::make_unprotected_left_turn(
-      harness::default_intersection(42));
-  edge::RunnerConfig rc =
-      edge::make_runner_config(edge::Method::kOurs, net::WirelessConfig{});
-  rc.duration = 4.0;
-  edge::SystemRunner plain(rc);
-  const std::uint64_t ref = harness::metrics_fingerprint(plain.run(a));
-
-  sim::Scenario b = sim::make_unprotected_left_turn(
-      harness::default_intersection(42));
-  edge::RunnerConfig rf = rc;
-  rf.fault = net::FaultConfig{};  // explicit all-zero config
-  ASSERT_FALSE(rf.fault.active());
-  edge::SystemRunner gated(rf);
-  EXPECT_EQ(harness::metrics_fingerprint(gated.run(b)), ref);
+  // The runner asks the channel every fate question whatever the config.
+  // A config that engages every query path — a deadline, an outage window,
+  // a disconnect schedule and a Byzantine sender — but can never fire must
+  // fingerprint like the default config: asking may not perturb a single
+  // simulated quantity. Redundancy is on so coverage feedback also crosses
+  // the channel.
+  const auto run = [](const net::FaultConfig& fault) {
+    sim::Scenario sc = sim::make_unprotected_left_turn(
+        harness::default_intersection(42));
+    edge::RunnerConfig rc = edge::make_runner_config(edge::Method::kOurs);
+    rc.duration = 4.0;
+    rc.redundancy.enabled = true;
+    rc.fault = fault;
+    edge::SystemRunner runner(rc);
+    return harness::metrics_fingerprint(runner.run(sc));
+  };
+  constexpr sim::AgentId kAbsent = 9999;  // no such agent in the scenario
+  net::FaultConfig inert;
+  inert.seed = 0xfa11;
+  inert.downlink_deadline = 1e9;
+  inert.outages.push_back({1.0, 0.0});
+  inert.disconnects.push_back({kAbsent, 0.0, 10.0});
+  inert.byzantine.push_back({kAbsent, 0.0});
+  EXPECT_EQ(run(inert), run(net::FaultConfig{}));
 }
 
 TEST(Determinism, FaultMatrixIdenticalAcrossThreadCounts) {

@@ -10,9 +10,8 @@ namespace {
 
 TEST(FaultConfig, DefaultIsInactive) {
   const FaultConfig cfg;
-  EXPECT_FALSE(cfg.active());
   EXPECT_NO_THROW(cfg.validate());
-  // An inactive channel never drops, jitters, or disconnects anything.
+  // A default channel never drops, jitters, or disconnects anything.
   const LossyChannel ch(cfg);
   for (int frame = 0; frame < 50; ++frame) {
     EXPECT_FALSE(ch.uplink_lost(3, frame, 0.1 * frame));
@@ -21,30 +20,6 @@ TEST(FaultConfig, DefaultIsInactive) {
     EXPECT_EQ(ch.uplink_jitter(frame), 0.0);
     EXPECT_EQ(ch.downlink_jitter(3, 7, frame), 0.0);
   }
-}
-
-TEST(FaultConfig, ActiveDetectsEveryMechanism) {
-  FaultConfig cfg;
-  cfg.uplink_loss = 0.1;
-  EXPECT_TRUE(cfg.active());
-  cfg = {};
-  cfg.downlink_loss = 0.1;
-  EXPECT_TRUE(cfg.active());
-  cfg = {};
-  cfg.jitter_mean = 0.01;
-  EXPECT_TRUE(cfg.active());
-  cfg = {};
-  cfg.downlink_deadline = 0.1;
-  EXPECT_TRUE(cfg.active());
-  cfg = {};
-  cfg.outages.push_back({1.0, 1.0});
-  EXPECT_TRUE(cfg.active());
-  cfg = {};
-  cfg.disconnects.push_back({2, 1.0, 1.0});
-  EXPECT_TRUE(cfg.active());
-  cfg = {};
-  cfg.random_disconnect_rate = 0.2;
-  EXPECT_TRUE(cfg.active());
 }
 
 TEST(FaultConfig, ValidateRejectsBadValues) {
@@ -171,18 +146,6 @@ TEST(LossyChannel, RandomDisconnectIsStablePerEpoch) {
   EXPECT_LT(off_epochs, 40);
 }
 
-TEST(FaultConfig, CorruptionAndByzantineCountAsActive) {
-  FaultConfig cfg;
-  cfg.uplink_corruption = 0.05;
-  EXPECT_TRUE(cfg.active());
-  cfg = {};
-  cfg.downlink_corruption = 0.05;
-  EXPECT_TRUE(cfg.active());
-  cfg = {};
-  cfg.byzantine.push_back({4, 1.0});
-  EXPECT_TRUE(cfg.active());
-}
-
 TEST(FaultConfig, ValidateRejectsBadCorruptionValues) {
   FaultConfig cfg;
   cfg.uplink_corruption = 1.5;
@@ -201,7 +164,6 @@ TEST(FaultConfig, ValidateRejectsBadCorruptionValues) {
 TEST(LossyChannel, InactiveChannelNeverCorrupts) {
   const LossyChannel ch{FaultConfig{}};
   EXPECT_FALSE(ch.corruption_active());
-  EXPECT_FALSE(ch.has_byzantine());
   for (int frame = 0; frame < 50; ++frame) {
     EXPECT_EQ(ch.uplink_corruption(3, frame), CorruptionKind::kNone);
     EXPECT_FALSE(ch.downlink_corrupted(3, 7, frame));
@@ -268,7 +230,6 @@ TEST(LossyChannel, ByzantineWindowStartsAtConfiguredTime) {
   FaultConfig cfg;
   cfg.byzantine.push_back({9, 2.0});
   const LossyChannel ch(cfg);
-  EXPECT_TRUE(ch.has_byzantine());
   EXPECT_FALSE(ch.is_byzantine(9, 1.99));
   EXPECT_TRUE(ch.is_byzantine(9, 2.0));
   EXPECT_TRUE(ch.is_byzantine(9, 100.0));  // Byzantine forever once turned

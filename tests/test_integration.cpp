@@ -152,6 +152,18 @@ TEST(Integration, MethodNames) {
   EXPECT_STREQ(to_string(Method::kUnlimited), "Unlimited");
 }
 
+TEST(Integration, RunnerWirelessSetsTheEdgeDownlinkBudget) {
+  // RunnerConfig::wireless is the one link config: changing it after
+  // make_runner_config must shrink the edge's dissemination budget too, not
+  // only the runner's transfer delays.
+  RunnerConfig rc = make_runner_config(Method::kOurs, test_wireless());
+  rc.wireless.downlink_mbps = 0.002;  // 25 B per frame: no message fits
+  rc.duration = 18.0;
+  sim::Scenario sc = sim::make_unprotected_left_turn(fast_scenario());
+  SystemRunner runner(rc);
+  EXPECT_EQ(runner.run(sc).disseminations, 0);
+}
+
 TEST(Integration, UnlimitedIsUncapped) {
   const RunnerConfig rc = make_runner_config(Method::kUnlimited);
   EXPECT_GT(rc.wireless.uplink_mbps, 1e5);

@@ -7,7 +7,6 @@
 
 #include <vector>
 
-#include "core/check.hpp"
 #include "core/thread_pool.hpp"
 #include "edge/service.hpp"
 #include "edge/system_runner.hpp"
@@ -48,21 +47,13 @@ std::size_t total_objects(const std::vector<net::UploadFrame>& frames) {
   return n;
 }
 
-TEST(ServiceConfig, ValidateRejectsBadValues) {
-  edge::ServiceConfig cfg;
-  cfg.max_defer_frames = -1;
-  EXPECT_THROW(cfg.validate(), erpd::ContractViolation);
-  cfg = {};
-  cfg.cost_per_point_ns = 0;
-  cfg.cost_per_object_ns = 0;
-  EXPECT_THROW(cfg.validate(), erpd::ContractViolation);
-  EXPECT_NO_THROW(edge::ServiceConfig{}.validate());
-}
-
 TEST(AdmissionController, ZeroBudgetPassesEverythingThrough) {
-  edge::ServiceConfig cfg;
-  cfg.enabled = true;  // budget stays 0: no latency shedding
-  edge::AdmissionController ac(edge::deadline_policy(cfg));
+  // The deadline cost model with capacity 0: no latency shedding.
+  edge::AdmissionController ac({.capacity = 0,
+                                .cost_per_point = edge::kCostPerPointNs,
+                                .cost_per_object = edge::kCostPerObjectNs,
+                                .defer_capacity = edge::kDeferCapacity,
+                                .max_defer_frames = edge::kMaxDeferFrames});
   edge::ServiceStats stats;
   const auto out =
       ac.run({service_frame(1, 0.1, {50, 20}), service_frame(2, 0.1, {30})},
@@ -76,13 +67,11 @@ TEST(AdmissionController, ZeroBudgetPassesEverythingThrough) {
 }
 
 TEST(AdmissionController, BudgetShedsSmallestCloudsFirst) {
-  edge::ServiceConfig cfg;
-  cfg.enabled = true;
-  cfg.cost_per_object_ns = 1000;
-  cfg.cost_per_point_ns = 100;
-  cfg.max_defer_frames = 0;  // shed immediately, no parking
-  cfg.decode_merge_budget_us = 13;  // 13000 ns
-  edge::AdmissionController ac(edge::deadline_policy(cfg));
+  edge::AdmissionController ac({.capacity = 13000,
+                                .cost_per_point = 100,
+                                .cost_per_object = 1000,
+                                .defer_capacity = 16,
+                                .max_defer_frames = 0});  // shed, no parking
   edge::ServiceStats stats;
   // Costs: 100 pts -> 11000 ns, 50 pts -> 6000 ns, 10 pts -> 2000 ns.
   // Value order admits the 100-point cloud (11000), then denies the
@@ -106,13 +95,12 @@ TEST(AdmissionController, BudgetShedsSmallestCloudsFirst) {
 }
 
 TEST(AdmissionController, DeniedWorkIsParkedThenReadmittedWithPriority) {
-  edge::ServiceConfig cfg;
-  cfg.enabled = true;
-  cfg.cost_per_object_ns = 1000;
-  cfg.cost_per_point_ns = 100;
-  cfg.decode_merge_budget_us = 12;  // fits one 100-point object per frame
-  cfg.max_defer_frames = 3;
-  edge::AdmissionController ac(edge::deadline_policy(cfg));
+  // 12000 ns fits one 100-point object per frame.
+  edge::AdmissionController ac({.capacity = 12000,
+                                .cost_per_point = 100,
+                                .cost_per_object = 1000,
+                                .defer_capacity = 16,
+                                .max_defer_frames = 3});
 
   // Frame 1: two equally expensive objects from two vehicles; vehicle 1 wins
   // the tie-break, vehicle 2's object is deferred.
@@ -140,13 +128,11 @@ TEST(AdmissionController, DeniedWorkIsParkedThenReadmittedWithPriority) {
 }
 
 TEST(AdmissionController, DeferralExpiresIntoShedAtMaxDeferFrames) {
-  edge::ServiceConfig cfg;
-  cfg.enabled = true;
-  cfg.cost_per_object_ns = 1000;
-  cfg.cost_per_point_ns = 100;
-  cfg.decode_merge_budget_us = 12;
-  cfg.max_defer_frames = 2;
-  edge::AdmissionController ac(edge::deadline_policy(cfg));
+  edge::AdmissionController ac({.capacity = 12000,
+                                .cost_per_point = 100,
+                                .cost_per_object = 1000,
+                                .defer_capacity = 16,
+                                .max_defer_frames = 2});
 
   // Each frame two fresh 100-point objects arrive but the budget fits only
   // one, so the backlog grows. Deferrals re-enter one frame older; once the
@@ -172,13 +158,12 @@ TEST(AdmissionController, DeferralExpiresIntoShedAtMaxDeferFrames) {
 }
 
 TEST(AdmissionController, ParkingLotCapacityOverflowsIntoShed) {
-  edge::ServiceConfig cfg;
-  cfg.enabled = true;
-  cfg.cost_per_object_ns = 1000;
-  cfg.cost_per_point_ns = 100;
-  cfg.decode_merge_budget_us = 1;  // 1000 ns: nothing with points fits
-  cfg.defer_capacity = 2;
-  edge::AdmissionController ac(edge::deadline_policy(cfg));
+  // 1000 ns: nothing with points fits.
+  edge::AdmissionController ac({.capacity = 1000,
+                                .cost_per_point = 100,
+                                .cost_per_object = 1000,
+                                .defer_capacity = 2,
+                                .max_defer_frames = 3});
   edge::ServiceStats stats;
   ac.run({service_frame(1, 0.1, {10, 10, 10, 10})}, &stats);
   EXPECT_EQ(stats.arrived_objects, 4u);
@@ -189,13 +174,11 @@ TEST(AdmissionController, ParkingLotCapacityOverflowsIntoShed) {
 }
 
 TEST(AdmissionController, StatsTallyEveryFate) {
-  edge::ServiceConfig cfg;
-  cfg.enabled = true;
-  cfg.cost_per_object_ns = 1000;
-  cfg.cost_per_point_ns = 100;
-  cfg.decode_merge_budget_us = 12;
-  cfg.max_defer_frames = 0;
-  edge::AdmissionController ac(edge::deadline_policy(cfg));
+  edge::AdmissionController ac({.capacity = 12000,
+                                .cost_per_point = 100,
+                                .cost_per_object = 1000,
+                                .defer_capacity = 16,
+                                .max_defer_frames = 0});
   edge::ServiceStats stats;
   ac.run({service_frame(1, 0.1, {100, 100})}, &stats);
   EXPECT_EQ(stats.arrived_objects, 2u);
@@ -223,15 +206,11 @@ TEST(ServiceMode, DisabledConfigIsBitIdenticalWhateverTheKnobsSay) {
   PoolGuard guard;
   core::set_thread_count(1);
   const std::uint64_t ref = closed_loop_fingerprint(edge::ServiceConfig{});
-  // enabled=false must gate every other knob: junk values change nothing.
+  // enabled=false must gate every other setting: junk values change nothing.
   edge::ServiceConfig junk;
   junk.enabled = false;
   junk.queue_drain_max = 1;
   junk.decode_merge_budget_us = 1;
-  junk.cost_per_point_ns = 1;
-  junk.cost_per_object_ns = 1;
-  junk.defer_capacity = 1;
-  junk.max_defer_frames = 0;
   EXPECT_EQ(closed_loop_fingerprint(junk), ref);
 }
 

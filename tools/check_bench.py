@@ -13,11 +13,13 @@ rewrite took Ours sensing from 3.4M to 34M+ points/sec — nobody can quietly
 re-commit a slower baseline and have the relative check hide the loss. Fresh
 runs are only measured against the relative floor, since CI hardware varies.
 
-When both artifacts carry a per-method "behavior_fingerprint" and were run
-in the same mode, the fingerprints must match *bit-for-bit*: the bench runs
-fault-free (corruption off), so any drift means simulated behavior changed —
-a tripwire for silent codec/pipeline changes, independent of hardware speed.
-Baselines predating the fingerprint are skipped for back-compat.
+Every method row of both artifacts must carry a "behavior_fingerprint".
+When the two were run in the same mode (quick or full), the fingerprints
+must match *bit-for-bit*: the bench runs fault-free (corruption off), so any
+drift means simulated behavior changed — a tripwire for silent codec/pipeline
+changes, independent of hardware speed. Both artifacts must also carry the
+"Ours-redundancy" row, whose offered-bytes reduction over "Ours" is held to
+REDUNDANCY_REDUCTION_FLOOR.
 
 Usage: check_bench.py <fresh.json> <baseline.json>
        check_bench.py --soak <soak_report.json>
@@ -188,6 +190,10 @@ def main(argv):
 
         base_fp = b.get("behavior_fingerprint")
         fresh_fp = m.get("behavior_fingerprint")
+        if not base_fp:
+            failures.append(f"{name}: baseline lacks a behavior_fingerprint")
+        if not fresh_fp:
+            failures.append(f"{name}: fresh run lacks a behavior_fingerprint")
         same_mode = fresh.get("quick") == base.get("quick")
         if base_fp and fresh_fp and same_mode:
             fp_status = "ok" if fresh_fp == base_fp else "DRIFT"
@@ -201,9 +207,11 @@ def main(argv):
                     f" {base_fp} - simulated behavior drifted"
                 )
 
-    # Redundancy ratchet: skipped only for baselines predating the
-    # "Ours-redundancy" row (back-compat); once the row exists in the fresh
-    # artifact the reduction must stay above the floor.
+    # Redundancy ratchet: both artifacts must carry the "Ours-redundancy"
+    # row (a fresh run missing a baseline row already failed above), and the
+    # fresh reduction must stay above the floor.
+    if "Ours-redundancy" not in methods_by_name(base):
+        failures.append("Ours-redundancy: missing from baseline")
     red = fresh_methods.get("Ours-redundancy")
     plain = fresh_methods.get("Ours")
     if red is not None and plain is not None:
@@ -221,8 +229,6 @@ def main(argv):
                 f" {REDUNDANCY_REDUCTION_FLOOR:.1f}x floor - the"
                 " coverage-feedback/delta uplink stopped earning its bytes"
             )
-    elif "Ours-redundancy" in methods_by_name(base):
-        failures.append("Ours-redundancy: missing from fresh run")
 
     for msg in failures:
         print(f"check_bench: FAIL - {msg}", file=sys.stderr)
