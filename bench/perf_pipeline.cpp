@@ -3,24 +3,22 @@
 // Runs the closed-loop system (kOurs: per-vehicle extraction + object
 // uploads; kEmp: blob uploads exercising the server-side segmentation path)
 // with the global pool at its auto size and again pinned to one worker, and
-// emits machine-readable BENCH_pipeline.json with per-stage p50/p95/mean,
-// aggregate points/sec, and the parallel-vs-serial speedup. It also
-// cross-checks the determinism contract: behavioral metrics must be exactly
-// equal at every thread count.
+// emits machine-readable BENCH_pipeline.json with the run registry (every
+// stage.* histogram and counter), aggregate points/sec, and the
+// parallel-vs-serial speedup. It also cross-checks the determinism contract:
+// behavioral metrics must be exactly equal at every thread count.
 //
 // Usage: perf_pipeline [--quick] [--out=FILE]
 //   --quick     fewer frames + one seed (CI smoke; seconds, not minutes)
 //   --out=FILE  output path (default BENCH_pipeline.json in the CWD)
 
-#include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -32,41 +30,11 @@ using namespace erpd;
 
 namespace {
 
-struct StageStats {
-  double p50{0.0};
-  double p95{0.0};
-  double mean{0.0};
-  std::size_t samples{0};
-};
-
-StageStats stats_of(std::vector<double> v) {
-  StageStats s;
-  s.samples = v.size();
-  if (v.empty()) return s;
-  std::sort(v.begin(), v.end());
-  const auto pct = [&](double p) {
-    const double idx = p * static_cast<double>(v.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(idx);
-    const std::size_t hi = std::min(lo + 1, v.size() - 1);
-    const double frac = idx - static_cast<double>(lo);
-    return v[lo] + frac * (v[hi] - v[lo]);
-  };
-  s.p50 = pct(0.50);
-  s.p95 = pct(0.95);
-  s.mean = bench::mean_of(v);
-  return s;
-}
-
 /// One method run at the current global thread count.
 struct RunResult {
   double wall_seconds{0.0};
   std::size_t frames{0};
-  double sensing_seconds{0.0};  // summed sensing wall time
-  StageStats sensing;
-  StageStats extract;
-  StageStats merge;
-  StageStats track_relevance;
-  StageStats dissemination;
+  double sensing_seconds{0.0};  // summed sensing wall time (stage.sense)
   edge::MethodMetrics metrics;
   obs::RunManifest manifest;
   /// Everything the run recorded: stage histograms, fate counters, pool
@@ -90,18 +58,10 @@ RunResult run_once(edge::Method method, bool redundancy, std::uint64_t seed,
   rc.duration = duration;
   rc.redundancy.enabled = redundancy;
 
-  std::vector<double> sensing, extract, merge, track, diss;
   RunResult r;
   r.registry = std::make_unique<obs::MetricsRegistry>();
   rc.metrics = r.registry.get();
-  rc.on_frame = [&](const edge::FrameTrace& tr) {
-    ++r.frames;
-    sensing.push_back(tr.sensing_wall_seconds);
-    extract.push_back(tr.extract_max_seconds);
-    merge.push_back(tr.merge_seconds);
-    track.push_back(tr.track_relevance_seconds);
-    diss.push_back(tr.dissemination_seconds);
-  };
+  rc.on_frame = [&](const edge::FrameTrace&) { ++r.frames; };
 
   r.manifest = edge::make_manifest(rc, "perf_pipeline", seed);
   edge::SystemRunner runner(rc);
@@ -110,12 +70,8 @@ RunResult run_once(edge::Method method, bool redundancy, std::uint64_t seed,
   r.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  r.sensing_seconds = std::accumulate(sensing.begin(), sensing.end(), 0.0);
-  r.sensing = stats_of(std::move(sensing));
-  r.extract = stats_of(std::move(extract));
-  r.merge = stats_of(std::move(merge));
-  r.track_relevance = stats_of(std::move(track));
-  r.dissemination = stats_of(std::move(diss));
+  r.sensing_seconds =
+      static_cast<double>(r.registry->histogram("stage.sense").sum()) * 1e-9;
   return r;
 }
 
@@ -158,15 +114,6 @@ std::string behavior_fingerprint_hex(const edge::MethodMetrics& m) {
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(h));
   return std::string(buf);
-}
-
-void json_stage(obs::JsonWriter& w, const char* name, const StageStats& s) {
-  w.key(name).begin_object();
-  w.kv("p50_ms", s.p50 * 1e3);
-  w.kv("p95_ms", s.p95 * 1e3);
-  w.kv("mean_ms", s.mean * 1e3);
-  w.kv("samples", static_cast<std::uint64_t>(s.samples));
-  w.end_object();
 }
 
 }  // namespace
@@ -228,8 +175,8 @@ int main(int argc, char** argv) {
 
     // Parallel (auto) pass, then the pinned serial pass over the same seeds.
     // The first parallel run's registry (stage histograms and counters) goes
-    // into the artifact alongside the FrameTrace percentiles.
-    double par_wall = 0.0, ser_wall = 0.0, par_sense = 0.0, ser_sense = 0.0;
+    // into the artifact.
+    double par_wall = 0.0, ser_wall = 0.0, par_sense = 0.0;
     std::size_t frames = 0, raw_points = 0;
     std::vector<RunResult> par_runs;
     bool deterministic = true;
@@ -247,7 +194,6 @@ int main(int argc, char** argv) {
     for (std::size_t si = 0; si < seeds.size(); ++si) {
       RunResult r = run_once(method, redundancy, seeds[si], duration);
       ser_wall += r.wall_seconds;
-      ser_sense += r.sensing_seconds;
       if (!(fingerprint(r.metrics) == fingerprint(par_runs[si].metrics))) {
         deterministic = false;
       }
@@ -259,8 +205,8 @@ int main(int argc, char** argv) {
     const double pts_per_sec =
         par_sense > 0.0 ? static_cast<double>(raw_points) / par_sense : 0.0;
 
-    // Stage percentiles are reported from the first seed's parallel run
-    // (seeds share the scenario shape; pooling adds noise, not signal).
+    // The registry dump comes from the first seed's parallel run (seeds
+    // share the scenario shape; pooling adds noise, not signal).
     const RunResult& head = par_runs.front();
 
     if (method == edge::Method::kOurs) {
@@ -272,11 +218,6 @@ int main(int argc, char** argv) {
                 "%.2fM pts/s  deterministic=%s\n",
                 label, par_wall, ser_wall, speedup, pts_per_sec / 1e6,
                 deterministic ? "yes" : "NO");
-    std::printf("           sensing p50 %.2f ms p95 %.2f ms | merge p50 %.3f "
-                "ms | track+rel p50 %.3f ms | diss p50 %.3f ms\n",
-                head.sensing.p50 * 1e3, head.sensing.p95 * 1e3,
-                head.merge.p50 * 1e3, head.track_relevance.p50 * 1e3,
-                head.dissemination.p50 * 1e3);
 
     w.begin_object();
     w.kv("method", label);
@@ -294,11 +235,6 @@ int main(int argc, char** argv) {
     w.kv("uplink_drop_ratio", head.metrics.uplink_drop_ratio);
     w.kv("uplink_suppressed_bytes_per_frame",
          head.metrics.uplink_suppressed_bytes_per_frame);
-    json_stage(w, "sensing_wall", head.sensing);
-    json_stage(w, "extract_max", head.extract);
-    json_stage(w, "merge", head.merge);
-    json_stage(w, "track_relevance", head.track_relevance);
-    json_stage(w, "dissemination", head.dissemination);
     obs::append_registry(w, *head.registry);
     w.end_object();
   }

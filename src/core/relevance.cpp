@@ -83,22 +83,6 @@ std::optional<CollisionEstimate> estimate_collision(
   return est;
 }
 
-std::optional<CollisionEstimate> estimate_collision_probabilistic(
-    const track::PredictedTrajectory& a, const track::PredictedTrajectory& b,
-    double length_a, double length_b) {
-  auto est = estimate_collision(a, b, length_a, length_b);
-  if (!est || !est->collides) return est;
-  // Probability that each object is actually inside the collision area at
-  // the earliest joint time, under its predicted-position Gaussian.
-  const double t = est->ttc;
-  const double pa =
-      a.uncertainty_at(t).mass_in_circle(est->collision_point, est->radius);
-  const double pb =
-      b.uncertainty_at(t).mass_in_circle(est->collision_point, est->radius);
-  est->relevance *= pa * pb;
-  return est;
-}
-
 bool follower_unsafe(double gap, double follower_speed,
                      const FollowerRelevanceConfig& cfg) {
   const bool pipes_ok = cfg.pipes.compliant(gap, follower_speed);

@@ -59,18 +59,6 @@ std::optional<CollisionEstimate> estimate_collision(
     const track::PredictedTrajectory& a, const track::PredictedTrajectory& b,
     double length_a, double length_b);
 
-/// Alternative estimator discussed in §III-A.1: weight the interval-based
-/// relevance by the probability mass the two predicted-position Gaussians
-/// put inside the collision area at the moment the collision interval
-/// starts. This is the "joint probability at the trajectory intersection"
-/// idea of refs [24]-[26] combined with the collision area; it is costlier
-/// (numeric quadrature) and typically *lowers* relevance when prediction
-/// uncertainty is large. The paper's default (estimate_collision) treats
-/// presence in the area as certain; this variant exists for the ablation.
-std::optional<CollisionEstimate> estimate_collision_probabilistic(
-    const track::PredictedTrajectory& a, const track::PredictedTrajectory& b,
-    double length_a, double length_b);
-
 /// How a follower is judged unsafe behind its leader.
 enum class FollowerCriterion {
   /// Relevant if it violates Pipes *or* the Gipps gap (conservative).

@@ -10,24 +10,10 @@ void append_method_metrics(obs::JsonWriter& w, const MethodMetrics& m) {
 #undef X
 }
 
-void append_frame_trace(obs::JsonWriter& w, const FrameTrace& t) {
-#define X(field) w.kv(#field, t.field);
-  ERPD_FRAME_TRACE_FIELDS(X)
-#undef X
-}
-
 std::vector<std::string_view> method_metrics_keys() {
   return {
 #define X(field) #field,
       ERPD_METHOD_METRICS_FIELDS(X)
-#undef X
-  };
-}
-
-std::vector<std::string_view> frame_trace_keys() {
-  return {
-#define X(field) #field,
-      ERPD_FRAME_TRACE_FIELDS(X)
 #undef X
   };
 }

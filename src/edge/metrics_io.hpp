@@ -1,10 +1,10 @@
 #pragma once
 // JSON serialization of the runner's result structs (DESIGN.md §11).
 //
-// One X-macro table per struct is the single source of truth for both the
-// JSON writer and the exported key list, so the golden-schema test can prove
-// the wire format tracks the struct: adding a MethodMetrics field without
-// touching the exporter is impossible, and renaming a key silently is caught.
+// The X-macro table is the single source of truth for both the JSON writer
+// and the exported key list, so the golden-schema test can prove the wire
+// format tracks the struct: adding a MethodMetrics field without touching
+// the exporter is impossible, and renaming a key silently is caught.
 
 #include <string>
 #include <string_view>
@@ -62,30 +62,14 @@
   X(service_shed_objects)             \
   X(service_parked_residual)
 
-// Every exported FrameTrace field, in struct declaration order.
-#define ERPD_FRAME_TRACE_FIELDS(X) \
-  X(frame)                         \
-  X(sensing_wall_seconds)          \
-  X(extract_max_seconds)           \
-  X(merge_seconds)                 \
-  X(track_relevance_seconds)       \
-  X(dissemination_seconds)
-
 namespace erpd::edge {
 
 /// Write every MethodMetrics field as "name": value pairs. Call with the
 /// writer positioned inside an object.
 void append_method_metrics(obs::JsonWriter& w, const MethodMetrics& m);
 
-/// Write every FrameTrace field as "name": value pairs. Call with the
-/// writer positioned inside an object.
-void append_frame_trace(obs::JsonWriter& w, const FrameTrace& t);
-
 /// The JSON key set append_method_metrics emits, in emission order.
 std::vector<std::string_view> method_metrics_keys();
-
-/// The JSON key set append_frame_trace emits, in emission order.
-std::vector<std::string_view> frame_trace_keys();
 
 /// Build the provenance manifest for a run of `cfg`: fingerprints every
 /// configuration value that can change simulated behavior, and stamps the

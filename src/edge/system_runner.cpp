@@ -419,10 +419,8 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
         });
       }
       double max_extract = 0.0;
-      double sensing_wall = 0.0;  // summed per-vehicle scan time (CPU cost)
       for (const ClientFrameStats& s : stats) {
         max_extract = std::max(max_extract, s.processing_seconds);
-        sensing_wall += s.sensing_seconds;
         ctr.raw_points.add(s.raw_points);
         ctr.client_bytes.add(s.uploaded_bytes);
         ctr.suppressed_bytes.add(s.suppressed_bytes);
@@ -584,15 +582,7 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
       e2e_hist.record_seconds(e2e);
 
       if (cfg_.on_frame) {
-        FrameTrace tr;
-        tr.frame = frame;
-        tr.sensing_wall_seconds = sensing_wall;
-        tr.extract_max_seconds = max_extract;
-        tr.merge_seconds = fo.timings.merge_seconds;
-        tr.track_relevance_seconds =
-            fo.timings.track_predict_seconds + fo.timings.relevance_seconds;
-        tr.dissemination_seconds = fo.timings.dissemination_seconds;
-        cfg_.on_frame(tr);
+        cfg_.on_frame(FrameTrace{frame});
       }
     }
 

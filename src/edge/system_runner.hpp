@@ -31,21 +31,11 @@ enum class Method : std::uint8_t { kSingle, kEmp, kOurs, kUnlimited };
 
 const char* to_string(Method m);
 
-/// Per-pipeline-frame host-time sample, emitted through
-/// RunnerConfig::on_frame (profiling only). Counts — points, bytes, fates —
-/// live in the run registry, not here.
+/// Per-pipeline-frame notification, emitted through RunnerConfig::on_frame.
+/// Host times and counts live in the run registry (stage.* histograms,
+/// counters), not here.
 struct FrameTrace {
   int frame{0};
-  /// Host wall time summed over each vehicle's LiDAR scan — the sensor
-  /// alone, excluding extraction (which is stage.extract) and the fan-out's
-  /// scheduling overhead (stage.fanout). Denominator of the bench's
-  /// sensing_points_per_sec.
-  double sensing_wall_seconds{0.0};
-  /// Slowest single vehicle's extraction time (the simulated-latency term).
-  double extract_max_seconds{0.0};
-  double merge_seconds{0.0};
-  double track_relevance_seconds{0.0};
-  double dissemination_seconds{0.0};
 };
 
 struct RunnerConfig {

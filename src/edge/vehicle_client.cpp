@@ -139,8 +139,7 @@ net::UploadFrame VehicleClient::make_upload(
   // paper's on-vehicle pipeline does with the scan. sensing_points_per_sec
   // in the bench derives from the former, so extraction cost can never
   // masquerade as sensor cost (or vice versa).
-  double sensing_seconds = 0.0;
-  obs::StageSpan sense_span(cfg_.metrics, "stage.sense", &sensing_seconds);
+  obs::StageSpan sense_span(cfg_.metrics, "stage.sense");
   const sim::LidarScan scan = world.scan_from(vehicle_);
   sense_span.stop();
 
@@ -283,7 +282,6 @@ net::UploadFrame VehicleClient::make_upload(
   extract_span.stop();
   if (stats != nullptr) {
     stats->raw_points = scan.cloud.size();
-    stats->sensing_seconds = sensing_seconds;
     stats->uploaded_bytes = frame.total_bytes();
     stats->processing_seconds = processing_seconds;
   }

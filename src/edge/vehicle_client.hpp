@@ -59,9 +59,6 @@ struct ClientFrameStats {
   /// suppression savings plus delta-vs-keyframe savings. Zero when
   /// RedundancyConfig is off.
   std::size_t suppressed_bytes{0};
-  /// Wall-clock seconds spent in the simulated LiDAR scan alone — the
-  /// denominator of the bench's sensing_points_per_sec.
-  double sensing_seconds{0.0};
   /// Wall-clock seconds spent in local processing (the paper's Moving
   /// Object Extraction runtime).
   double processing_seconds{0.0};

@@ -4,9 +4,10 @@
 // A StageSpan measures wall-clock time between construction and stop() (or
 // destruction) and records it twice: into the registry's per-stage log2
 // histogram (nanosecond samples) and into an optional double* slot, which is
-// how the FrameTrace / ModuleTimings wall-clock fields are fed without a
-// second clock read. Spans are the only metric components record
-// themselves; counts are returned as tallies and booked by SystemRunner. In
+// how the ModuleTimings and ClientFrameStats::processing_seconds wall-clock
+// fields (the Fig. 14 breakdown in MethodMetrics) are fed without a second
+// clock read. Spans are the only metric components record themselves;
+// counts are returned as tallies and booked by SystemRunner. In
 // a closed-loop run the registry is the runner's run registry; a component
 // driven on its own may pass null, which records nothing but still fills
 // the slot, so instrumented code needs no branches.

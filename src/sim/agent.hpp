@@ -77,7 +77,6 @@ class Vehicle {
   const std::map<AgentId, HazardKnowledge>& known_hazards() const {
     return hazards_;
   }
-  void forget_hazard(AgentId hazard) { hazards_.erase(hazard); }
 
   /// Yield latch: once the driver decides to yield to a hazard they hold a
   /// fixed stop target until the hazard clears, instead of re-deciding from
@@ -143,7 +142,6 @@ class Pedestrian {
 
   double s() const { return s_; }
   double speed() const { return speed_; }
-  void set_speed(double v) { speed_ = v; }
 
   geom::Vec2 position() const;
   double heading() const;

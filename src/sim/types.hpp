@@ -46,7 +46,6 @@ inline const char* to_string(Maneuver m) {
 }
 
 constexpr double kmh_to_ms(double kmh) { return kmh / 3.6; }
-constexpr double ms_to_kmh(double ms) { return ms * 3.6; }
 constexpr double mph_to_ms(double mph) { return mph * 0.44704; }
 constexpr double ms_to_mph(double ms) { return ms / 0.44704; }
 

@@ -1,8 +1,5 @@
 #include "track/kalman.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "core/check.hpp"
 
 namespace erpd::track {
@@ -102,14 +99,6 @@ void KalmanCV::update(geom::Vec2 z, geom::Vec2 vel, double vel_sigma) {
     }
     p_ = np;
   }
-}
-
-geom::Gaussian2D KalmanCV::position_gaussian() const {
-  const double sx = std::sqrt(std::max(p_[0][0], 1e-8));
-  const double sy = std::sqrt(std::max(p_[1][1], 1e-8));
-  double rho = p_[0][1] / (sx * sy);
-  rho = std::clamp(rho, -0.99, 0.99);
-  return geom::Gaussian2D{position(), sx, sy, rho};
 }
 
 }  // namespace erpd::track

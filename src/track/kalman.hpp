@@ -3,12 +3,10 @@
 //
 // State x = [px, py, vx, vy]; measurements are positions (vehicle uploads
 // provide centroids; velocity is observed indirectly). The filter supplies
-// both the smoothed state for tracking and the positional covariance that
-// seeds the bivariate-Gaussian uncertainty of predicted trajectories.
+// the smoothed state the tracker and trajectory predictor consume.
 
 #include <array>
 
-#include "geom/gaussian2d.hpp"
 #include "geom/vec2.hpp"
 
 namespace erpd::track {
@@ -44,15 +42,9 @@ class KalmanCV {
   void update(geom::Vec2 measured_position, geom::Vec2 measured_velocity,
               double vel_sigma);
 
-  /// Positional covariance as a bivariate Gaussian around the current
-  /// position estimate.
-  geom::Gaussian2D position_gaussian() const;
-
-  /// Positional covariance entries (for tests).
+  /// Covariance diagonal entries (for tests).
   double var_px() const { return p_[0][0]; }
-  double var_py() const { return p_[1][1]; }
   double var_vx() const { return p_[2][2]; }
-  double var_vy() const { return p_[3][3]; }
 
  private:
   Config cfg_;

@@ -87,8 +87,6 @@ std::vector<PredictedTrajectory> TrajectoryPredictor::predict_hypotheses(
       PredictedTrajectory t;
       t.speed = speed;
       t.horizon = cfg_.horizon;
-      t.sigma0 = cfg_.sigma0;
-      t.sigma_growth = cfg_.sigma_growth;
       geom::Polyline slice =
           net_.route(b.route_id).path.slice(b.s, b.s + reach);
       std::vector<Vec2> pts;
@@ -110,8 +108,6 @@ PredictedTrajectory TrajectoryPredictor::predict(Vec2 position, Vec2 velocity,
   PredictedTrajectory out;
   out.speed = velocity.norm();
   out.horizon = cfg_.horizon;
-  out.sigma0 = cfg_.sigma0;
-  out.sigma_growth = cfg_.sigma_growth;
 
   const double reach = std::max(out.speed * cfg_.horizon, 0.5);
   const double heading = velocity.heading();

@@ -1,17 +1,15 @@
 #pragma once
 // Trajectory prediction (paper's Trajectory Prediction module).
 //
-// Tracked objects get a predicted path over horizon T with bivariate-
-// Gaussian positional uncertainty that grows along the horizon — the same
-// interface deep predictors (refs [24]-[26]) expose, provided here by a
-// real-time model: vehicles matched to an HD-map route follow the route
-// geometry (capturing turns, the paper's lane-intent idea); everything else
-// is constant-velocity.
+// Tracked objects get a mean predicted path over horizon T — the output the
+// interval relevance method (§III-A.1) consumes — provided by a real-time
+// model: vehicles matched to an HD-map route follow the route geometry
+// (capturing turns, the paper's lane-intent idea); everything else is
+// constant-velocity.
 
 #include <optional>
 #include <vector>
 
-#include "geom/gaussian2d.hpp"
 #include "geom/polyline.hpp"
 #include "sim/road_network.hpp"
 #include "track/tracker.hpp"
@@ -25,16 +23,9 @@ struct PredictedTrajectory {
   double speed{0.0};
   /// Maximum forecast time T (s).
   double horizon{5.0};
-  /// Positional uncertainty: sigma(t) = sigma0 + growth * t.
-  double sigma0{0.4};
-  double sigma_growth{0.35};
 
   geom::Vec2 position_at(double t) const {
     return path.point_at(speed * t);
-  }
-  geom::Gaussian2D uncertainty_at(double t) const {
-    const double s = sigma0 + sigma_growth * t;
-    return geom::Gaussian2D{position_at(t), s, s, 0.0};
   }
   /// Arc length covered within the horizon.
   double reach() const { return speed * horizon; }
@@ -54,9 +45,6 @@ struct PredictorConfig {
   /// Lane-snap gates.
   double max_lateral{1.7};
   double max_heading_diff_deg{40.0};
-  /// Uncertainty model.
-  double sigma0{0.4};
-  double sigma_growth{0.35};
   /// Path sampling step (meters).
   double step{1.0};
 };

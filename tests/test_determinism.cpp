@@ -79,7 +79,7 @@ pc::PointCloud clustered_cloud() {
   pc::PointCloud cloud;
   std::mt19937_64 rng(7);
   std::normal_distribution<double> jitter(0.0, 0.2);
-  for (const auto [cx, cy] : {std::pair{0.0, 0.0}, {8.0, 1.0}, {3.0, 9.0}}) {
+  for (const auto& [cx, cy] : {std::pair{0.0, 0.0}, {8.0, 1.0}, {3.0, 9.0}}) {
     for (int i = 0; i < 60; ++i) {
       cloud.push_back({cx + jitter(rng), cy + jitter(rng), jitter(rng)});
     }

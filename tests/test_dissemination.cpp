@@ -2,6 +2,7 @@
 
 #include "core/check.hpp"
 
+#include <algorithm>
 #include <random>
 
 #include "core/dissemination.hpp"
@@ -138,6 +139,65 @@ TEST(Optimal, GreedyIsNearOptimal) {
     }
   }
   EXPECT_GT(worst_ratio, 0.9);
+}
+
+// Exact oracle for Algorithm 1 (no byte quantization, unlike
+// optimal_dissemination). Items taken in award order up to the first one
+// that does not fit are all in the greedy selection, so the LP relaxation
+// bounds OPT by greedy + that item's relevance, hence by greedy + the largest
+// relevance greedy rejected.
+TEST(GreedyOracle, WithinOneRejectedItemOfExactOptimum) {
+  std::mt19937_64 rng(16);
+  std::uniform_int_distribution<int> count(0, 10);
+  std::uniform_int_distribution<std::size_t> budget_of(0, 4000);
+  std::uniform_int_distribution<int> kind(0, 5);
+  std::uniform_real_distribution<double> rel(0.01, 1.0);
+  std::uniform_int_distribution<std::size_t> bytes(1, 1500);
+  for (int trial = 0; trial < 10000; ++trial) {
+    const std::size_t budget = budget_of(rng);
+    std::vector<Candidate> c;
+    const int n = count(rng);
+    for (int i = 0; i < n; ++i) {
+      Candidate x = cand(i, 1, rel(rng), bytes(rng));
+      switch (kind(rng)) {
+        case 0: x.bytes = 0; break;
+        case 1: x.relevance = 0.0; break;
+        case 2: x.bytes = budget + bytes(rng); break;  // over budget alone
+        default: break;
+      }
+      c.push_back(x);
+    }
+
+    double opt = 0.0;
+    for (unsigned mask = 0; mask < (1u << n); ++mask) {
+      std::size_t w = 0;
+      double v = 0.0;
+      for (int i = 0; i < n; ++i) {
+        if (mask & (1u << i)) {
+          w += c[static_cast<std::size_t>(i)].bytes;
+          v += c[static_cast<std::size_t>(i)].relevance;
+        }
+      }
+      if (w <= budget) opt = std::max(opt, v);
+    }
+
+    const Selection g = greedy_dissemination(c, budget);
+    std::vector<bool> taken(c.size(), false);
+    std::size_t bytes_taken = 0;
+    for (const Candidate& x : g.chosen) {
+      taken[static_cast<std::size_t>(x.track_id)] = true;
+      bytes_taken += x.bytes;
+    }
+    double max_rejected = 0.0;
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      if (!taken[i]) max_rejected = std::max(max_rejected, c[i].relevance);
+    }
+    EXPECT_EQ(g.total_bytes, bytes_taken) << "trial " << trial;
+    EXPECT_LE(g.total_bytes, budget) << "trial " << trial;
+    EXPECT_LE(g.total_relevance, opt + 1e-9) << "trial " << trial;
+    EXPECT_LE(opt, g.total_relevance + max_rejected + 1e-9)
+        << "trial " << trial;
+  }
 }
 
 TEST(Optimal, ZeroResolutionThrows) {

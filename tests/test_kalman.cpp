@@ -97,15 +97,5 @@ TEST(Kalman, TracksNoisyTrajectory) {
   EXPECT_LT(std::abs(kf.position().y), 0.3);
 }
 
-TEST(Kalman, PositionGaussianReflectsCovariance) {
-  KalmanCV kf({2.0, 3.0});
-  const geom::Gaussian2D g = kf.position_gaussian();
-  EXPECT_EQ(g.mean(), Vec2(2.0, 3.0));
-  EXPECT_GT(g.sigma_x(), 0.0);
-  kf.predict(2.0);
-  const geom::Gaussian2D g2 = kf.position_gaussian();
-  EXPECT_GT(g2.sigma_x(), g.sigma_x());
-}
-
 }  // namespace
 }  // namespace erpd::track

@@ -213,18 +213,6 @@ TEST(Schema, MethodMetricsKeysMatchGolden) {
   EXPECT_EQ(edge::method_metrics_keys(), golden);
 }
 
-TEST(Schema, FrameTraceKeysMatchGolden) {
-  const std::vector<std::string_view> golden = {
-      "frame",
-      "sensing_wall_seconds",
-      "extract_max_seconds",
-      "merge_seconds",
-      "track_relevance_seconds",
-      "dissemination_seconds",
-  };
-  EXPECT_EQ(edge::frame_trace_keys(), golden);
-}
-
 TEST(Schema, ExportedJsonCarriesEveryKey) {
   obs::JsonWriter w;
   w.begin_object();

@@ -164,15 +164,6 @@ TEST_F(PredictionTest, StationaryObjectShortPath) {
   EXPECT_DOUBLE_EQ(traj.speed, 0.0);
 }
 
-TEST_F(PredictionTest, UncertaintyGrowsAlongHorizon) {
-  const PredictedTrajectory traj =
-      predictor_.predict({0.0, 0.0}, {10.0, 0.0}, sim::AgentKind::kCar);
-  const auto u1 = traj.uncertainty_at(1.0);
-  const auto u4 = traj.uncertainty_at(4.0);
-  EXPECT_GT(u4.sigma_x(), u1.sigma_x());
-  EXPECT_NEAR(u1.mean().x, traj.position_at(1.0).x, 1e-9);
-}
-
 TEST_F(PredictionTest, ReachBoundsPath) {
   const PredictedTrajectory traj =
       predictor_.predict({0.0, -40.0}, {0.0, 12.0}, sim::AgentKind::kCar);

@@ -154,44 +154,6 @@ TEST(FollowerRelevance, AlphaScalesLinearly) {
   EXPECT_DOUBLE_EQ(follower_relevance(0.6, 1.0, 10.0, cfg), 0.6);
 }
 
-TEST(ProbabilisticRelevance, NeverExceedsIntervalRelevance) {
-  // Multiplying by probabilities <= 1 can only lower the estimate.
-  const auto a = traj({-20.0, 0.0}, {1.0, 0.0}, 10.0);
-  const auto b = traj({0.0, -20.0}, {0.0, 1.0}, 10.0);
-  const auto base = estimate_collision(a, b, 4.5, 4.5);
-  const auto prob = estimate_collision_probabilistic(a, b, 4.5, 4.5);
-  ASSERT_TRUE(base && prob);
-  EXPECT_LE(prob->relevance, base->relevance + 1e-12);
-  EXPECT_GT(prob->relevance, 0.0);
-}
-
-TEST(ProbabilisticRelevance, HigherUncertaintyLowersRelevance) {
-  auto a1 = traj({-20.0, 0.0}, {1.0, 0.0}, 10.0);
-  auto b1 = traj({0.0, -20.0}, {0.0, 1.0}, 10.0);
-  auto a2 = a1;
-  auto b2 = b1;
-  a2.sigma_growth = 3.0;  // wildly uncertain prediction
-  b2.sigma_growth = 3.0;
-  const auto tight = estimate_collision_probabilistic(a1, b1, 4.5, 4.5);
-  const auto loose = estimate_collision_probabilistic(a2, b2, 4.5, 4.5);
-  ASSERT_TRUE(tight && loose);
-  EXPECT_GT(tight->relevance, loose->relevance);
-}
-
-TEST(ProbabilisticRelevance, NoCrossingStillNull) {
-  const auto a = traj({-25.0, 0.0}, {1.0, 0.0}, 10.0);
-  const auto b = traj({-25.0, 10.0}, {1.0, 0.0}, 10.0);
-  EXPECT_FALSE(estimate_collision_probabilistic(a, b, 4.5, 4.5).has_value());
-}
-
-TEST(ProbabilisticRelevance, DisjointTimesKeepZero) {
-  const auto a = traj({-8.0, 0.0}, {1.0, 0.0}, 10.0);
-  const auto b = traj({0.0, -40.0}, {0.0, 1.0}, 10.0);
-  const auto est = estimate_collision_probabilistic(a, b, 2.0, 2.0);
-  ASSERT_TRUE(est.has_value());
-  EXPECT_DOUBLE_EQ(est->relevance, 0.0);
-}
-
 TEST(PassingInterval, EntryBeforeStartClipsToZero) {
   // Object starts inside the collision area: entry time clips to 0, exit is
   // distance-to-boundary / speed.
