@@ -154,26 +154,17 @@ std::vector<track::Detection> EdgeServer::build_detections(
 
     const pc::PointCloud thin = pc::voxel_downsample(above, kDetectVoxel);
     const pc::DbscanResult seg = pc::dbscan(thin, kDetectDbscan);
-    for (std::int32_t cid = 0; cid < seg.cluster_count; ++cid) {
-      // cluster_indices is ascending, so the centroid sum runs in the same
-      // order extract_clusters would use (bit-identical accumulation).
-      const std::vector<std::size_t> idx = seg.cluster_indices(cid);
-      if (idx.size() < 4) continue;
-      geom::Vec3 centroid{};
-      geom::Aabb footprint;
-      for (const std::size_t i : idx) {
-        centroid += thin[i];
-        footprint.expand(thin[i].xy());
-      }
-      centroid = centroid / static_cast<double>(idx.size());
+    for (const pc::ObjectCluster& c : pc::extract_clusters(thin, seg)) {
+      if (c.point_count() < 4) continue;
+      const geom::Aabb& footprint = c.footprint;
       track::Detection d;
-      d.position = centroid.xy();
+      d.position = c.centroid.xy();
       d.kind = classify_extent(footprint);
       d.extent = footprint.empty()
                      ? 0.0
                      : std::max(footprint.extent().x, footprint.extent().y);
-      d.point_count = idx.size();
-      d.payload_bytes = pc::encoded_size_bytes(idx.size());
+      d.point_count = c.point_count();
+      d.payload_bytes = pc::encoded_size_bytes(c.point_count());
       if (truth != nullptr) {
         d.truth_id = match_truth(*truth, d.position, 2.5);
       }

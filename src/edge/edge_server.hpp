@@ -40,8 +40,7 @@ enum class DisseminationStrategy : std::uint8_t {
 /// Server-side object detection for blob uploads (EMP / Unlimited): voxel
 /// thinning, then density clustering.
 inline constexpr double kDetectVoxel = 0.3;
-inline constexpr pc::DbscanConfig kDetectDbscan{
-    .eps = 1.2, .min_pts = 4, .collect_clusters = true};
+inline constexpr pc::DbscanConfig kDetectDbscan{.eps = 1.2, .min_pts = 4};
 /// An object is visible to an uploader if that upload contains >= 3 points
 /// (or an object centroid) within this radius of the track.
 inline constexpr double kVisibilityRadius = 2.2;

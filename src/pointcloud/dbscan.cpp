@@ -1,86 +1,319 @@
 #include "pointcloud/dbscan.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "core/check.hpp"
-#include "pointcloud/voxel_grid.hpp"
 
 namespace erpd::pc {
+namespace {
 
-std::vector<std::size_t> DbscanResult::cluster_indices(
-    std::int32_t cluster) const {
-  if (!clusters.empty()) {
-    ERPD_REQUIRE(cluster >= 0 &&
-                     static_cast<std::size_t>(cluster) < clusters.size(),
-                 "DbscanResult::cluster_indices: cluster ", cluster,
-                 " out of range [0, ", clusters.size(), ")");
-    std::vector<std::size_t> out = clusters[static_cast<std::size_t>(cluster)];
-    std::sort(out.begin(), out.end());
-    return out;
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+constexpr std::int32_t kUnset = std::numeric_limits<std::int32_t>::max();
+/// Bound on the column table (4 B a column), on z layers and relative keys.
+constexpr std::uint64_t kMaxColumns = 1 << 20;
+
+/// Points binned into cells whose integer keys keep every near pair within
+/// two keys per axis. A class k neighbour differs by two keys on k axes: the
+/// nearest gap to it is 0, 1, √2 or √3 cell sides.
+struct Cells {
+  std::vector<std::uint32_t> order;  // by cell, ascending inside a cell
+  std::vector<std::uint32_t> start;  // cell c: order[start[c] .. start[c+1])
+  /// Class k neighbours of cell c, ascending:
+  /// nbr[nbr_start[4c + k] .. nbr_start[4c + k + 1]).
+  std::vector<std::uint32_t> nbr_start;
+  std::vector<std::uint32_t> nbr;
+};
+
+/// Keys along one axis: floor((v - lo) / side) while the extent spans under
+/// kMaxColumns keys, which leaves ~30 fractional bits for rounding. Wider
+/// extents (any finite one) take segment keys: a sorted sweep starts a
+/// segment three keys on at every gap wider than 2·eps, which no near pair
+/// straddles, and keys points from the segment's start. A segment of m
+/// points spans at most 2·eps·m, so keys stay below 7n.
+std::vector<std::uint32_t> axis_keys(const PointCloud& cloud,
+                                     double geom::Vec3::*axis, double lo,
+                                     double hi, double eps, double side) {
+  const std::size_t n = cloud.size();
+  std::vector<std::uint32_t> key(n);
+  if ((hi - lo) / side < kMaxColumns) {  // false for an infinite extent
+    for (std::size_t i = 0; i < n; ++i) {
+      key[i] = static_cast<std::uint32_t>((cloud[i].*axis - lo) / side);
+    }
+    return key;
   }
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (labels[i] == cluster) out.push_back(i);
+  std::vector<std::uint32_t> by(n);
+  std::iota(by.begin(), by.end(), 0u);
+  std::sort(by.begin(), by.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return cloud[a].*axis < cloud[b].*axis;
+  });
+  double first = cloud[by[0]].*axis;
+  std::uint32_t base = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double v = cloud[by[j]].*axis;
+    if (j > 0 && v - cloud[by[j - 1]].*axis > 2.0 * eps) {
+      base = key[by[j - 1]] + 3;
+      first = v;
+    }
+    key[by[j]] = base + static_cast<std::uint32_t>((v - first) / side);
   }
-  return out;
+  return key;
 }
 
-DbscanResult dbscan(const PointCloud& cloud, const DbscanConfig& cfg) {
-  ERPD_REQUIRE(cfg.eps > 0.0, "dbscan: eps must be > 0, got ", cfg.eps);
-  ERPD_REQUIRE(cfg.min_pts > 0, "dbscan: min_pts must be > 0");
+/// Cubic cells of side eps/√3, counting-sorted by (x, y, z) key, with a dense
+/// column table. A box too large for it merges 2^s keys per axis: near pairs
+/// stay within two keys, but cells seldom pass the bounding-box test.
+Cells index_cells(const PointCloud& cloud, double eps) {
+  const double side = eps / std::sqrt(3.0);
+  geom::Vec3 lo = cloud[0];
+  geom::Vec3 hi = lo;
+  for (const geom::Vec3& p : cloud.points()) {
+    ERPD_REQUIRE(std::isfinite(p.x) && std::isfinite(p.y) &&
+                     std::isfinite(p.z),
+                 "dbscan: non-finite point ", p);
+    lo = {std::min(lo.x, p.x), std::min(lo.y, p.y), std::min(lo.z, p.z)};
+    hi = {std::max(hi.x, p.x), std::max(hi.y, p.y), std::max(hi.z, p.z)};
+  }
+  constexpr double geom::Vec3::*kAxes[] = {&geom::Vec3::x, &geom::Vec3::y,
+                                          &geom::Vec3::z};
+  std::array<std::vector<std::uint32_t>, 3> key;
+  std::array<std::uint64_t, 3> top{};
+  for (std::size_t a = 0; a < 3; ++a) {
+    key[a] = axis_keys(cloud, kAxes[a], lo.*kAxes[a], hi.*kAxes[a], eps, side);
+    top[a] = *std::max_element(key[a].begin(), key[a].end());
+  }
+  // Two empty columns pad each side of the table.
+  unsigned s = 0;
+  const auto span = [&](std::size_t a) { return (top[a] >> s) + 5; };
+  while (span(0) * span(1) > kMaxColumns || span(2) > kMaxColumns) ++s;
+  const std::uint64_t ny = span(1);
+  const std::uint64_t nz = span(2);
+  const std::size_t n = cloud.size();
+  std::vector<std::uint32_t>& col = key[0];
+  std::vector<std::uint32_t>& kz = key[2];
+  for (std::size_t i = 0; i < n; ++i) {
+    col[i] = static_cast<std::uint32_t>(((col[i] >> s) + 2) * ny +
+                                        (key[1][i] >> s) + 2);
+    kz[i] >>= s;
+  }
 
-  DbscanResult res;
-  res.labels.assign(cloud.size(), kNoise);
-  if (cloud.empty()) return res;
-
-  const PointGrid grid(cloud, cfg.eps);
-  enum : std::int8_t { kUnvisited = 0, kVisited = 1 };
-  std::vector<std::int8_t> state(cloud.size(), kUnvisited);
-
-  // Scratch buffers reused across every region query and expansion — the
-  // queries dominate DBSCAN's runtime and must not allocate per call.
-  std::vector<std::size_t> neighbors;
-  std::vector<std::size_t> nn;
-  std::vector<std::size_t> frontier;
-  neighbors.reserve(64);
-  nn.reserve(64);
-  frontier.reserve(cloud.size());
-
-  // A point joins a cluster exactly once: it is either labeled with its
-  // final cluster in the same frontier pop that marks it visited, or claimed
-  // as a border point while noise. Appending at claim time therefore builds
-  // the per-cluster lists in one pass.
-  const auto claim = [&](std::size_t p, std::int32_t cid) {
-    res.labels[p] = cid;
-    if (cfg.collect_clusters) {
-      res.clusters[static_cast<std::size_t>(cid)].push_back(p);
+  // Counting sort by z, then stably by column.
+  const std::uint64_t ncol = span(0) * ny;
+  std::vector<std::uint32_t> count(std::max(ncol, nz) + 1);
+  std::vector<std::uint32_t>& by_z = key[1];
+  for (const std::uint32_t z : kz) ++count[z + 1];
+  std::partial_sum(count.begin(), count.begin() + nz + 1, count.begin());
+  for (std::uint32_t i = 0; i < n; ++i) by_z[count[kz[i]]++] = i;
+  std::fill(count.begin(), count.end(), 0);
+  for (const std::uint32_t k : col) ++count[k + 1];
+  std::partial_sum(count.begin(), count.begin() + ncol + 1, count.begin());
+  Cells c;
+  c.order.resize(n);
+  for (const std::uint32_t i : by_z) c.order[count[col[i]]++] = i;
+  std::vector<std::uint32_t> cell_z;
+  for (std::uint32_t j = 0; j < n; ++j) {
+    const std::uint32_t i = c.order[j];
+    const std::uint32_t prev = c.order[j == 0 ? 0 : j - 1];
+    if (j == 0 || col[i] != col[prev] || kz[i] != kz[prev]) {
+      c.start.push_back(j);
+      cell_z.push_back(kz[i]);
     }
-  };
+  }
+  c.start.push_back(static_cast<std::uint32_t>(n));
+  const std::size_t nc = cell_z.size();
+  const auto col_of = [&](std::size_t a) { return col[c.order[c.start[a]]]; };
 
-  for (std::size_t i = 0; i < cloud.size(); ++i) {
-    if (state[i] == kVisited) continue;
-    state[i] = kVisited;
-    grid.radius_neighbors(i, cfg.eps, neighbors);
-    if (neighbors.size() + 1 < cfg.min_pts) continue;  // not core -> noise (may
-                                                       // be claimed later)
-    const std::int32_t cid = res.cluster_count++;
-    if (cfg.collect_clusters) res.clusters.emplace_back();
-    claim(i, cid);
-    frontier.assign(neighbors.begin(), neighbors.end());
-    std::size_t head = 0;
-    while (head < frontier.size()) {
-      const std::size_t j = frontier[head++];
-      if (res.labels[j] == kNoise) claim(j, cid);  // border point claim
-      if (state[j] == kVisited) continue;
-      state[j] = kVisited;
-      grid.radius_neighbors(j, cfg.eps, nn);
-      if (nn.size() + 1 >= cfg.min_pts) {
-        for (const std::size_t k : nn) {
-          if (state[k] == kUnvisited || res.labels[k] == kNoise) {
-            frontier.push_back(k);
-          }
+  // `count` turns into the column table: column id holds cells
+  // [count[id], count[id + 1]).
+  std::fill(count.begin(), count.end(), 0);
+  for (std::size_t a = 0; a < nc; ++a) ++count[col_of(a) + 1];
+  std::partial_sum(count.begin(), count.begin() + ncol + 1, count.begin());
+
+  // Neighbour lists. A column's cells ascend by z, and so do the cells a of
+  // one column, so each neighbour column keeps a cursor below its z window.
+  struct Column {
+    std::uint32_t next, end;
+    int cls;  // axes among x, y with a two-key offset
+  };
+  std::array<Column, 25> cols;
+  std::size_t m = 0;
+  // Staging by class; the 124 stencil cells split 26, 54, 36, 8.
+  constexpr std::array<std::uint32_t, 4> kAt{0, 26, 80, 116};
+  std::array<std::uint32_t, 124> stage;
+  c.nbr_start.assign(1, 0);
+  c.nbr.reserve(16 * nc);
+  for (std::size_t a = 0; a < nc; ++a) {
+    if (a == 0 || col_of(a) != col_of(a - 1)) {
+      m = 0;
+      for (std::int64_t dx = -2; dx <= 2; ++dx) {
+        for (std::int64_t dy = -2; dy <= 2; ++dy) {
+          const std::uint64_t id = col_of(a) + dx * ny + dy;
+          if (count[id] == count[id + 1]) continue;
+          const int cls = (dx * dx == 4) + (dy * dy == 4);
+          cols[m++] = {count[id], count[id + 1], cls};
         }
       }
+    }
+    std::array<std::uint32_t, 4> fill = kAt;
+    const std::uint32_t za = cell_z[a];
+    for (std::size_t r = 0; r < m; ++r) {
+      Column& nb = cols[r];
+      while (nb.next < nb.end && cell_z[nb.next] + 2 < za) ++nb.next;
+      for (std::uint32_t b = nb.next; b < nb.end && cell_z[b] <= za + 2; ++b) {
+        const bool two = cell_z[b] + 2 == za || za + 2 == cell_z[b];
+        if (b != a) stage[fill[nb.cls + two]++] = b;
+      }
+    }
+    for (std::size_t k = 0; k < 4; ++k) {
+      c.nbr.insert(c.nbr.end(), stage.data() + kAt[k], stage.data() + fill[k]);
+      c.nbr_start.push_back(static_cast<std::uint32_t>(c.nbr.size()));
+    }
+  }
+  return c;
+}
+
+}  // namespace
+
+DbscanResult dbscan(const PointCloud& cloud, const DbscanConfig& cfg) {
+  const double eps2 = cfg.eps * cfg.eps;
+  ERPD_REQUIRE(cfg.eps > 0.0 && std::isnormal(eps2),
+               "dbscan: eps must be > 0 with eps * eps a normal double, got ",
+               cfg.eps);
+  ERPD_REQUIRE(cfg.min_pts > 0, "dbscan: min_pts must be > 0");
+  ERPD_REQUIRE(cloud.size() <= (1u << 29), "dbscan: over 2^29 points");
+
+  DbscanResult res;
+  const std::uint32_t n = static_cast<std::uint32_t>(cloud.size());
+  res.labels.assign(n, kNoise);
+  if (n == 0) return res;
+
+  const Cells cells = index_cells(cloud, cfg.eps);
+  const std::size_t nc = cells.start.size() - 1;
+  const std::vector<std::uint32_t>& order = cells.order;
+  const auto near = [&](const geom::Vec3& d) {
+    ++res.distance_tests;
+    return d.norm_sq() <= eps2;
+  };
+  const auto near_pts = [&](std::uint32_t a, std::uint32_t b) {
+    return near(cloud[a] - cloud[b]);
+  };
+  // Neighbours of cell c in classes [k0, k1), nearest class first.
+  const auto nbrs = [&](std::size_t c, std::size_t k0 = 0, std::size_t k1 = 4) {
+    return std::pair{cells.nbr.data() + cells.nbr_start[4 * c + k0],
+                     cells.nbr.data() + cells.nbr_start[4 * c + k1]};
+  };
+
+  // Rule 1. A cell whose bounding box passes the eps test is compact: every
+  // pair in it is near, since rounding is monotone. Other points count
+  // neighbours, own cell and nearest class first, up to min_pts.
+  std::vector<std::uint8_t> compact(nc);
+  std::vector<std::uint8_t> core(n);
+  std::vector<std::uint32_t> first_core(nc, kNone);
+  std::vector<std::uint32_t> parent(n);  // rule 2's union-find
+  std::iota(parent.begin(), parent.end(), 0u);
+  for (std::size_t c = 0; c < nc; ++c) {
+    const std::uint32_t b0 = cells.start[c];
+    const std::uint32_t b1 = cells.start[c + 1];
+    geom::Vec3 lo = cloud[order[b0]];
+    geom::Vec3 hi = lo;
+    for (std::uint32_t j = b0 + 1; j < b1; ++j) {
+      const geom::Vec3& p = cloud[order[j]];
+      lo = {std::min(lo.x, p.x), std::min(lo.y, p.y), std::min(lo.z, p.z)};
+      hi = {std::max(hi.x, p.x), std::max(hi.y, p.y), std::max(hi.z, p.z)};
+    }
+    compact[c] = b1 - b0 == 1 || near(hi - lo);
+    for (std::uint32_t j = b0; j < b1; ++j) {
+      const std::uint32_t i = order[j];
+      std::size_t count = compact[c] ? b1 - b0 : 1;
+      for (std::uint32_t q = b0; !compact[c] && q < b1 && count < cfg.min_pts;
+           ++q) {
+        if (q != j && near_pts(i, order[q])) ++count;
+      }
+      for (auto [e, end] = nbrs(c); e != end && count < cfg.min_pts; ++e) {
+        for (std::uint32_t q = cells.start[*e];
+             q < cells.start[*e + 1] && count < cfg.min_pts; ++q) {
+          if (near_pts(i, order[q])) ++count;
+        }
+      }
+      core[i] = count >= cfg.min_pts;
+      if (core[i] && first_core[c] == kNone) first_core[c] = i;
+      if (core[i] && compact[c]) parent[i] = first_core[c];
+    }
+  }
+
+  // Rule 2: union-find over core points, each compact cell one set already.
+  // Linking the larger root under the smaller keeps every root its set's
+  // smallest index.
+  const auto find = [&](std::uint32_t i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];
+    return i;
+  };
+  // Joins near core pairs of cells a and b (a == b: each pair once) whose
+  // roots differ; with `first_only`, stops at the first.
+  const auto join = [&](std::size_t a, std::size_t b, bool first_only) {
+    for (std::uint32_t j = cells.start[a]; j < cells.start[a + 1]; ++j) {
+      const std::uint32_t p = order[j];
+      for (std::uint32_t k = a == b ? j + 1 : cells.start[b];
+           core[p] && k < cells.start[b + 1]; ++k) {
+        const std::uint32_t q = order[k];
+        if (!core[q] || find(p) == find(q) || !near_pts(p, q)) continue;
+        parent[std::max(find(p), find(q))] = std::min(find(p), find(q));
+        if (first_only) return;
+      }
+    }
+  };
+  for (std::size_t a = 0; a < nc; ++a) {
+    if (!compact[a]) join(a, a, false);
+  }
+  // Nearest class first: most pairs of one cluster are joined by the time
+  // the farther classes come up, and cost no test.
+  for (std::size_t k = 0; k < 4; ++k) {
+    for (std::size_t a = 0; a < nc; ++a) {
+      if (first_core[a] == kNone) continue;
+      auto [e, end] = nbrs(a, k, k + 1);
+      for (e = std::upper_bound(e, end, a); e != end; ++e) {
+        if (first_core[*e] == kNone) continue;
+        // Two compact cells are one set each: one near pair joins them.
+        const bool both = compact[a] && compact[*e];
+        if (both && find(first_core[a]) == find(first_core[*e])) continue;
+        join(a, *e, both);
+      }
+    }
+  }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (!core[i]) continue;
+    const std::uint32_t r = find(i);
+    res.labels[i] = r == i ? res.cluster_count++ : res.labels[r];
+  }
+
+  // Rule 3. `low[c]` is the lowest id among cell c's core points; a cell
+  // whose `low` cannot beat the best id so far is skipped untested.
+  std::vector<std::int32_t> low(nc, kUnset);
+  for (std::size_t c = 0; c < nc; ++c) {
+    for (std::uint32_t j = cells.start[c]; j < cells.start[c + 1]; ++j) {
+      if (core[order[j]]) low[c] = std::min(low[c], res.labels[order[j]]);
+    }
+  }
+  for (std::size_t c = 0; c < nc; ++c) {
+    for (std::uint32_t j = cells.start[c]; j < cells.start[c + 1]; ++j) {
+      const std::uint32_t i = order[j];
+      if (core[i]) continue;
+      std::int32_t best = compact[c] ? low[c] : kUnset;  // all near
+      const auto scan = [&](std::size_t b) {
+        for (std::uint32_t k = cells.start[b];
+             k < cells.start[b + 1] && low[b] < best; ++k) {
+          const std::uint32_t q = order[k];
+          if (core[q] && res.labels[q] < best && near_pts(i, q)) {
+            best = res.labels[q];
+          }
+        }
+      };
+      if (!compact[c]) scan(c);
+      for (auto [e, end] = nbrs(c); e != end; ++e) scan(*e);
+      if (best != kUnset) res.labels[i] = best;
     }
   }
   return res;

@@ -1,10 +1,18 @@
 #pragma once
-// DBSCAN (Ester et al., KDD'96) over 3-D points, grid-accelerated.
+// DBSCAN (Ester et al., KDD'96) over 3-D points, grid-accelerated: the
+// vehicle-side Moving Objects Extraction segments objects with it (paper
+// §II-B), the edge re-segments EMP's merged uploads with it, and it is the
+// pedestrian-clustering baseline of Fig. 4.
 //
-// The vehicle-side Moving Objects Extraction clusters the non-ground cloud
-// with DBSCAN to segment individual objects (paper §II-B); the same
-// implementation also serves as the pedestrian-clustering baseline that the
-// paper's crowd clusterer is compared against (Fig. 4).
+// Labels follow three rules, whatever order neighbours are visited in. With
+// near(a, b) meaning (a - b).norm_sq() <= eps * eps:
+//   1. a point is core iff at least min_pts points (itself included) are
+//      near it;
+//   2. near core points share a cluster, and a cluster's id is the rank of
+//      its smallest core index among all clusters' smallest core indices;
+//   3. a non-core point takes the lowest id among the core points near it,
+//      or kNoise when there is none.
+// tests/test_dbscan_equivalence.cpp pins them against a textbook BFS.
 
 #include <cstdint>
 #include <vector>
@@ -14,15 +22,11 @@
 namespace erpd::pc {
 
 struct DbscanConfig {
-  /// Neighborhood radius (meters).
+  /// Neighborhood radius (meters). eps * eps must be a normal double.
   double eps{0.8};
   /// Minimum neighborhood size (including the point itself) to be a core
   /// point.
   std::size_t min_pts{5};
-  /// When true, DbscanResult::clusters is filled during the scan (one pass,
-  /// no extra label walk); each list holds the cluster's point indices in
-  /// discovery (BFS) order.
-  bool collect_clusters{false};
 };
 
 /// Label for points not assigned to any cluster.
@@ -32,21 +36,18 @@ struct DbscanResult {
   /// Per-point cluster id in [0, cluster_count) or kNoise.
   std::vector<std::int32_t> labels;
   std::int32_t cluster_count{0};
-  /// Per-cluster point indices in discovery order; empty unless the run used
-  /// DbscanConfig::collect_clusters.
-  std::vector<std::vector<std::size_t>> clusters;
-
-  /// Point indices of a given cluster, ascending. O(k log k) when clusters
-  /// were collected, O(n) otherwise.
-  std::vector<std::size_t> cluster_indices(std::int32_t cluster) const;
+  /// Number of `norm_sq() <= eps * eps` comparisons the run made, cell
+  /// bounding-box checks included. Deterministic: a host-independent measure
+  /// of the clustering work.
+  std::uint64_t distance_tests{0};
 };
 
 DbscanResult dbscan(const PointCloud& cloud, const DbscanConfig& cfg);
 
 /// A segmented object: the cluster's points plus summary geometry.
 struct ObjectCluster {
-  std::vector<std::size_t> indices;
-  geom::Vec3 centroid{};
+  std::vector<std::size_t> indices;  // ascending
+  geom::Vec3 centroid{};             // summed in index order
   geom::Aabb footprint;  // planar bounds
   std::size_t point_count() const { return indices.size(); }
 };

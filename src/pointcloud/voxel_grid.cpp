@@ -1,8 +1,6 @@
 #include "pointcloud/voxel_grid.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "core/check.hpp"
 
@@ -52,167 +50,6 @@ PointCloud voxel_downsample(const PointCloud& cloud, double voxel_size) {
   for (const std::size_t s : order) {
     out.push_back(slots[s].sum / static_cast<double>(slots[s].n));
   }
-  return out;
-}
-
-PointGrid::PointGrid(const PointCloud& cloud, double cell_size,
-                     bool allow_dense)
-    : cloud_(cloud), cell_(cell_size) {
-  ERPD_REQUIRE(cell_size > 0.0, "PointGrid: cell_size must be > 0, got ",
-               cell_size);
-  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
-  lo_ = {kMax, kMax, kMax};
-  hi_ = {kMin, kMin, kMin};
-  if (cloud.empty()) return;
-
-  std::vector<VoxelKey> keys;
-  keys.reserve(cloud.size());
-  for (std::size_t i = 0; i < cloud.size(); ++i) {
-    const VoxelKey k = voxel_of(cloud[i], cell_);
-    keys.push_back(k);
-    lo_ = {std::min(lo_.x, k.x), std::min(lo_.y, k.y), std::min(lo_.z, k.z)};
-    hi_ = {std::max(hi_.x, k.x), std::max(hi_.y, k.y), std::max(hi_.z, k.z)};
-  }
-
-  // Unsigned per-axis extents; the subtractions cannot overflow in unsigned
-  // arithmetic even for keys near the int64 limits.
-  const std::uint64_t nx = static_cast<std::uint64_t>(hi_.x) -
-                           static_cast<std::uint64_t>(lo_.x) + 1;
-  const std::uint64_t ny = static_cast<std::uint64_t>(hi_.y) -
-                           static_cast<std::uint64_t>(lo_.y) + 1;
-  const std::uint64_t nz = static_cast<std::uint64_t>(hi_.z) -
-                           static_cast<std::uint64_t>(lo_.z) + 1;
-  // Overflow-safe extent check: with each axis capped at kMaxDenseCells
-  // (2^22), nx * ny <= 2^44 and (nx * ny) * nz <= 2^44 once nx * ny is known
-  // to be within the cap — no intermediate product can wrap.
-  bool fits = allow_dense && cloud.size() < (1ull << 32) &&
-              nx <= kMaxDenseCells && ny <= kMaxDenseCells &&
-              nz <= kMaxDenseCells;
-  std::uint64_t ncells = 0;
-  if (fits) {
-    const std::uint64_t nxy = nx * ny;
-    fits = nxy <= kMaxDenseCells;
-    if (fits) {
-      ncells = nxy * nz;
-      fits = ncells <= kMaxDenseCells;
-    }
-  }
-
-  if (!fits) {
-    // Sparse fallback: original spatial hash, per-cell indices in ascending
-    // insertion order.
-    cells_.reserve(cloud.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      cells_[keys[i]].push_back(i);
-    }
-    return;
-  }
-
-  // Dense CSR build by counting sort. Filling in ascending point order keeps
-  // every cell's index list ascending — the same order the sparse layout's
-  // push_back produces, so queries are byte-identical across layouts.
-  dense_ = true;
-  ny_ = ny;
-  nz_ = nz;
-  const auto linear = [&](const VoxelKey& k) {
-    return (static_cast<std::uint64_t>(k.x - lo_.x) * ny_ +
-            static_cast<std::uint64_t>(k.y - lo_.y)) *
-               nz_ +
-           static_cast<std::uint64_t>(k.z - lo_.z);
-  };
-  cell_start_.assign(ncells + 1, 0);
-  for (const VoxelKey& k : keys) ++cell_start_[linear(k) + 1];
-  for (std::uint64_t c = 1; c <= ncells; ++c) {
-    cell_start_[c] += cell_start_[c - 1];
-  }
-  cell_points_.resize(keys.size());
-  std::vector<std::uint32_t> cursor(cell_start_.begin(),
-                                    cell_start_.end() - 1);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    cell_points_[cursor[linear(keys[i])]++] = static_cast<std::uint32_t>(i);
-  }
-}
-
-void PointGrid::collect_neighbors(geom::Vec3 q, double radius,
-                                  std::size_t skip,
-                                  std::vector<std::size_t>& out) const {
-  out.clear();
-  if (cloud_.empty()) return;
-  const double r2 = radius * radius;
-  // Number of cell rings needed to cover the query radius, clamped per axis
-  // to the occupied-cell bounding box so empty space is never probed. When
-  // the radius spans the cloud's full z extent this collapses the z loop to
-  // the occupied slab (2D fast path).
-  const std::int64_t rings =
-      static_cast<std::int64_t>(std::ceil(radius / cell_));
-  const VoxelKey c = voxel_of(q, cell_);
-  const std::int64_t x0 = std::max(c.x - rings, lo_.x);
-  const std::int64_t x1 = std::min(c.x + rings, hi_.x);
-  const std::int64_t y0 = std::max(c.y - rings, lo_.y);
-  const std::int64_t y1 = std::min(c.y + rings, hi_.y);
-  const std::int64_t z0 = std::max(c.z - rings, lo_.z);
-  const std::int64_t z1 = std::min(c.z + rings, hi_.z);
-  if (dense_) {
-    for (std::int64_t dx = x0; dx <= x1; ++dx) {
-      for (std::int64_t dy = y0; dy <= y1; ++dy) {
-        const std::uint64_t row =
-            (static_cast<std::uint64_t>(dx - lo_.x) * ny_ +
-             static_cast<std::uint64_t>(dy - lo_.y)) *
-            nz_;
-        for (std::int64_t dz = z0; dz <= z1; ++dz) {
-          const std::uint64_t cell =
-              row + static_cast<std::uint64_t>(dz - lo_.z);
-          const std::uint32_t end = cell_start_[cell + 1];
-          for (std::uint32_t j = cell_start_[cell]; j < end; ++j) {
-            const std::size_t idx = cell_points_[j];
-            if (idx != skip && (cloud_[idx] - q).norm_sq() <= r2) {
-              out.push_back(idx);
-            }
-          }
-        }
-      }
-    }
-    return;
-  }
-  for (std::int64_t dx = x0; dx <= x1; ++dx) {
-    for (std::int64_t dy = y0; dy <= y1; ++dy) {
-      for (std::int64_t dz = z0; dz <= z1; ++dz) {
-        const auto it = cells_.find({dx, dy, dz});
-        if (it == cells_.end()) continue;
-        for (const std::size_t idx : it->second) {
-          if (idx != skip && (cloud_[idx] - q).norm_sq() <= r2) {
-            out.push_back(idx);
-          }
-        }
-      }
-    }
-  }
-}
-
-void PointGrid::radius_neighbors(std::size_t i, double radius,
-                                 std::vector<std::size_t>& out) const {
-  ERPD_REQUIRE(i < cloud_.size(), "PointGrid::radius_neighbors: index ", i,
-               " out of range (size ", cloud_.size(), ")");
-  collect_neighbors(cloud_[i], radius, i, out);
-}
-
-void PointGrid::radius_neighbors(geom::Vec3 q, double radius,
-                                 std::vector<std::size_t>& out) const {
-  collect_neighbors(q, radius, kNoSkip, out);
-}
-
-std::vector<std::size_t> PointGrid::radius_neighbors(std::size_t i,
-                                                     double radius) const {
-  std::vector<std::size_t> out;
-  radius_neighbors(i, radius, out);
-  return out;
-}
-
-std::vector<std::size_t> PointGrid::radius_neighbors(geom::Vec3 q,
-                                                     double radius) const {
-  std::vector<std::size_t> out;
-  radius_neighbors(q, radius, out);
   return out;
 }
 

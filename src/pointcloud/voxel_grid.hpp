@@ -1,9 +1,8 @@
 #pragma once
-// Voxel-grid downsampling: one representative (centroid) per occupied voxel.
-// Used both as a data reduction stage and as the spatial index feeding DBSCAN.
+// Voxel-grid downsampling: one representative (centroid) per occupied voxel,
+// the data reduction stage ahead of DBSCAN.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "pointcloud/pointcloud.hpp"
@@ -35,75 +34,5 @@ VoxelKey voxel_of(geom::Vec3 p, double voxel_size);
 /// Downsample: centroid of the points in each occupied voxel. Output order is
 /// first-seen voxel order (deterministic for a given input order).
 PointCloud voxel_downsample(const PointCloud& cloud, double voxel_size);
-
-/// Spatial index over points, supporting radius queries. Bucket size should
-/// be >= the query radius for single-ring lookups (enforced by
-/// radius_neighbors).
-///
-/// Storage is a dense CSR grid over the occupied-cell bounding box whenever
-/// that box is small enough (the overwhelmingly common case for sensor-scale
-/// clouds): cell lookup is then a direct offset computation instead of a hash
-/// probe, which matters because DBSCAN probes up to 27 cells per region
-/// query and most probes land in empty cells. Pathologically spread clouds
-/// (extent beyond kMaxDenseCells) fall back to the original spatial hash.
-/// Both layouts visit cells in the same ascending (x, y, z) order and keep
-/// per-cell point indices in ascending insertion order, so query results are
-/// byte-identical between the two paths (pinned by test_dbscan).
-class PointGrid {
- public:
-  /// `allow_dense = false` forces the spatial-hash fallback regardless of
-  /// extent — used by the dense/sparse equivalence tests.
-  PointGrid(const PointCloud& cloud, double cell_size, bool allow_dense = true);
-
-  /// Indices of points within `radius` of cloud[i] (excluding i itself).
-  std::vector<std::size_t> radius_neighbors(std::size_t i, double radius) const;
-
-  /// Indices of points within `radius` of an arbitrary query point.
-  std::vector<std::size_t> radius_neighbors(geom::Vec3 q, double radius) const;
-
-  /// Allocation-free variants for hot loops (DBSCAN region queries): results
-  /// replace the contents of `out`, whose capacity is reused across calls.
-  void radius_neighbors(std::size_t i, double radius,
-                        std::vector<std::size_t>& out) const;
-  void radius_neighbors(geom::Vec3 q, double radius,
-                        std::vector<std::size_t>& out) const;
-
-  /// True when the dense CSR layout is active (exposed for tests that pin
-  /// dense/sparse equivalence).
-  bool dense() const { return dense_; }
-
-  /// Occupied-cell extent ceiling for the dense layout; beyond this the
-  /// constructor falls back to the spatial hash (the offset table alone
-  /// would cost 4 bytes/cell).
-  static constexpr std::uint64_t kMaxDenseCells = 1ull << 22;
-
- private:
-  static constexpr std::size_t kNoSkip = static_cast<std::size_t>(-1);
-
-  /// Shared query core; `skip` excludes one index (the query point itself).
-  void collect_neighbors(geom::Vec3 q, double radius, std::size_t skip,
-                         std::vector<std::size_t>& out) const;
-
-  const PointCloud& cloud_;
-  double cell_;
-  /// Occupied-cell bounding box: ring scans clamp to it, which in particular
-  /// collapses the z loop to the occupied slab whenever the query radius
-  /// spans the cloud's z extent (the common case after ground removal) —
-  /// a 2D fast path without a separate planar index.
-  VoxelKey lo_{};
-  VoxelKey hi_{};
-
-  // Dense CSR layout: cell (x, y, z) relative to lo_ maps to linear id
-  // ((x * ny_) + y) * nz_ + z; cell_points_[cell_start_[id] ..
-  // cell_start_[id + 1]) are its point indices, ascending.
-  bool dense_{false};
-  std::uint64_t ny_{0};
-  std::uint64_t nz_{0};
-  std::vector<std::uint32_t> cell_start_;
-  std::vector<std::uint32_t> cell_points_;
-
-  /// Sparse fallback (original layout), used only when !dense_.
-  std::unordered_map<VoxelKey, std::vector<std::size_t>, VoxelKeyHash> cells_;
-};
 
 }  // namespace erpd::pc

@@ -2,16 +2,14 @@
 
 #include "core/check.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <random>
 
-#include "core/rng.hpp"
 #include "pointcloud/dbscan.hpp"
-#include "pointcloud/voxel_grid.hpp"
 
 namespace erpd::pc {
 namespace {
-
-using geom::Vec3;
 
 PointCloud blob(geom::Vec2 center, int n, double spread, std::mt19937_64& rng) {
   std::normal_distribution<double> g(0.0, spread);
@@ -74,6 +72,11 @@ TEST(Dbscan, EmptyCloud) {
 TEST(Dbscan, InvalidConfigThrows) {
   EXPECT_THROW(dbscan(PointCloud{}, {0.0, 3}), erpd::ContractViolation);
   EXPECT_THROW(dbscan(PointCloud{}, {0.5, 0}), erpd::ContractViolation);
+  // eps * eps must be a normal double: no underflow, no overflow.
+  EXPECT_THROW(dbscan(PointCloud{}, {1e-200, 3}), erpd::ContractViolation);
+  EXPECT_THROW(dbscan(PointCloud{}, {1e200, 3}), erpd::ContractViolation);
+  const PointCloud nan{{{0.0, 0.0, 0.0}, {std::nan(""), 0.0, 0.0}}};
+  EXPECT_THROW(dbscan(nan, {0.5, 3}), erpd::ContractViolation);
 }
 
 TEST(Dbscan, ClusterIndicesMatchLabels) {
@@ -82,9 +85,13 @@ TEST(Dbscan, ClusterIndicesMatchLabels) {
   c.append(blob({8, 0}, 25, 0.2, rng));
   const DbscanResult r = dbscan(c, {0.8, 4});
   ASSERT_EQ(r.cluster_count, 2);
-  const auto c0 = r.cluster_indices(0);
-  const auto c1 = r.cluster_indices(1);
+  const std::vector<ObjectCluster> clusters = extract_clusters(c, r);
+  ASSERT_EQ(clusters.size(), 2u);
+  const auto& c0 = clusters[0].indices;
+  const auto& c1 = clusters[1].indices;
   EXPECT_EQ(c0.size() + c1.size(), c.size());
+  EXPECT_TRUE(std::is_sorted(c0.begin(), c0.end()));
+  EXPECT_TRUE(std::is_sorted(c1.begin(), c1.end()));
   for (std::size_t i : c0) EXPECT_EQ(r.labels[i], 0);
   for (std::size_t i : c1) EXPECT_EQ(r.labels[i], 1);
 }
@@ -129,46 +136,6 @@ TEST_P(DbscanDensityInvariant, EveryClusterMemberNearAnotherMember) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DbscanDensityInvariant,
                          ::testing::Values(11, 22, 33, 44, 55));
-
-// The dense CSR layout must return byte-identical neighbor lists (same
-// indices, same order) as the spatial-hash fallback it replaced on the hot
-// path — DBSCAN's expansion order, and with it cluster labels, depend on it.
-TEST(PointGrid, DenseAndSparseLayoutsReturnIdenticalNeighborLists) {
-  std::mt19937_64 rng = core::seeded_rng(321);
-  std::uniform_real_distribution<double> u(-30.0, 30.0);
-  PointCloud c;
-  for (int i = 0; i < 800; ++i) {
-    c.push_back({u(rng), u(rng), 0.5 + 0.01 * u(rng)});
-  }
-  const double cell = 0.8;
-  const PointGrid dense(c, cell);
-  const PointGrid sparse(c, cell, /*allow_dense=*/false);
-  ASSERT_TRUE(dense.dense());
-  ASSERT_FALSE(sparse.dense());
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    ASSERT_EQ(dense.radius_neighbors(i, cell), sparse.radius_neighbors(i, cell))
-        << "query point " << i;
-  }
-  for (int k = 0; k < 200; ++k) {
-    const Vec3 q{u(rng), u(rng), u(rng) * 0.1};
-    ASSERT_EQ(dense.radius_neighbors(q, cell), sparse.radius_neighbors(q, cell))
-        << "free query " << k;
-  }
-}
-
-// Clouds whose occupied extent exceeds the dense-cell budget must fall back
-// to the spatial hash and still answer queries correctly.
-TEST(PointGrid, HugeExtentFallsBackToSparse) {
-  PointCloud c;
-  c.push_back({0.0, 0.0, 0.0});
-  c.push_back({0.1, 0.0, 0.0});
-  c.push_back({1e7, 1e7, 1e7});  // blows out the cell budget at cell = 0.5
-  const PointGrid grid(c, 0.5);
-  EXPECT_FALSE(grid.dense());
-  EXPECT_EQ(grid.radius_neighbors(std::size_t{0}, 0.5),
-            (std::vector<std::size_t>{1}));
-  EXPECT_TRUE(grid.radius_neighbors(std::size_t{2}, 0.5).empty());
-}
 
 }  // namespace
 }  // namespace erpd::pc

@@ -1,9 +1,8 @@
 // Determinism contract of the parallel pipeline: every parallel loop must
 // produce bit-identical output for any ERPD_THREADS setting. These tests run
-// the RNG-bearing LiDAR scan, DBSCAN's scratch/collect paths, and a short
-// closed-loop scenario at 1, 2, and 8 workers and require exact equality.
-// They run under TSan in CI, so they also double as a race detector for the
-// pool itself.
+// the RNG-bearing LiDAR scan and a short closed-loop scenario at 1, 2, and 8
+// workers and require exact equality. They run under TSan in CI, so they
+// also double as a race detector for the pool itself.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +12,7 @@
 #include "core/det_hash.hpp"
 #include "core/thread_pool.hpp"
 #include "edge/system_runner.hpp"
-#include "pointcloud/dbscan.hpp"
 #include "pointcloud/encoding.hpp"
-#include "pointcloud/voxel_grid.hpp"
 #include "scenario_harness.hpp"
 #include "sim/lidar.hpp"
 #include "sim/scenario_gen.hpp"
@@ -67,57 +64,6 @@ TEST(Determinism, LidarScanIdenticalAcrossThreadCounts) {
     EXPECT_EQ(got.points_per_agent, ref.points_per_agent) << t << " threads";
     // Byte-exact cloud: same points in the same order, down to the noise.
     EXPECT_EQ(pc::encode(got.cloud).bytes, ref_bytes.bytes) << t << " threads";
-  }
-}
-
-// ---------------------------------------------------------------------------
-// DBSCAN: scratch-buffer queries and one-pass cluster collection must agree
-// with the baseline path exactly.
-// ---------------------------------------------------------------------------
-
-pc::PointCloud clustered_cloud() {
-  pc::PointCloud cloud;
-  std::mt19937_64 rng(7);
-  std::normal_distribution<double> jitter(0.0, 0.2);
-  for (const auto& [cx, cy] : {std::pair{0.0, 0.0}, {8.0, 1.0}, {3.0, 9.0}}) {
-    for (int i = 0; i < 60; ++i) {
-      cloud.push_back({cx + jitter(rng), cy + jitter(rng), jitter(rng)});
-    }
-  }
-  for (int i = 0; i < 10; ++i) {  // sparse noise
-    cloud.push_back({20.0 + 3.0 * i, -10.0, 0.0});
-  }
-  return cloud;
-}
-
-TEST(Determinism, DbscanCollectClustersMatchesLabelScan) {
-  const pc::PointCloud cloud = clustered_cloud();
-  pc::DbscanConfig cfg;
-  cfg.eps = 0.8;
-  cfg.min_pts = 4;
-
-  const pc::DbscanResult plain = pc::dbscan(cloud, cfg);
-  cfg.collect_clusters = true;
-  const pc::DbscanResult collected = pc::dbscan(cloud, cfg);
-
-  ASSERT_EQ(plain.cluster_count, collected.cluster_count);
-  EXPECT_EQ(plain.labels, collected.labels);
-  ASSERT_EQ(collected.clusters.size(),
-            static_cast<std::size_t>(collected.cluster_count));
-  for (std::int32_t c = 0; c < plain.cluster_count; ++c) {
-    EXPECT_EQ(plain.cluster_indices(c), collected.cluster_indices(c))
-        << "cluster " << c;
-  }
-}
-
-TEST(Determinism, PointGridScratchOverloadMatchesReturningOverload) {
-  const pc::PointCloud cloud = clustered_cloud();
-  const pc::PointGrid grid(cloud, 0.8);
-  std::vector<std::size_t> scratch;
-  for (std::size_t i = 0; i < cloud.size(); i += 7) {
-    const std::vector<std::size_t> ret = grid.radius_neighbors(i, 0.8);
-    grid.radius_neighbors(i, 0.8, scratch);
-    EXPECT_EQ(ret, scratch) << "query point " << i;
   }
 }
 

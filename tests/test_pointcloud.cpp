@@ -122,28 +122,5 @@ TEST(VoxelGrid, NegativeCoordinatesBinCorrectly) {
   EXPECT_EQ(voxel_downsample(c, 1.0).size(), 2u);
 }
 
-TEST(PointGrid, RadiusNeighborsFindsAllWithin) {
-  PointCloud c{{{0, 0, 0}, {0.5, 0, 0}, {2.0, 0, 0}, {0, 0.9, 0}}};
-  const PointGrid grid(c, 1.0);
-  auto n = grid.radius_neighbors(std::size_t{0}, 1.0);
-  std::sort(n.begin(), n.end());
-  EXPECT_EQ(n, (std::vector<std::size_t>{1, 3}));
-}
-
-TEST(PointGrid, QueryPointVariant) {
-  PointCloud c{{{0, 0, 0}, {3, 0, 0}}};
-  const PointGrid grid(c, 1.0);
-  const auto n = grid.radius_neighbors(Vec3{2.5, 0.0, 0.0}, 1.0);
-  ASSERT_EQ(n.size(), 1u);
-  EXPECT_EQ(n[0], 1u);
-}
-
-TEST(PointGrid, RadiusLargerThanCell) {
-  PointCloud c{{{0, 0, 0}, {2.5, 0, 0}}};
-  const PointGrid grid(c, 1.0);  // radius 3 spans multiple rings
-  const auto n = grid.radius_neighbors(std::size_t{0}, 3.0);
-  EXPECT_EQ(n.size(), 1u);
-}
-
 }  // namespace
 }  // namespace erpd::pc
