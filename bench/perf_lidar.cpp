@@ -1,12 +1,14 @@
 // Microbench isolating LidarSensor::scan from the rest of the pipeline.
 //
 // Sweeps target count (10 / 100 / 1000 prisms scattered around the sensor)
-// and azimuth resolution, timing repeated scans of a frozen scene on both
-// the accelerated path and the brute-force reference path. Reports points
-// per second (total emitted returns / scan wall time) so sensing throughput
-// is tracked independently of the full perf_pipeline closed loop, and
-// cross-checks that both paths emit byte-identical clouds before timing
-// anything (a cheap standing instance of test_lidar_equivalence).
+// and azimuth resolution, timing repeated scans of a frozen scene with
+// LidarSensor::scan ("accel") and with the serial textbook oracle from
+// tests/lidar_oracle.hpp ("brute"; one thread, every candidate per ray).
+// Reports points per second (total emitted returns / scan wall time) so
+// sensing throughput is tracked independently of the full perf_pipeline
+// closed loop, and cross-checks that the two emit byte-identical scans
+// before timing anything (a cheap standing instance of
+// test_lidar_equivalence); a divergence makes the program exit 1.
 //
 // Usage: perf_lidar [--quick] [--out=FILE]
 //   --quick     fewer repetitions and no 1000-target row (CI smoke)
@@ -23,6 +25,7 @@
 #include "core/rng.hpp"
 #include "geom/angle.hpp"
 #include "geom/obb.hpp"
+#include "lidar_oracle.hpp"
 #include "obs/json.hpp"
 #include "sim/lidar.hpp"
 
@@ -59,9 +62,9 @@ struct SweepResult {
   double speedup{0.0};
 };
 
-double time_scans(const sim::LidarSensor& sensor, const geom::Pose& pose,
-                  const std::vector<sim::LidarTarget>& targets, int reps,
-                  std::size_t* points_out) {
+/// Best-of-`reps` wall time of `scan(rng)`.
+template <typename ScanFn>
+double time_scans(ScanFn&& scan_fn, int reps, std::size_t* points_out) {
   // Fresh RNG per rep with a rep-dependent seed: real frames never reuse a
   // generator state, and varying the noise stream keeps the branch profile
   // honest without changing the workload size.
@@ -69,7 +72,7 @@ double time_scans(const sim::LidarSensor& sensor, const geom::Pose& pose,
   for (int rep = 0; rep < reps; ++rep) {
     std::mt19937_64 rng(42 + static_cast<std::uint64_t>(rep));
     const auto t0 = std::chrono::steady_clock::now();
-    const sim::LidarScan scan = sensor.scan(pose, targets, rng);
+    const sim::LidarScan scan = scan_fn(rng);
     const double dt =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -125,25 +128,30 @@ int main(int argc, char** argv) {
       cfg.azimuth_step_deg = az_step;
       cfg.noise_sigma = 0.02;
 
-      sim::LidarSensor sensor(cfg);
+      const sim::LidarSensor sensor(cfg);
       const std::vector<sim::LidarTarget> targets =
           make_scene(n_targets, cfg.max_range, 7u * n_targets + 1u);
 
-      // Equivalence gate: identical RNG seed -> the two paths must agree
-      // byte for byte before their timings mean anything.
+      const auto accel = [&](std::mt19937_64& rng) {
+        return sensor.scan(pose, targets, rng);
+      };
+      const auto oracle = [&](std::mt19937_64& rng) {
+        return sim::oracle_scan(cfg, pose, targets, rng);
+      };
+
+      // Equivalence gate: identical RNG seed -> the scan and the oracle
+      // must agree byte for byte before their timings mean anything.
       {
         std::mt19937_64 ra(42), rb(42);
-        sim::LidarSensor ref = sensor;
-        ref.set_brute_force(true);
-        const sim::LidarScan sa = sensor.scan(pose, targets, ra);
-        const sim::LidarScan sb = ref.scan(pose, targets, rb);
+        const sim::LidarScan sa = accel(ra);
+        const sim::LidarScan sb = oracle(rb);
         const bool same = sa.cloud.points() == sb.cloud.points() &&
                           sa.points_per_agent == sb.points_per_agent &&
                           sa.ground_points == sb.ground_points &&
                           sa.static_points == sb.static_points;
         if (!same) {
           std::fprintf(stderr,
-                       "perf_lidar: FAIL - accel/brute divergence at "
+                       "perf_lidar: FAIL - scan/oracle divergence at "
                        "%zu targets, az_step %.2f\n",
                        n_targets, az_step);
           all_equivalent = false;
@@ -152,13 +160,9 @@ int main(int argc, char** argv) {
       }
 
       SweepResult res;
-      const double accel_s =
-          time_scans(sensor, pose, targets, reps, &res.points_per_scan);
-      sim::LidarSensor brute = sensor;
-      brute.set_brute_force(true);
+      const double accel_s = time_scans(accel, reps, &res.points_per_scan);
       std::size_t brute_points = 0;
-      const double brute_s =
-          time_scans(brute, pose, targets, quick ? 2 : 5, &brute_points);
+      const double brute_s = time_scans(oracle, quick ? 2 : 5, &brute_points);
 
       const double pts = static_cast<double>(res.points_per_scan);
       res.accel_pts_per_sec = accel_s > 0.0 ? pts / accel_s : 0.0;

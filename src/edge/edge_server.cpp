@@ -67,7 +67,8 @@ sim::AgentId EdgeServer::match_truth(
 
 std::vector<track::Detection> EdgeServer::build_detections(
     const std::vector<net::UploadFrame>& uploads,
-    const std::vector<sim::AgentSnapshot>* truth) const {
+    const std::vector<sim::AgentSnapshot>* truth,
+    std::uint64_t* dbscan_distance_tests) const {
   std::vector<track::Detection> out;
 
   // Object-granular uploads (Ours) become detections directly; blob uploads
@@ -154,6 +155,7 @@ std::vector<track::Detection> EdgeServer::build_detections(
 
     const pc::PointCloud thin = pc::voxel_downsample(above, kDetectVoxel);
     const pc::DbscanResult seg = pc::dbscan(thin, kDetectDbscan);
+    *dbscan_distance_tests += seg.distance_tests;
     for (const pc::ObjectCluster& c : pc::extract_clusters(thin, seg)) {
       if (c.point_count() < 4) continue;
       const geom::Aabb& footprint = c.footprint;
@@ -219,7 +221,7 @@ FrameOutput EdgeServer::process_frame(
   obs::StageSpan merge_span(metrics_, "stage.merge",
                             &out.timings.merge_seconds);
   const std::vector<track::Detection> detections =
-      build_detections(uploads, truth);
+      build_detections(uploads, truth, &out.dbscan_distance_tests);
   out.detections = detections.size();
 
   // Update the connected-vehicle registry from upload poses. Velocity is

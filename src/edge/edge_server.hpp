@@ -116,6 +116,10 @@ struct FrameOutput {
   std::vector<net::CoverageFeedback> feedback;
   /// Total modelled wire size of `feedback`.
   std::size_t feedback_bytes{0};
+  /// Distance tests of the edge's re-segmentation DBSCAN over merged blob
+  /// uploads (EMP cells, raw frames); zero when every upload is
+  /// object-granular.
+  std::uint64_t dbscan_distance_tests{0};
   /// Deadline-admission outcome for this frame (all zero when service mode
   /// is off).
   ServiceStats service{};
@@ -188,9 +192,12 @@ class EdgeServer {
   /// Highest admitted upload_seq per vehicle, for the delta-base ack.
   std::map<sim::AgentId, std::uint64_t> acked_seq_;
 
+  /// Adds the re-segmentation DBSCAN's distance tests to
+  /// `*dbscan_distance_tests`.
   std::vector<track::Detection> build_detections(
       const std::vector<net::UploadFrame>& uploads,
-      const std::vector<sim::AgentSnapshot>* truth) const;
+      const std::vector<sim::AgentSnapshot>* truth,
+      std::uint64_t* dbscan_distance_tests) const;
 
   static sim::AgentKind classify_extent(const geom::Aabb& box);
   static sim::AgentId match_truth(const std::vector<sim::AgentSnapshot>& truth,

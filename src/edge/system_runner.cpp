@@ -210,6 +210,7 @@ struct RunCounters {
   // Vehicle fan-out.
   obs::Counter& raw_points = r.counter("client.raw_points");
   obs::Counter& client_bytes = r.counter("client.upload_bytes");
+  obs::Counter& client_dbscan_tests = r.counter("client.dbscan_distance_tests");
   // Uplink fates.
   obs::Counter& offered_frames = r.counter("uplink.offered_frames");
   obs::Counter& offered_bytes = r.counter("uplink.offered_bytes");
@@ -233,6 +234,7 @@ struct RunCounters {
   obs::Counter& selected_msgs = r.counter("diss.selected_msgs");
   obs::Counter& selected_bytes = r.counter("diss.selected_bytes");
   obs::Counter& detections = r.counter("edge.detections");
+  obs::Counter& edge_dbscan_tests = r.counter("edge.dbscan_distance_tests");
   obs::Counter& confirmed_tracks = r.counter("edge.confirmed_tracks");
   obs::Counter& moving_tracks = r.counter("edge.moving_tracks");
   obs::Counter& coasting_tracks = r.counter("edge.coasting_tracks");
@@ -260,6 +262,7 @@ struct RunCounters {
     selected_msgs.add(fo.selected.size());
     selected_bytes.add(fo.downlink_bytes);
     detections.add(fo.detections);
+    edge_dbscan_tests.add(fo.dbscan_distance_tests);
     confirmed_tracks.add(fo.confirmed_tracks);
     moving_tracks.add(fo.moving_tracks);
     coasting_tracks.add(fo.coasting_tracks);
@@ -424,6 +427,7 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
         ctr.raw_points.add(s.raw_points);
         ctr.client_bytes.add(s.uploaded_bytes);
         ctr.suppressed_bytes.add(s.suppressed_bytes);
+        ctr.client_dbscan_tests.add(s.dbscan_distance_tests);
       }
 
       // --- Uplink fates, booked in slot order ---

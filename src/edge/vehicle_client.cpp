@@ -151,6 +151,9 @@ net::UploadFrame VehicleClient::make_upload(
     case UploadPolicy::kOursMovingObjects: {
       const pc::ExtractionResult ex =
           extractor_.process(scan.cloud, frame.pose, world.time());
+      if (stats != nullptr) {
+        stats->dbscan_distance_tests = ex.stats.dbscan_distance_tests;
+      }
       std::vector<sim::AgentSnapshot> local_truth;
       if (truth == nullptr && !ex.objects.empty()) {
         local_truth = world.snapshot();

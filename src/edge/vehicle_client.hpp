@@ -14,6 +14,7 @@
 // simulator ground truth, purely so that disseminations can be applied back
 // to driver knowledge and scored. The edge server never reads truth ids.
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -59,6 +60,9 @@ struct ClientFrameStats {
   /// suppression savings plus delta-vs-keyframe savings. Zero when
   /// RedundancyConfig is off.
   std::size_t suppressed_bytes{0};
+  /// Distance tests of this frame's on-vehicle DBSCAN (zero for policies
+  /// that do not extract objects).
+  std::uint64_t dbscan_distance_tests{0};
   /// Wall-clock seconds spent in local processing (the paper's Moving
   /// Object Extraction runtime).
   double processing_seconds{0.0};

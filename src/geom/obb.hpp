@@ -68,20 +68,8 @@ class Obb {
 /// anchored at the eye passed to add(): the edges come from the same
 /// corners() math and the per-edge test applies the same intersect()
 /// arithmetic, so every intermediate double matches the scalar path's.
-/// (With ERPD_LIDAR_SIMD the four edge tests run as one AVX2 lane set over
-/// the SoA arrays instead, lane-for-lane the same mul/sub/div sequence;
-/// see obb.cpp.)
 class ObbRaySoa {
  public:
-  void clear() {
-    edges_.clear();
-    eye_inside_.clear();
-    edge_ax_.clear();
-    edge_ay_.clear();
-    edge_sx_.clear();
-    edge_sy_.clear();
-  }
-
   /// Append `box`, precomputing its edges and the eye-containment flag.
   void add(const Obb& box, Vec2 eye);
 
@@ -98,14 +86,6 @@ class ObbRaySoa {
  private:
   std::vector<Segment> edges_;  // 4 per box, contiguous
   std::vector<std::uint8_t> eye_inside_;
-  /// The same edges in SoA form — endpoint a and direction s = b - a, one
-  /// contiguous 4-lane group per box — so a vector kernel can load a whole
-  /// box with four unaligned loads. Filled unconditionally (16 doubles per
-  /// box is noise next to the corners() trig) to keep this header free of
-  /// ERPD_LIDAR_SIMD conditionals: the flag is a PRIVATE definition of the
-  /// geom target, and a flag-dependent class layout would be an ODR trap
-  /// for every other TU that includes this file.
-  std::vector<double> edge_ax_, edge_ay_, edge_sx_, edge_sy_;
 };
 
 }  // namespace erpd::geom

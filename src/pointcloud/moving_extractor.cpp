@@ -47,6 +47,7 @@ ExtractionResult MovingObjectExtractor::process(const PointCloud& sensor_frame,
 
   // Stage 2: segment objects.
   const DbscanResult seg = dbscan(work, cfg_.dbscan);
+  res.stats.dbscan_distance_tests = seg.distance_tests;
   std::vector<ObjectCluster> clusters = extract_clusters(work, seg);
   std::erase_if(clusters, [&](const ObjectCluster& c) {
     if (c.point_count() < cfg_.min_cluster_points) return true;

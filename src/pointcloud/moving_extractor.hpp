@@ -9,6 +9,7 @@
 // clusters (buildings, parked vehicles) are discarded. This shrinks a 2-3 MB
 // frame to tens of KB.
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -59,6 +60,8 @@ struct ExtractionStats {
   std::size_t clusters{0};
   std::size_t moving_clusters{0};
   std::size_t moving_points{0};
+  /// DbscanResult::distance_tests of this frame's clustering.
+  std::uint64_t dbscan_distance_tests{0};
 };
 
 struct ExtractionResult {

@@ -59,7 +59,7 @@ void AzimuthIndex::build(std::span<const BinSpan> spans, int n_az,
   }
 
   // Pass 2: fill. Spans are walked in ascending candidate order, so each
-  // bin's list comes out ascending — the brute-force visitation order.
+  // bin's list comes out ascending — the textbook oracle's visitation order.
   entries_.resize(starts_.back());
   cursor_.assign(starts_.begin(), starts_.end() - 1);
   for (std::size_t i = 0; i < ranges_.size(); ++i) {

@@ -12,7 +12,8 @@
 // a bin it cannot be hit from never changes the output — it only costs time.
 // Determinism: bins are filled by walking candidates in ascending index
 // order, so every per-bin list is ascending — walking a bin visits
-// candidates in exactly the order the brute-force scan loop does.
+// candidates in exactly the order the textbook oracle (tests/lidar_oracle)
+// does.
 
 #include <cstdint>
 #include <span>

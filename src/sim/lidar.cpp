@@ -21,8 +21,18 @@ LidarSensor::LidarSensor(LidarConfig cfg) : cfg_(cfg) {
   ERPD_REQUIRE(cfg_.azimuth_step_deg > 0.0,
                "LidarSensor: azimuth_step_deg must be > 0, got ",
                cfg_.azimuth_step_deg);
+  ERPD_REQUIRE(cfg_.azimuth_count() >= 1,
+               "LidarSensor: azimuth_step_deg must be <= 360 (at least one "
+               "azimuth per scan), got ",
+               cfg_.azimuth_step_deg);
   ERPD_REQUIRE(cfg_.max_range > 0.0, "LidarSensor: max_range must be > 0, got ",
                cfg_.max_range);
+  ERPD_REQUIRE(-90.0 < cfg_.vertical_fov_min_deg &&
+                   cfg_.vertical_fov_min_deg <= cfg_.vertical_fov_max_deg &&
+                   cfg_.vertical_fov_max_deg < 90.0,
+               "LidarSensor: need -90 < vertical_fov_min_deg <= "
+               "vertical_fov_max_deg < 90, got [",
+               cfg_.vertical_fov_min_deg, ", ", cfg_.vertical_fov_max_deg, "]");
   elevations_.reserve(static_cast<std::size_t>(cfg_.channels));
   const double lo = geom::deg_to_rad(cfg_.vertical_fov_min_deg);
   const double hi = geom::deg_to_rad(cfg_.vertical_fov_max_deg);
@@ -35,6 +45,12 @@ LidarSensor::LidarSensor(LidarConfig cfg) : cfg_(cfg) {
   for (const double elev : elevations_) {
     tan_elevations_.push_back(std::tan(elev));
   }
+  // The scan's channel resolution binary-searches the beam height
+  // z(c) = sensor_z + dist * tan(elev_c), which needs z non-decreasing in c.
+  // The FOV contract above makes the elevations non-decreasing and keeps
+  // them inside tan's monotone branch; checked once on the actual values.
+  ERPD_ENSURE(std::is_sorted(tan_elevations_.begin(), tan_elevations_.end()),
+              "LidarSensor: tan(elevation) table is not non-decreasing");
   {
     const int n_az = cfg_.azimuth_count();
     const double az_step = geom::kTwoPi / n_az;
@@ -141,18 +157,48 @@ LidarScan LidarSensor::scan(const geom::Pose& pose,
   const bool noisy = cfg_.noise_sigma > 0.0;
   const std::uint64_t noise_base = noisy ? rng() : 0;
 
-  // Angular culling: precompute each target's subtended span (shared,
-  // read-only across chunks).
+  // Per-scan precomputation (all shared and read-only across chunks):
+  //  - each candidate's circumcircle span, re-checked exactly per ray;
+  //  - SoA edge/eye-inside tables: corners() and contains(eye) hoisted out
+  //    of the per-ray loop (the ray origin never changes in a scan);
+  //  - azimuth-interval index over corner-tight spans: each ray probes a
+  //    short per-bin candidate list instead of every candidate;
+  //  - ground-return range per channel: -sensor_z / tan_e is a per-scan
+  //    constant.
   struct Candidate {
     const LidarTarget* target;
     AngularSpan span;
   };
   std::vector<Candidate> candidates;
   candidates.reserve(targets.size());
+  geom::ObbRaySoa soa;
+  std::vector<BinSpan> bin_spans;
+  bin_spans.reserve(targets.size());
   for (const LidarTarget& t : targets) {
     const double d = (t.footprint.center() - eye).norm();
     if (d - t.footprint.max_extent() > cfg_.max_range) continue;
     candidates.push_back({&t, subtended(eye, t.footprint)});
+    soa.add(t.footprint, eye);
+    bin_spans.push_back(
+        corner_bin_span(eye, t.footprint, soa.eye_inside(soa.size() - 1)));
+  }
+  AzimuthIndex index;
+  index.build(bin_spans, n_az, az_step);
+
+  const std::size_t n_ch = elevations_.size();
+  std::vector<double> ground_dist(n_ch, 0.0);
+  std::vector<std::uint8_t> ground_ok(n_ch, 0);
+  std::vector<std::uint32_t> ground_channels;  // ascending c, ground-capable
+  for (std::size_t c = 0; c < n_ch; ++c) {
+    const double tan_e = tan_elevations_[c];
+    if (tan_e < 0.0) {
+      const double ground_d = -sensor_z / tan_e;
+      ground_dist[c] = ground_d;
+      if (ground_d <= cfg_.max_range) {
+        ground_ok[c] = 1;
+        ground_channels.push_back(static_cast<std::uint32_t>(c));
+      }
+    }
   }
 
   struct Hit {
@@ -181,339 +227,188 @@ LidarScan LidarSensor::scan(const geom::Pose& pose,
   std::vector<ChunkOut> chunks(n_chunks);
 
   // World->sensor frame conversion (the uplink operates on sensor-frame
-  // clouds plus the pose, as in the paper). The accelerated path applies it
-  // at emission time — same transform_point on the same world-frame values
-  // the reference path stores, so fusing it into the emit saves a whole
-  // extra pass over the cloud without moving a bit.
+  // clouds plus the pose, as in the paper), fused into the emit so the
+  // cloud is written once.
   const geom::Mat4 t_wl = geom::Mat4::from_pose(pose).rigid_inverse();
 
-  if (brute_force_) {
-    // Reference path: the original O(n_az x n_candidates) loop, kept as an
-    // executable specification of the sensor. Everything below (candidate
-    // probing, per-elevation tan, noise draws through the <random>
-    // distribution) is deliberately naive; the accelerated path must match
-    // it byte for byte (test_lidar_equivalence).
-    core::parallel_chunks(
-        static_cast<std::size_t>(n_az), kAzimuthGrain,
-        [&](std::size_t az_begin, std::size_t az_end, std::size_t ci) {
-          ChunkOut& co = chunks[ci];
-          co.points.reserve((az_end - az_begin) *
-                            static_cast<std::size_t>(cfg_.channels) / 4);
-          std::vector<Hit> hits;  // reused across this chunk's azimuths
+  // When the chunk schedule is provably serial-in-order — a single global
+  // worker lane (the serial fallback runs chunks in ascending order on the
+  // calling thread) or a single chunk — emit straight into the output
+  // cloud: the merge below would concatenate the chunk buffers in exactly
+  // that order anyway, so skipping them changes no bytes and saves a full
+  // copy of the cloud plus the per-chunk allocations.
+  std::vector<Vec3>* const direct =
+      (core::thread_count() == 1 || n_chunks == 1) ? &out.cloud.points()
+                                                   : nullptr;
+  if (direct != nullptr) {
+    direct->reserve(static_cast<std::size_t>(n_az) * n_ch);
+  }
 
-          for (std::size_t ia = az_begin; ia < az_end; ++ia) {
-            const double az_world =
-                -geom::kPi + static_cast<double>(ia) * az_step;
-            const Vec2 dir = Vec2::from_heading(az_world);
+  core::parallel_chunks(
+      static_cast<std::size_t>(n_az), kAzimuthGrain,
+      [&](std::size_t az_begin, std::size_t az_end, std::size_t ci) {
+        ChunkOut& co = chunks[ci];
+        // Full-size reserve: a chunk can emit up to one point per channel
+        // per azimuth, and an undersized buffer pays reallocation + copy
+        // mid-chunk (measurably ~9 ns/point on the bench scene).
+        std::vector<Vec3>& pts = direct != nullptr ? *direct : co.points;
+        if (direct == nullptr) {
+          co.points.reserve((az_end - az_begin) * n_ch);
+        }
+        std::vector<Hit> hits;  // reused across this chunk's azimuths
+        // Per-candidate tallies; folded into the per-agent map once per
+        // chunk instead of one hash probe per struck point.
+        std::vector<std::size_t> cand_points(candidates.size(), 0);
+        // Per-azimuth scratch: which hit (index into `hits`) blocks each
+        // channel, and the azimuth's noise draws generated in one batch.
+        std::vector<std::int32_t> struck_idx(n_ch, -1);
+        std::vector<double> noise_buf(n_ch, 0.0);
+
+        for (std::size_t ia = az_begin; ia < az_end; ++ia) {
+          const double az_world = azimuth_world_[ia];
+          const Vec2 dir = azimuth_dirs_[ia];
+
+          core::SplitMix64 az_rng(core::seed_mix(noise_base, ia));
+          core::NormalSampler noise(0.0, cfg_.noise_sigma);
+
+          // All obstructions along this azimuth, nearest first. The bin
+          // holds a superset of the candidates hittable at this azimuth,
+          // in ascending candidate order; the exact covers() re-check
+          // keeps the probed set — and with it the hit list — identical
+          // to a scan that tests every candidate's circumcircle span.
+          hits.clear();
+          const std::span<const std::uint32_t> bin = index.bin(ia);
+          if (!bin.empty()) {
             const geom::Segment ray{eye, eye + dir * cfg_.max_range};
-
-            core::SplitMix64 az_rng(core::seed_mix(noise_base, ia));
-            std::normal_distribution<double> noise(0.0, cfg_.noise_sigma);
-
-            // All obstructions along this azimuth, nearest first.
-            hits.clear();
-            for (std::size_t j = 0; j < candidates.size(); ++j) {
+            for (const std::uint32_t j : bin) {
               const Candidate& c = candidates[j];
               if (!c.span.covers(az_world)) continue;
-              const double t = c.target->footprint.ray_hit(ray);
+              const double t = soa.ray_hit(j, ray);
               if (t >= 0.0) {
-                hits.push_back({t * cfg_.max_range, c.target,
-                                static_cast<std::uint32_t>(j)});
+                hits.push_back({t * cfg_.max_range, c.target, j});
               }
             }
-            std::sort(hits.begin(), hits.end(), hit_less);
+            // (dist, cand) is a total order — cand is unique per entry —
+            // so any comparison sort yields the same sequence.
+            if (hits.size() > 1) sort_total_order(hits, hit_less);
+          }
 
-            for (const double elev : elevations_) {
-              const double tan_e = std::tan(elev);
-              // First prism whose vertical extent intersects the beam.
-              const LidarTarget* struck = nullptr;
-              double struck_dist = 0.0;
-              for (const Hit& h : hits) {
-                const double z = sensor_z + h.dist * tan_e;
-                if (z >= h.target->base_z &&
-                    z <= h.target->base_z + h.target->height) {
-                  struck = h.target;
-                  struck_dist = h.dist;
-                  break;
-                }
+          if (hits.empty()) {
+            // Nothing blocks any beam at this azimuth: only the
+            // ground-capable channels emit, in the same ascending-channel
+            // order (and hence the same noise-draw order) as the general
+            // loop below.
+            const std::size_t m = ground_channels.size();
+            if (noisy && m > 0) noise.fill(az_rng, noise_buf.data(), m);
+            std::size_t k = 0;
+            for (const std::uint32_t c : ground_channels) {
+              const double nz = noisy ? noise_buf[k++] : 0.0;
+              const double d = ground_dist[c] + nz;
+              const Vec2 pxy = eye + dir * d;
+              pts.push_back(t_wl.transform_point(Vec3{pxy, 0.0}));
+            }
+            co.ground_points += m;
+            continue;
+          }
+
+          // Pass 1: resolve which hit (if any) blocks each channel and
+          // count the azimuth's emissions, so the noise draws can be
+          // generated in one batch. Channels consume draws in ascending
+          // order, one per emitted point.
+          //
+          // z(c) is non-decreasing (constructor contract), so the channels
+          // a hit blocks — { c : z(c) >= base  &&  z(c) <= base + height } —
+          // form a contiguous range; binary-search its endpoints with the
+          // EXACT per-channel predicate arithmetic, then claim unclaimed
+          // channels. Nearest hit first (hits is sorted), so first-claim ==
+          // "first hit in sorted order that covers c".
+          std::fill(struck_idx.begin(), struck_idx.end(), std::int32_t{-1});
+          for (std::size_t k2 = 0; k2 < hits.size(); ++k2) {
+            const Hit& h = hits[k2];
+            const double base = h.target->base_z;
+            const double top = h.target->base_z + h.target->height;
+            std::size_t lo = 0;
+            std::size_t hi = n_ch;
+            while (lo < hi) {  // first c with z(c) >= base
+              const std::size_t mid = (lo + hi) / 2;
+              const double z = sensor_z + h.dist * tan_elevations_[mid];
+              if (z >= base) {
+                hi = mid;
+              } else {
+                lo = mid + 1;
               }
-              if (struck != nullptr) {
-                const double d = struck_dist + (noisy ? noise(az_rng) : 0.0);
-                const Vec2 pxy = eye + dir * d;
-                co.points.push_back(Vec3{pxy, sensor_z + struck_dist * tan_e});
-                if (struck->id >= 0) {
-                  ++co.points_per_agent[struck->id];
-                } else {
-                  ++co.static_points;
-                }
-                continue;
+            }
+            const std::size_t clo = lo;
+            hi = n_ch;
+            while (lo < hi) {  // first c with z(c) > top
+              const std::size_t mid = (lo + hi) / 2;
+              const double z = sensor_z + h.dist * tan_elevations_[mid];
+              if (z <= top) {
+                lo = mid + 1;
+              } else {
+                hi = mid;
               }
-              // No prism in the way; downward beams reach the ground.
-              if (tan_e < 0.0) {
-                const double ground_d = -sensor_z / tan_e;
-                if (ground_d <= cfg_.max_range) {
-                  const double d = ground_d + (noisy ? noise(az_rng) : 0.0);
-                  const Vec2 pxy = eye + dir * d;
-                  co.points.push_back(Vec3{pxy, 0.0});
-                  ++co.ground_points;
-                }
+            }
+            for (std::size_t c = clo; c < lo; ++c) {
+              if (struck_idx[c] < 0) {
+                struck_idx[c] = static_cast<std::int32_t>(k2);
               }
             }
           }
-        });
-  } else {
-    // Accelerated path. Per-scan precomputation (all shared and read-only
-    // across chunks):
-    //  - SoA edge/eye-inside tables: corners() and contains(eye) hoisted
-    //    out of the per-ray loop (the ray origin never changes in a scan);
-    //  - azimuth-interval index over corner-tight spans: each ray probes a
-    //    short per-bin candidate list instead of every candidate;
-    //  - ground-return range per channel: -sensor_z / tan_e is a per-scan
-    //    constant the old loop recomputed per azimuth.
-    geom::ObbRaySoa soa;
-    std::vector<BinSpan> bin_spans;
-    bin_spans.reserve(candidates.size());
-    for (const Candidate& c : candidates) {
-      soa.add(c.target->footprint, eye);
-      bin_spans.push_back(corner_bin_span(eye, c.target->footprint,
-                                          soa.eye_inside(soa.size() - 1)));
-    }
-    AzimuthIndex index;
-    index.build(bin_spans, n_az, az_step);
-
-    const std::size_t n_ch = elevations_.size();
-    // The per-channel beam height z(c) = sensor_z + dist * tan(elev_c) is
-    // non-decreasing in c whenever the tan table is (dist >= 0), which lets
-    // pass 1 below binary-search each hit's blocked-channel range instead of
-    // re-testing every channel against every hit. Checked on the actual FP
-    // values (false for NaNs), with the linear scan kept as fallback.
-    bool tan_monotone = true;
-    for (std::size_t c = 1; c < n_ch; ++c) {
-      if (!(tan_elevations_[c] >= tan_elevations_[c - 1])) {
-        tan_monotone = false;
-        break;
-      }
-    }
-    std::vector<double> ground_dist(n_ch, 0.0);
-    std::vector<std::uint8_t> ground_ok(n_ch, 0);
-    std::vector<std::uint32_t> ground_channels;  // ascending c, ground-capable
-    for (std::size_t c = 0; c < n_ch; ++c) {
-      const double tan_e = tan_elevations_[c];
-      if (tan_e < 0.0) {
-        const double ground_d = -sensor_z / tan_e;
-        ground_dist[c] = ground_d;
-        if (ground_d <= cfg_.max_range) {
-          ground_ok[c] = 1;
-          ground_channels.push_back(static_cast<std::uint32_t>(c));
-        }
-      }
-    }
-
-    // When the chunk schedule is provably serial-in-order — a single global
-    // worker lane (the serial fallback runs chunks in ascending order on the
-    // calling thread) or a single chunk — emit straight into the output
-    // cloud: the merge below would concatenate the chunk buffers in exactly
-    // that order anyway, so skipping them changes no bytes and saves a full
-    // copy of the cloud plus the per-chunk allocations.
-    std::vector<Vec3>* const direct =
-        (core::thread_count() == 1 || n_chunks == 1) ? &out.cloud.points()
-                                                     : nullptr;
-    if (direct != nullptr) {
-      direct->reserve(static_cast<std::size_t>(n_az) * n_ch);
-    }
-
-    core::parallel_chunks(
-        static_cast<std::size_t>(n_az), kAzimuthGrain,
-        [&](std::size_t az_begin, std::size_t az_end, std::size_t ci) {
-          ChunkOut& co = chunks[ci];
-          // Full-size reserve: a chunk can emit up to one point per channel
-          // per azimuth, and an undersized buffer pays reallocation + copy
-          // mid-chunk (measurably ~9 ns/point on the bench scene).
-          std::vector<Vec3>& pts = direct != nullptr ? *direct : co.points;
-          if (direct == nullptr) {
-            co.points.reserve((az_end - az_begin) * n_ch);
+          std::size_t m = 0;
+          for (std::size_t c = 0; c < n_ch; ++c) {
+            if (struck_idx[c] >= 0 || ground_ok[c] != 0) ++m;
           }
-          std::vector<Hit> hits;  // reused across this chunk's azimuths
-          // Per-candidate tallies; folded into the per-agent map once per
-          // chunk instead of one hash probe per struck point.
-          std::vector<std::size_t> cand_points(candidates.size(), 0);
-          // Per-azimuth scratch: which hit (index into `hits`) blocks each
-          // channel, and the azimuth's noise draws generated in one batch.
-          std::vector<std::int32_t> struck_idx(n_ch, -1);
-          std::vector<double> noise_buf(n_ch, 0.0);
+          if (noisy && m > 0) noise.fill(az_rng, noise_buf.data(), m);
 
-          for (std::size_t ia = az_begin; ia < az_end; ++ia) {
-            const double az_world = azimuth_world_[ia];
-            const Vec2 dir = azimuth_dirs_[ia];
-
-            core::SplitMix64 az_rng(core::seed_mix(noise_base, ia));
-            core::NormalSampler noise(0.0, cfg_.noise_sigma);
-
-            // All obstructions along this azimuth, nearest first. The bin
-            // holds a superset of the candidates hittable at this azimuth,
-            // in ascending candidate order; the exact covers() re-check
-            // keeps the probed set — and with it the hit list — identical
-            // to the brute-force path's.
-            hits.clear();
-            const std::span<const std::uint32_t> bin = index.bin(ia);
-            if (!bin.empty()) {
-              const geom::Segment ray{eye, eye + dir * cfg_.max_range};
-              for (const std::uint32_t j : bin) {
-                const Candidate& c = candidates[j];
-                if (!c.span.covers(az_world)) continue;
-                const double t = soa.ray_hit(j, ray);
-                if (t >= 0.0) {
-                  hits.push_back({t * cfg_.max_range, c.target, j});
-                }
-              }
-              // (dist, cand) is a total order — cand is unique per entry —
-              // so any comparison sort yields the same sequence.
-              if (hits.size() > 1) sort_total_order(hits, hit_less);
-            }
-
-            if (hits.empty()) {
-              // Nothing blocks any beam at this azimuth: only the
-              // ground-capable channels emit, in the same ascending-channel
-              // order (and hence the same noise-draw order) as the general
-              // loop below.
-              const std::size_t m = ground_channels.size();
-              if (noisy && m > 0) noise.fill(az_rng, noise_buf.data(), m);
-              std::size_t k = 0;
-              for (const std::uint32_t c : ground_channels) {
-                const double nz = noisy ? noise_buf[k++] : 0.0;
-                const double d = ground_dist[c] + nz;
-                const Vec2 pxy = eye + dir * d;
-                pts.push_back(t_wl.transform_point(Vec3{pxy, 0.0}));
-              }
-              co.ground_points += m;
+          // Pass 2: emit.
+          std::size_t k = 0;
+          for (std::size_t c = 0; c < n_ch; ++c) {
+            const std::int32_t si = struck_idx[c];
+            if (si >= 0) {
+              const Hit& h = hits[static_cast<std::size_t>(si)];
+              const double nz = noisy ? noise_buf[k++] : 0.0;
+              const double d = h.dist + nz;
+              const Vec2 pxy = eye + dir * d;
+              pts.push_back(t_wl.transform_point(
+                  Vec3{pxy, sensor_z + h.dist * tan_elevations_[c]}));
+              ++cand_points[h.cand];
               continue;
             }
-
-            // Pass 1: resolve which hit (if any) blocks each channel and
-            // count the azimuth's emissions, so the noise draws can be
-            // generated in one batch. Channels consume draws in ascending
-            // order exactly as the reference path's interleaved loop does.
-            std::size_t m = 0;
-            if (tan_monotone) {
-              // z(c) is non-decreasing, so the channels a hit blocks —
-              // { c : z(c) >= base  &&  z(c) <= base + height } — form a
-              // contiguous range; binary-search its endpoints with the
-              // EXACT per-channel predicate arithmetic, then claim
-              // unclaimed channels. Nearest hit first (hits is sorted), so
-              // first-claim == "first hit in sorted order that covers c".
-              std::fill(struck_idx.begin(), struck_idx.end(),
-                        std::int32_t{-1});
-              for (std::size_t k2 = 0; k2 < hits.size(); ++k2) {
-                const Hit& h = hits[k2];
-                const double base = h.target->base_z;
-                const double top = h.target->base_z + h.target->height;
-                std::size_t lo = 0;
-                std::size_t hi = n_ch;
-                while (lo < hi) {  // first c with z(c) >= base
-                  const std::size_t mid = (lo + hi) / 2;
-                  const double z = sensor_z + h.dist * tan_elevations_[mid];
-                  if (z >= base) {
-                    hi = mid;
-                  } else {
-                    lo = mid + 1;
-                  }
-                }
-                const std::size_t clo = lo;
-                hi = n_ch;
-                while (lo < hi) {  // first c with z(c) > top
-                  const std::size_t mid = (lo + hi) / 2;
-                  const double z = sensor_z + h.dist * tan_elevations_[mid];
-                  if (z <= top) {
-                    lo = mid + 1;
-                  } else {
-                    hi = mid;
-                  }
-                }
-                for (std::size_t c = clo; c < lo; ++c) {
-                  if (struck_idx[c] < 0) {
-                    struck_idx[c] = static_cast<std::int32_t>(k2);
-                  }
-                }
-              }
-              for (std::size_t c = 0; c < n_ch; ++c) {
-                if (struck_idx[c] >= 0 || ground_ok[c] != 0) ++m;
-              }
-            } else {
-              for (std::size_t c = 0; c < n_ch; ++c) {
-                const double tan_e = tan_elevations_[c];
-                // First prism whose vertical extent intersects the beam.
-                std::int32_t si = -1;
-                for (const Hit& h : hits) {
-                  const double z = sensor_z + h.dist * tan_e;
-                  if (z >= h.target->base_z &&
-                      z <= h.target->base_z + h.target->height) {
-                    si = static_cast<std::int32_t>(&h - hits.data());
-                    break;
-                  }
-                }
-                struck_idx[c] = si;
-                if (si >= 0 || ground_ok[c] != 0) ++m;
-              }
-            }
-            if (noisy && m > 0) noise.fill(az_rng, noise_buf.data(), m);
-
-            // Pass 2: emit.
-            std::size_t k = 0;
-            for (std::size_t c = 0; c < n_ch; ++c) {
-              const std::int32_t si = struck_idx[c];
-              if (si >= 0) {
-                const Hit& h = hits[static_cast<std::size_t>(si)];
-                const double nz = noisy ? noise_buf[k++] : 0.0;
-                const double d = h.dist + nz;
-                const Vec2 pxy = eye + dir * d;
-                pts.push_back(t_wl.transform_point(
-                    Vec3{pxy, sensor_z + h.dist * tan_elevations_[c]}));
-                ++cand_points[h.cand];
-                continue;
-              }
-              // No prism in the way; downward beams reach the ground.
-              if (ground_ok[c] != 0) {
-                const double nz = noisy ? noise_buf[k++] : 0.0;
-                const double d = ground_dist[c] + nz;
-                const Vec2 pxy = eye + dir * d;
-                pts.push_back(t_wl.transform_point(Vec3{pxy, 0.0}));
-                ++co.ground_points;
-              }
+            // No prism in the way; downward beams reach the ground.
+            if (ground_ok[c] != 0) {
+              const double nz = noisy ? noise_buf[k++] : 0.0;
+              const double d = ground_dist[c] + nz;
+              const Vec2 pxy = eye + dir * d;
+              pts.push_back(t_wl.transform_point(Vec3{pxy, 0.0}));
+              ++co.ground_points;
             }
           }
+        }
 
-          // Fold candidate tallies into the chunk's per-agent map in
-          // ascending candidate order (a deterministic fold; += into the
-          // same id from several candidates commutes anyway).
-          for (std::size_t j = 0; j < cand_points.size(); ++j) {
-            if (cand_points[j] == 0) continue;
-            if (candidates[j].target->id >= 0) {
-              co.points_per_agent[candidates[j].target->id] += cand_points[j];
-            } else {
-              co.static_points += cand_points[j];
-            }
+        // Fold candidate tallies into the chunk's per-agent map in
+        // ascending candidate order (a deterministic fold; += into the
+        // same id from several candidates commutes anyway).
+        for (std::size_t j = 0; j < cand_points.size(); ++j) {
+          if (cand_points[j] == 0) continue;
+          if (candidates[j].target->id >= 0) {
+            co.points_per_agent[candidates[j].target->id] += cand_points[j];
+          } else {
+            co.static_points += cand_points[j];
           }
-        });
-  }
+        }
+      });
 
   // Deterministic reduction: chunk outputs are visited in chunk (= ascending
   // azimuth) order, so the concatenated cloud is byte-identical to the
-  // serial scan for any worker count. The accelerated path already emitted
-  // sensor-frame points (the conversion is fused into the emit above), so
-  // its merge is a raw concatenation; the reference path stores world-frame
-  // chunks and converts them here with the same transform_point.
+  // serial scan for any worker count. (With direct emission the chunk point
+  // buffers are empty and the cloud is already complete.)
   std::size_t total = 0;
   for (const ChunkOut& co : chunks) total += co.points.size();
   out.cloud.reserve(total);
   for (const ChunkOut& co : chunks) {
-    if (brute_force_) {
-      for (const Vec3& p : co.points) {
-        out.cloud.push_back(t_wl.transform_point(p));
-      }
-    } else {
-      out.cloud.points().insert(out.cloud.points().end(), co.points.begin(),
-                                co.points.end());
-    }
+    out.cloud.points().insert(out.cloud.points().end(), co.points.begin(),
+                              co.points.end());
     // Within one chunk the per-agent tallies are visited in hash order,
     // which is fine: the fold is a per-key += of unsigned counts, and
     // addition into distinct map slots commutes — every visitation order

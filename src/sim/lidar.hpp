@@ -79,20 +79,18 @@ struct LidarScan {
 
 class LidarSensor {
  public:
+  /// Contract: channels >= 1, azimuth_step_deg in (0, 360] (at least one
+  /// azimuth), max_range > 0 and -90 < vertical_fov_min_deg <=
+  /// vertical_fov_max_deg < 90; anything else throws ContractViolation.
   explicit LidarSensor(LidarConfig cfg = {});
 
   const LidarConfig& config() const { return cfg_; }
 
-  /// Scan the scene from `pose` (sensor origin, world frame).
+  /// Scan the scene from `pose` (sensor origin, world frame). Output is
+  /// bit-identical for every worker count and to the serial textbook scan
+  /// in tests/lidar_oracle.hpp (DESIGN.md §14).
   LidarScan scan(const geom::Pose& pose, std::span<const LidarTarget> targets,
                  std::mt19937_64& rng) const;
-
-  /// Route scans through the brute-force reference path: the pre-index
-  /// O(azimuths x candidates) loop, kept as an executable specification.
-  /// The accelerated path is bit-identical to it (pinned by
-  /// test_lidar_equivalence). Off by default.
-  void set_brute_force(bool brute) { brute_force_ = brute; }
-  bool brute_force() const { return brute_force_; }
 
  private:
   LidarConfig cfg_;
@@ -106,7 +104,6 @@ class LidarSensor {
   /// sincos per ray per scan.
   std::vector<double> azimuth_world_;
   std::vector<geom::Vec2> azimuth_dirs_;
-  bool brute_force_{false};
 };
 
 /// Cheap line-of-sight test used by the driver model: true if the segment

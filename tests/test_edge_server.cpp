@@ -114,6 +114,8 @@ TEST_F(EdgeServerTest, TracksConfirmAndCount) {
   EXPECT_EQ(out.detections, 1u);
   EXPECT_EQ(out.confirmed_tracks, 1u);
   EXPECT_GE(out.predicted_tracks, 1u);
+  // Object-granular uploads skip the edge's re-segmentation.
+  EXPECT_EQ(out.dbscan_distance_tests, 0u);
 }
 
 TEST_F(EdgeServerTest, TimingsPopulated) {
@@ -195,6 +197,8 @@ TEST_F(EdgeServerTest, BlobUploadsAreDetectedServerSide) {
   }
   EXPECT_EQ(out.detections, 1u);
   EXPECT_EQ(out.confirmed_tracks, 1u);
+  // The blob went through the edge's DBSCAN, and its work is reported.
+  EXPECT_GT(out.dbscan_distance_tests, 0u);
   // Truth tagging flowed through to the track.
   bool tagged = false;
   for (const auto& tr : server.tracker().tracks()) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <random>
 
+#include "core/check.hpp"
 #include "core/thread_pool.hpp"
 #include "geom/angle.hpp"
+#include "lidar_oracle.hpp"
 #include "sim/lidar.hpp"
 
 namespace erpd::sim {
@@ -195,32 +198,87 @@ TEST(Lidar, PerAgentCountsPartitionDynamicReturns) {
 // azimuth, and the old distance-only comparator left their order — and thus
 // which target the beam "strikes" — unspecified. The comparator now breaks
 // ties on candidate index, so the first-listed target deterministically
-// claims every tied beam, in both the accelerated and brute-force paths.
+// claims every tied beam, in both the sensor and the textbook oracle.
 TEST(Lidar, EqualRangeHitsBreakTiesOnCandidateOrder) {
-  LidarSensor lidar(small_lidar());
+  const LidarSensor lidar(small_lidar());
   const Obb footprint{{12.0, 0.0}, 0.2, 4.0, 2.0};
   const std::vector<LidarTarget> ab = {
       {footprint, 0.0, 2.0, 1},
       {footprint, 0.0, 2.0, 2},  // same prism, listed second
   };
   const std::vector<LidarTarget> ba = {ab[1], ab[0]};
+  const Pose pose = sensor_at({0.0, 0.0});
 
-  for (const bool brute : {false, true}) {
-    lidar.set_brute_force(brute);
-    std::mt19937_64 rng_ab(10);
-    const LidarScan s_ab = lidar.scan(sensor_at({0.0, 0.0}), ab, rng_ab);
-    std::mt19937_64 rng_ba(10);
-    const LidarScan s_ba = lidar.scan(sensor_at({0.0, 0.0}), ba, rng_ba);
+  for (const bool oracle : {false, true}) {
+    const auto scan = [&](const std::vector<LidarTarget>& targets) {
+      std::mt19937_64 rng(10);
+      return oracle ? oracle_scan(lidar.config(), pose, targets, rng)
+                    : lidar.scan(pose, targets, rng);
+    };
+    const LidarScan s_ab = scan(ab);
+    const LidarScan s_ba = scan(ba);
 
     // Every tied beam goes to the first-listed target; the second gets none.
-    ASSERT_TRUE(s_ab.sees(1)) << "brute=" << brute;
-    EXPECT_EQ(s_ab.points_per_agent.count(2), 0u) << "brute=" << brute;
-    ASSERT_TRUE(s_ba.sees(2)) << "brute=" << brute;
-    EXPECT_EQ(s_ba.points_per_agent.count(1), 0u) << "brute=" << brute;
+    ASSERT_TRUE(s_ab.sees(1)) << "oracle=" << oracle;
+    EXPECT_EQ(s_ab.points_per_agent.count(2), 0u) << "oracle=" << oracle;
+    ASSERT_TRUE(s_ba.sees(2)) << "oracle=" << oracle;
+    EXPECT_EQ(s_ba.points_per_agent.count(1), 0u) << "oracle=" << oracle;
     // The winner's tally is order-independent.
     EXPECT_EQ(s_ab.points_per_agent.at(1), s_ba.points_per_agent.at(2))
-        << "brute=" << brute;
+        << "oracle=" << oracle;
   }
+}
+
+// Every config the scan cannot serve is refused at construction.
+TEST(Lidar, InvalidConfigThrows) {
+  const auto rejects = [](auto&& mutate) {
+    LidarConfig cfg = small_lidar();
+    mutate(cfg);
+    EXPECT_THROW(LidarSensor{cfg}, ContractViolation);
+  };
+  rejects([](LidarConfig& c) { c.channels = 0; });
+  rejects([](LidarConfig& c) { c.channels = -3; });
+  rejects([](LidarConfig& c) { c.azimuth_step_deg = 0.0; });
+  rejects([](LidarConfig& c) { c.azimuth_step_deg = -1.0; });
+  rejects([](LidarConfig& c) {
+    c.azimuth_step_deg = std::numeric_limits<double>::quiet_NaN();
+  });
+  // A step over 360 degrees leaves azimuth_count() == 0: no rays at all.
+  rejects([](LidarConfig& c) { c.azimuth_step_deg = 361.0; });
+  rejects([](LidarConfig& c) { c.azimuth_step_deg = 720.0; });
+  rejects([](LidarConfig& c) { c.max_range = 0.0; });
+  rejects([](LidarConfig& c) { c.max_range = -5.0; });
+  rejects([](LidarConfig& c) {
+    c.max_range = std::numeric_limits<double>::quiet_NaN();
+  });
+  // Vertical field of view: ordered and strictly inside (-90, 90) degrees.
+  rejects([](LidarConfig& c) {
+    c.vertical_fov_min_deg = 5.0;
+    c.vertical_fov_max_deg = -5.0;
+  });
+  rejects([](LidarConfig& c) { c.vertical_fov_min_deg = -90.0; });
+  rejects([](LidarConfig& c) { c.vertical_fov_max_deg = 90.0; });
+  rejects([](LidarConfig& c) {
+    c.vertical_fov_min_deg = -120.0;
+    c.vertical_fov_max_deg = 120.0;
+  });
+  rejects([](LidarConfig& c) {
+    c.vertical_fov_max_deg = std::numeric_limits<double>::quiet_NaN();
+  });
+
+  // The boundary values that are still valid construct and scan.
+  LidarConfig edge = small_lidar();
+  edge.azimuth_step_deg = 360.0;  // exactly one azimuth
+  edge.vertical_fov_min_deg = -89.0;
+  edge.vertical_fov_max_deg = 89.0;
+  const LidarSensor one_ray(edge);
+  EXPECT_EQ(one_ray.config().azimuth_count(), 1);
+  std::mt19937_64 rng(3);
+  EXPECT_LE(one_ray.scan(sensor_at({0.0, 0.0}), {}, rng).cloud.size(),
+            edge.max_points());
+  LidarConfig flat = small_lidar();
+  flat.vertical_fov_min_deg = flat.vertical_fov_max_deg = 2.0;
+  EXPECT_NO_THROW(LidarSensor{flat});
 }
 
 TEST(LineOfSight, ClearAndBlocked) {

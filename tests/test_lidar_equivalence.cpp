@@ -8,15 +8,16 @@
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 #include "geom/angle.hpp"
+#include "lidar_oracle.hpp"
 #include "sim/lidar.hpp"
 
-// Randomized brute-force-equivalence suite for the accelerated LiDAR scan
-// (DESIGN.md §14). The azimuth-interval index, SoA ray casting, hoisted tan
-// table, and NormalSampler noise path promise BIT-identical output to the
-// retained reference path (set_brute_force) — not
-// merely numerically-close output: the pipeline's behavior fingerprints and
-// golden snapshots hash the cloud bytes. So every comparison below is on
-// exact bit patterns, never EXPECT_NEAR.
+// Randomized equivalence suite for the LiDAR scan (DESIGN.md §14). The
+// azimuth-interval index, SoA ray casting, hoisted tan table, binary-search
+// channel resolution and NormalSampler noise path promise BIT-identical
+// output to the serial textbook scan in lidar_oracle.hpp — not merely
+// numerically-close output: the pipeline's behavior fingerprints and golden
+// snapshots hash the cloud bytes. So every comparison below is on exact bit
+// patterns, never EXPECT_NEAR.
 
 namespace erpd::sim {
 namespace {
@@ -53,12 +54,18 @@ void expect_identical(const LidarScan& ref, const LidarScan& got,
   }
 }
 
-LidarScan run_scan(LidarSensor& lidar, bool brute, const Pose& pose,
+LidarScan run_scan(const LidarSensor& lidar, const Pose& pose,
                    const std::vector<LidarTarget>& targets,
                    std::uint64_t seed) {
-  lidar.set_brute_force(brute);
   std::mt19937_64 rng = core::seeded_rng(seed);
   return lidar.scan(pose, targets, rng);
+}
+
+LidarScan run_oracle(const LidarConfig& cfg, const Pose& pose,
+                     const std::vector<LidarTarget>& targets,
+                     std::uint64_t seed) {
+  std::mt19937_64 rng = core::seeded_rng(seed);
+  return oracle_scan(cfg, pose, targets, rng);
 }
 
 /// Seeded random scene: eye pose plus a target soup that deliberately covers
@@ -103,7 +110,7 @@ RandomCase random_case(std::uint64_t case_seed) {
     const double kind = u01(rng);
     if (kind < 0.2) {
       // Long wall: circumcircle frequently swallows the eye (full-pi span
-      // in the brute path, corner-tight interval in the index).
+      // in the oracle, corner-tight interval in the index).
       length = uniform(30.0, 70.0);
       width = uniform(0.5, 2.5);
     } else if (kind < 0.3) {
@@ -123,17 +130,15 @@ RandomCase random_case(std::uint64_t case_seed) {
   return out;
 }
 
-TEST_P(LidarEquivalence, AcceleratedMatchesBruteForceBitExact) {
+TEST_P(LidarEquivalence, ScanMatchesOracleBitExact) {
   const std::uint64_t block = GetParam();
   constexpr std::uint64_t kCasesPerBlock = 150;
   for (std::uint64_t k = 0; k < kCasesPerBlock; ++k) {
     const std::uint64_t case_seed = core::seed_mix(block, k);
     const RandomCase rc = random_case(case_seed);
-    LidarSensor lidar(rc.cfg);
-    const LidarScan ref =
-        run_scan(lidar, /*brute=*/true, rc.pose, rc.targets, case_seed);
-    const LidarScan got =
-        run_scan(lidar, /*brute=*/false, rc.pose, rc.targets, case_seed);
+    const LidarSensor lidar(rc.cfg);
+    const LidarScan ref = run_oracle(rc.cfg, rc.pose, rc.targets, case_seed);
+    const LidarScan got = run_scan(lidar, rc.pose, rc.targets, case_seed);
     expect_identical(ref, got, case_seed);
   }
 }
@@ -142,20 +147,17 @@ TEST_P(LidarEquivalence, AcceleratedMatchesBruteForceBitExact) {
 INSTANTIATE_TEST_SUITE_P(Blocks, LidarEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-// The accelerated path must stay worker-count independent as well as
-// brute-equivalent: same bits at 1, 2, and 8 workers.
-TEST(LidarEquivalenceWorkers, AcceleratedMatchesBruteAcrossWorkerCounts) {
+// The scan must stay worker-count independent as well as oracle-equivalent:
+// same bits at 1, 2, and 8 workers.
+TEST(LidarEquivalenceWorkers, ScanMatchesOracleAcrossWorkerCounts) {
   for (std::uint64_t k = 0; k < 40; ++k) {
     const std::uint64_t case_seed = core::seed_mix(0xa11, k);
     const RandomCase rc = random_case(case_seed);
-    LidarSensor lidar(rc.cfg);
-    core::set_thread_count(1);
-    const LidarScan ref =
-        run_scan(lidar, /*brute=*/true, rc.pose, rc.targets, case_seed);
+    const LidarSensor lidar(rc.cfg);
+    const LidarScan ref = run_oracle(rc.cfg, rc.pose, rc.targets, case_seed);
     for (const int workers : {1, 2, 8}) {
       core::set_thread_count(workers);
-      const LidarScan got =
-          run_scan(lidar, /*brute=*/false, rc.pose, rc.targets, case_seed);
+      const LidarScan got = run_scan(lidar, rc.pose, rc.targets, case_seed);
       expect_identical(ref, got, case_seed);
     }
   }
@@ -169,20 +171,20 @@ TEST(LidarEquivalenceDirected, WrapAroundSpan) {
   cfg.channels = 16;
   cfg.azimuth_step_deg = 1.0;
   cfg.noise_sigma = 0.02;
-  LidarSensor lidar(cfg);
+  const LidarSensor lidar(cfg);
   Pose pose;
   pose.position = {{0.0, 0.0}, 1.8};
   const std::vector<LidarTarget> targets = {
       {Obb{{-20.0, 0.0}, 0.0, 8.0, 6.0}, 0.0, 2.5, 1},   // dead astern
       {Obb{{-30.0, 0.5}, 0.3, 40.0, 2.0}, 0.0, 4.0, -2},  // wall across seam
   };
-  const LidarScan ref = run_scan(lidar, true, pose, targets, 77);
-  const LidarScan got = run_scan(lidar, false, pose, targets, 77);
+  const LidarScan ref = run_oracle(cfg, pose, targets, 77);
+  const LidarScan got = run_scan(lidar, pose, targets, 77);
   expect_identical(ref, got, 77);
   EXPECT_TRUE(got.sees(1));
 }
 
-// Directed full-span case: eye inside a wall's circumcircle (brute path
+// Directed full-span case: eye inside a wall's circumcircle (the oracle
 // probes it at every azimuth) and inside another box outright (t = 0 hits
 // all around).
 TEST(LidarEquivalenceDirected, EyeInsideCircumcircleAndBox) {
@@ -190,7 +192,7 @@ TEST(LidarEquivalenceDirected, EyeInsideCircumcircleAndBox) {
   cfg.channels = 16;
   cfg.azimuth_step_deg = 1.0;
   cfg.noise_sigma = 0.02;
-  LidarSensor lidar(cfg);
+  const LidarSensor lidar(cfg);
   Pose pose;
   pose.position = {{1.0, 1.5}, 1.8};
   const std::vector<LidarTarget> targets = {
@@ -200,8 +202,8 @@ TEST(LidarEquivalenceDirected, EyeInsideCircumcircleAndBox) {
       {Obb{{0.0, 0.0}, 0.7, 6.0, 6.0}, 0.0, 2.0, 2},
       {Obb{{15.0, -3.0}, 0.0, 4.5, 1.9}, 0.0, 1.6, 3},
   };
-  const LidarScan ref = run_scan(lidar, true, pose, targets, 78);
-  const LidarScan got = run_scan(lidar, false, pose, targets, 78);
+  const LidarScan ref = run_oracle(cfg, pose, targets, 78);
+  const LidarScan got = run_scan(lidar, pose, targets, 78);
   expect_identical(ref, got, 78);
 }
 

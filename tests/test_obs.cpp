@@ -291,6 +291,30 @@ TEST(ObsContract, RegistryNeverPerturbsAndReuseSumsRuns) {
   }
 }
 
+// The DBSCAN work counters land on the side that clusters: Ours segments on
+// the vehicles and uploads objects; EMP uploads blobs that the edge merges
+// and re-segments.
+TEST(ObsContract, DbscanWorkBookedWhereItRuns) {
+  const auto run = [](edge::Method method) {
+    sim::Scenario sc =
+        sim::make_unprotected_left_turn(harness::default_intersection(42));
+    edge::RunnerConfig rc =
+        harness::make_fault_runner(method, harness::FaultCase{});
+    rc.duration = 1.0;
+    obs::MetricsRegistry reg;
+    rc.metrics = &reg;
+    edge::SystemRunner(rc).run(sc);
+    return std::pair{reg.counter("client.dbscan_distance_tests").value(),
+                     reg.counter("edge.dbscan_distance_tests").value()};
+  };
+  const auto [ours_client, ours_edge] = run(edge::Method::kOurs);
+  EXPECT_GT(ours_client, 0u);
+  EXPECT_EQ(ours_edge, 0u);
+  const auto [emp_client, emp_edge] = run(edge::Method::kEmp);
+  EXPECT_EQ(emp_client, 0u);
+  EXPECT_GT(emp_edge, 0u);
+}
+
 // A run that throws mid-loop still hands what it recorded to the caller.
 TEST(ObsContract, ThrowingRunStillMergesItsRegistry) {
   sim::Scenario sc =

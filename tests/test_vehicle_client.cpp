@@ -61,6 +61,7 @@ TEST(VehicleClient, OursUploadsOnlyMovingObjects) {
   // Upload is dramatically smaller than the raw frame.
   EXPECT_LT(last.total_bytes() * 10, stats.raw_points * pc::kRawBytesPerPoint);
   EXPECT_GT(stats.processing_seconds, 0.0);
+  EXPECT_GT(stats.dbscan_distance_tests, 0u);
 }
 
 TEST(VehicleClient, UploadCarriesEgoPose) {
@@ -127,6 +128,8 @@ TEST(VehicleClient, UnlimitedUploadsRawFrame) {
   EXPECT_EQ(f.objects[0].bytes, stats.raw_points * pc::kRawBytesPerPoint);
   // Raw uploads include the ground returns.
   EXPECT_GT(stats.raw_points, 1000u);
+  // No on-vehicle clustering for raw uploads.
+  EXPECT_EQ(stats.dbscan_distance_tests, 0u);
 }
 
 TEST(VehicleClient, MissingVehicleYieldsEmptyFrame) {

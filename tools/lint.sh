@@ -21,6 +21,11 @@
 #       `counter("...")` lookups appear only in src/obs/ and
 #       src/edge/system_runner.cpp — components return tallies, the runner
 #       books them (DESIGN.md §11)
+#   R8  one build of the library: no `#if`/`#ifdef`/`#ifndef`/`#elif` on an
+#       `ERPD_*` macro under src/ — a build option that forks library code is
+#       a second program no test builds. Exceptions: ERPD_ENABLE_DCHECKS in
+#       src/core/check.hpp (debug-only contract checks) and ERPD_GIT_SHA in
+#       src/obs/manifest.cpp (a stamped string, not a code path)
 #
 # clang-tidy runs against the compile database (build/compile_commands.json,
 # generated automatically by CMake via CMAKE_EXPORT_COMPILE_COMMANDS). When
@@ -134,6 +139,26 @@ for f in "${SOURCES[@]}"; do
           > /tmp/lint_hits.$$ 2>/dev/null; then
         while IFS= read -r hit; do
           fail "R7 counter booked outside the runner in $f:${hit%%:*}: ${hit#*:}"
+        done < /tmp/lint_hits.$$
+      fi
+      rm -f /tmp/lint_hits.$$
+      ;;
+  esac
+
+  # R8: preprocessor conditionals on project build options.
+  case "$f" in
+    src/*)
+      if strip_comments "$f" \
+          | grep -nE '^[[:space:]]*#[[:space:]]*(if|ifdef|ifndef|elif)([^[:alnum:]_]|$).*ERPD_' \
+          > /tmp/lint_hits.$$ 2>/dev/null; then
+        while IFS= read -r hit; do
+          for macro in $(printf '%s' "${hit#*:}" | grep -oE 'ERPD_[A-Za-z0-9_]+'); do
+            case "$f:$macro" in
+              src/core/check.hpp:ERPD_ENABLE_DCHECKS) ;;
+              src/obs/manifest.cpp:ERPD_GIT_SHA) ;;
+              *) fail "R8 build-option fork on $macro in $f:${hit%%:*}: ${hit#*:}" ;;
+            esac
+          done
         done < /tmp/lint_hits.$$
       fi
       rm -f /tmp/lint_hits.$$
