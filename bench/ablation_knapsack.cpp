@@ -9,6 +9,7 @@
 #include <random>
 
 #include "core/dissemination.hpp"
+#include "knapsack_oracle.hpp"
 
 namespace {
 

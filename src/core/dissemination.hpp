@@ -5,8 +5,9 @@
 // data size s_i, choose which data to disseminate to maximize total
 // relevance subject to the downlink byte budget B. This is a 0/1 knapsack;
 // the paper's Algorithm 1 is the classic greedy on the relevance/size award
-// R_ij / s_i. An exact dynamic-programming solver and the EMP Round-Robin /
-// Unlimited broadcast baselines are provided for the evaluation.
+// R_ij / s_i. The EMP Round-Robin and Unlimited broadcast baselines are
+// provided for the evaluation; the exact dynamic-programming solver the
+// greedy is judged against lives with the tests (tests/knapsack_oracle.hpp).
 
 #include <cstddef>
 #include <vector>
@@ -38,12 +39,6 @@ struct Selection {
 /// standard fix to the greedy's last step.)
 Selection greedy_dissemination(std::vector<Candidate> candidates,
                                std::size_t budget_bytes);
-
-/// Exact 0/1 knapsack via dynamic programming over quantized byte budget.
-/// `resolution_bytes` trades accuracy for speed (default 256 B buckets).
-Selection optimal_dissemination(const std::vector<Candidate>& candidates,
-                                std::size_t budget_bytes,
-                                std::size_t resolution_bytes = 256);
 
 /// EMP baseline: Round-Robin — send every object to every vehicle in a fixed
 /// rotation, irrespective of relevance, as much as the budget allows each

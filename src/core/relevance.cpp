@@ -41,24 +41,42 @@ std::optional<geom::IntervalD> passing_interval(
   return std::nullopt;
 }
 
+ClippedTrajectory clip_to_reach(track::PredictedTrajectory traj) {
+  ClippedTrajectory out;
+  // Limit the path to its horizon reach before intersecting.
+  out.path = traj.path.slice(0.0, std::max(traj.reach(), 0.5));
+  for (const geom::Vec2& p : out.path.points()) out.box.expand(p);
+  out.box = out.box.inflated(kClipBoxSlack);
+  out.traj = std::move(traj);
+  return out;
+}
+
 std::optional<CollisionEstimate> estimate_collision(
     const track::PredictedTrajectory& a, const track::PredictedTrajectory& b,
     double length_a, double length_b) {
-  // Limit both paths to their horizon reach before intersecting.
-  const geom::Polyline pa = a.path.slice(0.0, std::max(a.reach(), 0.5));
-  const geom::Polyline pb = b.path.slice(0.0, std::max(b.reach(), 0.5));
-  if (pa.empty() || pb.empty()) return std::nullopt;
+  return estimate_collision(clip_to_reach(a), clip_to_reach(b), length_a,
+                            length_b);
+}
 
-  const auto crossing = pa.first_crossing(pb);
+namespace {
+
+/// The exact estimate of pre-clipped trajectories, without the box test.
+std::optional<CollisionEstimate> crossing_estimate(const ClippedTrajectory& a,
+                                                   const ClippedTrajectory& b,
+                                                   double length_a,
+                                                   double length_b) {
+  if (a.path.empty() || b.path.empty()) return std::nullopt;
+
+  const auto crossing = a.path.first_crossing(b.path);
   if (!crossing) return std::nullopt;
 
   CollisionEstimate est;
   est.collision_point = crossing->point;
   est.radius = std::max(length_a, length_b);
-  const double horizon = std::min(a.horizon, b.horizon);
+  const double horizon = std::min(a.traj.horizon, b.traj.horizon);
 
-  const auto t1 = passing_interval(a, est.collision_point, est.radius);
-  const auto t2 = passing_interval(b, est.collision_point, est.radius);
+  const auto t1 = passing_interval(a.traj, est.collision_point, est.radius);
+  const auto t2 = passing_interval(b.traj, est.collision_point, est.radius);
   if (!t1 || !t2) {
     // One object never reaches the area within the horizon.
     est.ttc = horizon;
@@ -81,6 +99,34 @@ std::optional<CollisionEstimate> estimate_collision(
   est.r_ttc = std::clamp(1.0 - est.ttc / horizon, 0.0, 1.0);
   est.relevance = 0.5 * (est.r_ci + est.r_ttc);
   return est;
+}
+
+}  // namespace
+
+std::optional<CollisionEstimate> estimate_collision(
+    const ClippedTrajectory& a, const ClippedTrajectory& b, double length_a,
+    double length_b) {
+  if (!may_cross(a, b)) return std::nullopt;
+  return crossing_estimate(a, b, length_a, length_b);
+}
+
+std::optional<CollisionEstimate> best_collision(
+    const std::vector<ClippedTrajectory>& a,
+    const std::vector<ClippedTrajectory>& b, double length_a, double length_b,
+    RelevanceTally& tally) {
+  ++tally.pairs;
+  std::optional<CollisionEstimate> best;
+  for (const ClippedTrajectory& ta : a) {
+    for (const ClippedTrajectory& tb : b) {
+      if (!may_cross(ta, tb)) continue;
+      ++tally.estimates;
+      const auto est = crossing_estimate(ta, tb, length_a, length_b);
+      if (!est) continue;
+      ++tally.hits;
+      if (!best || est->relevance > best->relevance) best = est;
+    }
+  }
+  return best;
 }
 
 bool follower_unsafe(double gap, double follower_speed,

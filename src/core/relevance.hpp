@@ -16,8 +16,11 @@
 //     relevance, because it would rear-end the leader if the leader brakes
 //     after receiving a dissemination.
 
+#include <cstdint>
 #include <optional>
+#include <vector>
 
+#include "geom/aabb.hpp"
 #include "geom/segment.hpp"
 #include "geom/vec2.hpp"
 #include "sim/car_following.hpp"
@@ -51,6 +54,34 @@ struct CollisionEstimate {
 std::optional<geom::IntervalD> passing_interval(
     const track::PredictedTrajectory& traj, geom::Vec2 center, double radius);
 
+/// Slack (meters) on a clipped path's AABB. For segments up to 1 m long
+/// (prediction resamples route paths and turn arcs at 1 m) it covers every
+/// hit `geom::intersect` accepts off the segments' exact extent: t, u
+/// within 1e-12 outside [0, 1], the collinear branch (within 2e-6 m), the
+/// degenerate-point branch's 1e-9, and the general branch's rounding of t
+/// and u when |r x s| is barely above 1e-12 (within 1.4e-3 m a segment).
+/// The exception is a longer segment (the constant-velocity fallback's
+/// single segment) nearly parallel to another path: rounding can accept a
+/// hit across a wider gap, and the reject drops it. DESIGN.md §19 gives
+/// the derivation.
+inline constexpr double kClipBoxSlack = 2e-3;
+
+/// A predicted trajectory with its path clipped to the horizon reach,
+/// `path.slice(0, max(reach, 0.5))`, and that clipped path's AABB inflated
+/// by kClipBoxSlack. Built once per frame per hypothesis.
+struct ClippedTrajectory {
+  track::PredictedTrajectory traj;
+  geom::Polyline path;
+  geom::Aabb box;
+};
+ClippedTrajectory clip_to_reach(track::PredictedTrajectory traj);
+
+/// False when the clipped paths provably cannot cross: their AABBs are
+/// disjoint, so no segment pair can pass `geom::intersect`.
+inline bool may_cross(const ClippedTrajectory& a, const ClippedTrajectory& b) {
+  return a.box.overlaps(b.box);
+}
+
 /// Estimate the potential collision between two predicted trajectories.
 /// `length_a`/`length_b` are the objects' footprint lengths (meters); the
 /// collision-area radius is their maximum. Returns nullopt when the
@@ -58,6 +89,30 @@ std::optional<geom::IntervalD> passing_interval(
 std::optional<CollisionEstimate> estimate_collision(
     const track::PredictedTrajectory& a, const track::PredictedTrajectory& b,
     double length_a, double length_b);
+
+/// The same estimate from pre-clipped trajectories; returns nullopt before
+/// any segment test when !may_cross(a, b).
+std::optional<CollisionEstimate> estimate_collision(
+    const ClippedTrajectory& a, const ClippedTrajectory& b, double length_a,
+    double length_b);
+
+/// Work done by best_collision, for the caller to book.
+struct RelevanceTally {
+  /// Hypothesis-set pairs scored (one per best_collision call).
+  std::uint64_t pairs{0};
+  /// Exact estimate_collision calls, i.e. hypothesis pairs passing may_cross.
+  std::uint64_t estimates{0};
+  /// Those calls that returned an estimate.
+  std::uint64_t hits{0};
+};
+
+/// Max-relevance estimate over every (a, b) hypothesis pair: the first
+/// strictly greater relevance wins, scanning a-major. Pairs failing
+/// may_cross are skipped.
+std::optional<CollisionEstimate> best_collision(
+    const std::vector<ClippedTrajectory>& a,
+    const std::vector<ClippedTrajectory>& b, double length_a, double length_b,
+    RelevanceTally& tally);
 
 /// How a follower is judged unsafe behind its leader.
 enum class FollowerCriterion {

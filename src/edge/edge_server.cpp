@@ -259,18 +259,33 @@ FrameOutput EdgeServer::process_frame(
 
   // Hypothesis sets: on a shared approach the lane intent is ambiguous, so
   // each predicted object/vehicle carries one trajectory per plausible
-  // maneuver and relevance maximizes over the combinations.
-  std::map<int, std::vector<track::PredictedTrajectory>> traj;
-  for (int id : reps.predicted_tracks) {
-    if (const track::Track* tr = tracker_.find(id)) {
-      traj.emplace(id, predictor_.predict_hypotheses(*tr));
+  // maneuver and relevance maximizes over the combinations. Each hypothesis
+  // is clipped to its reach once here, not once per pair it is scored in.
+  // Only relevance-greedy dissemination reads them.
+  using Hypotheses = std::vector<core::ClippedTrajectory>;
+  const auto clip_all = [](std::vector<track::PredictedTrajectory> hyps) {
+    Hypotheses out;
+    out.reserve(hyps.size());
+    for (track::PredictedTrajectory& h : hyps) {
+      out.push_back(core::clip_to_reach(std::move(h)));
     }
-  }
-  std::map<sim::AgentId, std::vector<track::PredictedTrajectory>> vehicle_traj;
-  for (const auto& [vid, info] : fleet_) {
-    vehicle_traj.emplace(vid,
-                         predictor_.predict_hypotheses(
-                             info.position, info.velocity, sim::AgentKind::kCar));
+    return out;
+  };
+  const bool scores_relevance =
+      cfg_.strategy == DisseminationStrategy::kRelevanceGreedy;
+  std::map<int, Hypotheses> traj;
+  std::map<sim::AgentId, Hypotheses> vehicle_traj;
+  if (scores_relevance) {
+    for (int id : reps.predicted_tracks) {
+      if (const track::Track* tr = tracker_.find(id)) {
+        traj.emplace(id, clip_all(predictor_.predict_hypotheses(*tr)));
+      }
+    }
+    for (const auto& [vid, info] : fleet_) {
+      vehicle_traj.emplace(
+          vid, clip_all(predictor_.predict_hypotheses(
+                   info.position, info.velocity, sim::AgentKind::kCar)));
+    }
   }
   track_span.stop();
 
@@ -370,35 +385,24 @@ FrameOutput EdgeServer::process_frame(
     return sim::default_dims(k).length;
   };
 
-  // Max-relevance collision estimate over trajectory hypothesis pairs.
-  const auto best_estimate =
-      [](const std::vector<track::PredictedTrajectory>& a,
-         const std::vector<track::PredictedTrajectory>& b, double len_a,
-         double len_b) -> std::optional<core::CollisionEstimate> {
-    std::optional<core::CollisionEstimate> best;
-    for (const auto& ta : a) {
-      for (const auto& tb : b) {
-        const auto est = core::estimate_collision(ta, tb, len_a, len_b);
-        if (est && (!best || est->relevance > best->relevance)) best = est;
-      }
-    }
-    return best;
-  };
-
   std::vector<core::Candidate> candidates;
   // Relevance of each object to each *connected* vehicle.
   // track id -> (vehicle -> relevance), reused for follower propagation.
   std::map<int, std::map<sim::AgentId, double>> relevance_of;
 
-  if (cfg_.strategy == DisseminationStrategy::kRelevanceGreedy) {
+  if (scores_relevance) {
+    // Each uploader's own frame, for the visibility rule. The last frame of
+    // a vehicle wins: under service mode a carried frame precedes the fresh
+    // one, whose objects are what the vehicle sees now.
+    std::map<sim::AgentId, const net::UploadFrame*> own_frame;
+    for (const net::UploadFrame& f : uploads) own_frame[f.vehicle] = &f;
+
     for (const auto& [vid, info] : fleet_) {
       const auto vt = vehicle_traj.find(vid);
       if (vt == vehicle_traj.end()) continue;
-      // The uploader's own frame, for the visibility rule.
-      const net::UploadFrame* own = nullptr;
-      for (const net::UploadFrame& f : uploads) {
-        if (f.vehicle == vid) own = &f;
-      }
+      const auto own_it = own_frame.find(vid);
+      const net::UploadFrame* own =
+          own_it == own_frame.end() ? nullptr : own_it->second;
       for (const auto& [tid, trj] : traj) {
         const track::Track* tr = tracker_.find(tid);
         if (tr == nullptr) continue;
@@ -409,9 +413,9 @@ FrameOutput EdgeServer::process_frame(
         // Directly observable objects need no dissemination (relevance 0).
         if (own != nullptr && visible_to(*own, tr->position())) continue;
 
-        const auto est =
-            best_estimate(trj, vt->second, object_kind_length(tr->kind),
-                          object_kind_length(sim::AgentKind::kCar));
+        const auto est = core::best_collision(
+            trj, vt->second, object_kind_length(tr->kind),
+            object_kind_length(sim::AgentKind::kCar), out.relevance);
         if (!est) continue;
         // A coasting track's position is a prediction, not a measurement;
         // decay its relevance per missed frame so stale hazards do not
@@ -447,6 +451,17 @@ FrameOutput EdgeServer::process_frame(
     // Follower relevance (§III-A.2): walk each lane queue front-to-back and
     // propagate alpha-decayed relevance to unsafe followers.
     if (cfg_.follower_relevance) {
+      // The connected vehicle a track is: the first fleet entry (id order)
+      // within kSelfRadius, or none.
+      const auto vehicle_at = [this](Vec2 pos) {
+        for (const auto& [vid, info] : fleet_) {
+          if (distance(info.position, pos) < kSelfRadius) return vid;
+        }
+        return sim::kInvalidAgent;
+      };
+      // Hypotheses of unconnected leaders, predicted on first use and then
+      // shared by every object and queue step that needs them this frame.
+      std::map<int, Hypotheses> leader_traj;
       for (const track::LaneQueue& q : reps.lane_queues) {
         for (std::size_t i = 1; i < q.track_ids.size(); ++i) {
           const int follower_tid = q.track_ids[i];
@@ -460,14 +475,9 @@ FrameOutput EdgeServer::process_frame(
           if (!core::follower_unsafe(gap, fspeed, cfg_.follower)) continue;
 
           // The follower *receives* data, so it must be a connected vehicle.
-          sim::AgentId follower_vid = sim::kInvalidAgent;
-          for (const auto& [vid, info] : fleet_) {
-            if (distance(info.position, ftr->position()) < kSelfRadius) {
-              follower_vid = vid;
-              break;
-            }
-          }
+          const sim::AgentId follower_vid = vehicle_at(ftr->position());
           if (follower_vid == sim::kInvalidAgent) continue;
+          const sim::AgentId leader_vid = vehicle_at(ltr->position());
 
           // Inherit from every object relevant to the leader. If the leader
           // is itself connected its recipient relevance is already in
@@ -478,22 +488,22 @@ FrameOutput EdgeServer::process_frame(
             // Leader's relevance for this object, via the leader's vehicle id
             // if connected, else via a fresh trajectory-pair estimate.
             double r_leader = 0.0;
-            for (const auto& [vid, info] : fleet_) {
-              if (distance(info.position, ltr->position()) < kSelfRadius) {
-                const auto it = per_vehicle.find(vid);
-                if (it != per_vehicle.end()) r_leader = it->second;
-                break;
-              }
+            if (leader_vid != sim::kInvalidAgent) {
+              const auto it = per_vehicle.find(leader_vid);
+              if (it != per_vehicle.end()) r_leader = it->second;
             }
             if (r_leader <= 0.0) {
               const auto obj_traj = traj.find(obj_tid);
               if (obj_traj == traj.end()) continue;
-              const auto lead_traj = predictor_.predict_hypotheses(
-                  ltr->position(), ltr->velocity(), ltr->kind);
-              const auto est = best_estimate(
-                  obj_traj->second, lead_traj,
+              auto [lead_traj, fresh] = leader_traj.try_emplace(leader_tid);
+              if (fresh) {
+                lead_traj->second = clip_all(predictor_.predict_hypotheses(
+                    ltr->position(), ltr->velocity(), ltr->kind));
+              }
+              const auto est = core::best_collision(
+                  obj_traj->second, lead_traj->second,
                   object_kind_length(tracker_.find(obj_tid)->kind),
-                  object_kind_length(ltr->kind));
+                  object_kind_length(ltr->kind), out.relevance);
               if (est) r_leader = est->relevance;
             }
             if (r_leader < cfg_.min_relevance) continue;

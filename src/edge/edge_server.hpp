@@ -120,6 +120,9 @@ struct FrameOutput {
   /// uploads (EMP cells, raw frames); zero when every upload is
   /// object-granular.
   std::uint64_t dbscan_distance_tests{0};
+  /// Relevance work: hypothesis-set pairs scored, exact collision estimates
+  /// run (pairs passing the AABB reject) and estimates found.
+  core::RelevanceTally relevance{};
   /// Deadline-admission outcome for this frame (all zero when service mode
   /// is off).
   ServiceStats service{};

@@ -36,7 +36,10 @@ std::vector<net::UploadFrame> AdmissionController::run(
 
   // Fresh frames keep their skeletons (pose sync for the fleet registry)
   // even when every object is deferred or shed.
+  // fresh_end[i] is one past the order of fresh frame i's last object.
   std::vector<net::UploadFrame> fresh = std::move(uploads);
+  std::vector<std::uint64_t> fresh_end;
+  fresh_end.reserve(fresh.size());
   for (net::UploadFrame& f : fresh) {
     for (net::ObjectUpload& o : f.objects) {
       candidates.push_back(Candidate{std::move(o), f.vehicle, f.pose,
@@ -45,6 +48,7 @@ std::vector<net::UploadFrame> AdmissionController::run(
       ++stats->arrived_objects;
     }
     f.objects.clear();
+    fresh_end.push_back(next_order_);
   }
 
   // Admission order: oldest deferrals first (they expire soonest and their
@@ -96,7 +100,10 @@ std::vector<net::UploadFrame> AdmissionController::run(
   // Re-emit: carried objects grouped by their source frame first (in parked
   // order), then the fresh skeletons with their admitted objects restored in
   // arrival order. Fresh frames come last so their poses overwrite any
-  // stale parked pose in the edge's fleet registry.
+  // stale parked pose in the edge's fleet registry. Orders rise frame by
+  // frame, so in order-sorted `admitted` every carried object precedes
+  // every fresh one, and the fresh ones run frame by frame: one cursor
+  // hands each fresh frame its objects.
   std::sort(admitted.begin(), admitted.end(),
             [](const Candidate& a, const Candidate& b) {
               return a.order < b.order;
@@ -104,8 +111,9 @@ std::vector<net::UploadFrame> AdmissionController::run(
 
   std::vector<net::UploadFrame> out;
   out.reserve(fresh.size() + admitted.size());
-  for (Candidate& c : admitted) {
-    if (c.age == 0) continue;  // fresh objects rejoin their skeleton below
+  std::size_t k = 0;
+  for (; k < admitted.size() && admitted[k].age != 0; ++k) {
+    Candidate& c = admitted[k];
     if (out.empty() || out.back().vehicle != c.vehicle ||
         out.back().upload_seq != c.upload_seq) {
       net::UploadFrame f;
@@ -117,15 +125,15 @@ std::vector<net::UploadFrame> AdmissionController::run(
     }
     out.back().objects.push_back(std::move(c.obj));
   }
-  for (net::UploadFrame& f : fresh) {
-    for (Candidate& c : admitted) {
-      if (c.age == 0 && c.vehicle == f.vehicle &&
-          c.upload_seq == f.upload_seq) {
-        f.objects.push_back(std::move(c.obj));
-      }
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    for (; k < admitted.size() && admitted[k].order < fresh_end[i]; ++k) {
+      fresh[i].objects.push_back(std::move(admitted[k].obj));
     }
-    out.push_back(std::move(f));
+    out.push_back(std::move(fresh[i]));
   }
+  ERPD_ENSURE(k == admitted.size(),
+              "AdmissionController: ", admitted.size() - k,
+              " admitted objects not re-emitted");
   return out;
 }
 

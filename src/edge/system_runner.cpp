@@ -239,6 +239,9 @@ struct RunCounters {
   obs::Counter& moving_tracks = r.counter("edge.moving_tracks");
   obs::Counter& coasting_tracks = r.counter("edge.coasting_tracks");
   obs::Counter& candidates = r.counter("edge.candidates");
+  obs::Counter& relevance_pairs = r.counter("edge.relevance_pairs");
+  obs::Counter& collision_estimates = r.counter("edge.collision_estimates");
+  obs::Counter& collision_hits = r.counter("edge.collision_hits");
   obs::Counter& stale_candidates = r.counter("edge.stale_candidates");
   obs::Counter& feedback_msgs = r.counter("coverage.feedback_msgs");
   obs::Counter& feedback_bytes = r.counter("coverage.feedback_bytes");
@@ -254,6 +257,8 @@ struct RunCounters {
   obs::Counter& shed_objects = r.counter("service.shed_objects");
   obs::Counter& budget_granted = r.counter("service.budget_granted_ns");
   obs::Counter& budget_denied = r.counter("service.budget_denied_ns");
+  // Simulator (World::step's StepStats).
+  obs::Counter& occlusion_ray_tests = r.counter("sim.occlusion_ray_tests");
 
   /// Book one edge frame: everything process_frame tallied.
   void book(const FrameOutput& fo) {
@@ -267,6 +272,9 @@ struct RunCounters {
     moving_tracks.add(fo.moving_tracks);
     coasting_tracks.add(fo.coasting_tracks);
     candidates.add(fo.candidates);
+    relevance_pairs.add(fo.relevance.pairs);
+    collision_estimates.add(fo.relevance.estimates);
+    collision_hits.add(fo.relevance.hits);
     stale_candidates.add(fo.stale_candidates);
     feedback_msgs.add(fo.feedback.size());
     feedback_bytes.add(fo.feedback_bytes);
@@ -590,7 +598,7 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
       }
     }
 
-    world.step();
+    ctr.occlusion_ray_tests.add(world.step().occlusion_ray_tests);
   }
 
   // --- Safety metrics ---

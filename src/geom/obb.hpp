@@ -75,6 +75,12 @@ class ObbRaySoa {
 
   std::size_t size() const { return eye_inside_.size(); }
 
+  /// Drop every box, keeping the storage for the next eye.
+  void clear() {
+    edges_.clear();
+    eye_inside_.clear();
+  }
+
   /// True if the eye given to add() was inside box i — such boxes return a
   /// hit at t = 0 for every ray, with no edge tests needed.
   bool eye_inside(std::size_t i) const { return eye_inside_[i] != 0; }

@@ -425,11 +425,39 @@ LidarScan LidarSensor::scan(const geom::Pose& pose,
   return out;
 }
 
-bool line_of_sight(Vec2 eye, Vec2 target_point,
-                   std::span<const geom::Obb> occluders) {
-  const geom::Segment seg{eye, target_point};
-  for (const geom::Obb& box : occluders) {
-    const double t = box.ray_hit(seg);
+void SightOccluders::reset(Vec2 eye) {
+  eye_ = eye;
+  rays_.clear();
+  centers_.clear();
+  reach_sq_.clear();
+  tags_.clear();
+}
+
+void SightOccluders::add(const geom::Obb& box, std::size_t tag) {
+  rays_.add(box, eye_);
+  centers_.push_back(box.center());
+  const double reach = 0.5 * std::hypot(box.length(), box.width()) + kSightSlack;
+  reach_sq_.push_back(reach * reach);
+  tags_.push_back(tag);
+}
+
+bool SightOccluders::visible(Vec2 target, std::size_t skip,
+                             std::uint64_t& ray_tests) const {
+  const geom::Segment seg{eye_, target};
+  const Vec2 d = target - eye_;
+  const double dd = d.dot(d);
+  for (std::size_t k = 0; k < tags_.size(); ++k) {
+    if (tags_[k] == skip) continue;
+    // Squared distance from the box center to the segment; its rounding is
+    // far inside kSightSlack.
+    const Vec2 w = centers_[k] - eye_;
+    const double wd = w.dot(d);
+    const double dist_sq = wd <= 0.0 ? w.dot(w)
+                           : wd >= dd ? (w - d).dot(w - d)
+                                      : w.dot(w) - wd * wd / dd;
+    if (dist_sq > reach_sq_[k]) continue;
+    ++ray_tests;
+    const double t = rays_.ray_hit(k, seg);
     if (t >= 0.0 && t < 1.0) return false;
   }
   return true;

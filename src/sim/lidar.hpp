@@ -106,10 +106,44 @@ class LidarSensor {
   std::vector<geom::Vec2> azimuth_dirs_;
 };
 
-/// Cheap line-of-sight test used by the driver model: true if the segment
-/// from `eye` to `target_point` is not blocked by any occluder footprint.
-/// The occluder list should exclude the viewer and the target themselves.
-bool line_of_sight(geom::Vec2 eye, geom::Vec2 target_point,
-                   std::span<const geom::Obb> occluders);
+/// Slack (meters) on an occluder's bounding circle in SightOccluders. It
+/// covers every hit `geom::intersect` accepts off the box edge's exact
+/// extent (DESIGN.md §19): 1e-12 x segment length for the t/u range, at
+/// most 2e-6 m for the collinear branch, 1e-9 for a degenerate ray, plus
+/// Obb::contains' 1e-9 boundary band. The exception is a ray along a box
+/// edge's line to ~1e-14 rad, where rounding can accept a hit past the
+/// edge's end; the cull drops that hit.
+inline constexpr double kSightSlack = 1e-5;
+
+/// The driver model's line-of-sight test from one eye: a segment from the
+/// eye to a target is blocked when it enters any occluder footprint
+/// (Obb::ray_hit at t in [0, 1)). Rebuilt per viewer; each box's edges are
+/// computed once at add(), and a box whose bounding circle, inflated by
+/// kSightSlack, misses the segment is skipped without a ray test. "Any box
+/// blocks" is order-free, so the skip never changes an answer.
+class SightOccluders {
+ public:
+  /// Drop every occluder and anchor the rays at `eye`.
+  void reset(geom::Vec2 eye);
+
+  geom::Vec2 eye() const { return eye_; }
+
+  /// Add an occluder; `tag` lets visible() leave it out for one target.
+  void add(const geom::Obb& box, std::size_t tag);
+
+  /// True if no added box, other than those tagged `skip`, blocks the
+  /// segment from the eye to `target`. Adds the ray tests it ran to
+  /// `ray_tests`.
+  bool visible(geom::Vec2 target, std::size_t skip,
+               std::uint64_t& ray_tests) const;
+
+ private:
+  geom::Vec2 eye_{};
+  geom::ObbRaySoa rays_;
+  std::vector<geom::Vec2> centers_;
+  /// (Bounding-circle radius + kSightSlack)^2.
+  std::vector<double> reach_sq_;
+  std::vector<std::size_t> tags_;
+};
 
 }  // namespace erpd::sim

@@ -122,10 +122,21 @@ const Pedestrian* World::find_pedestrian(AgentId id) const {
   return nullptr;
 }
 
-std::uint64_t World::pair_key(AgentId a, AgentId b) {
+std::size_t World::pair_slot(AgentId a, AgentId b) {
   if (a > b) std::swap(a, b);
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
-         static_cast<std::uint32_t>(b);
+  const auto hi = static_cast<std::size_t>(b);
+  return hi * (hi - 1) / 2 + static_cast<std::size_t>(a);
+}
+
+void World::snapshot_geometry() {
+  vehicle_boxes_.resize(vehicles_.size());
+  for (std::size_t i = 0; i < vehicles_.size(); ++i) {
+    if (!vehicles_[i].finished(net_)) vehicle_boxes_[i] = vehicles_[i].obb(net_);
+  }
+  pedestrian_boxes_.resize(pedestrians_.size());
+  for (std::size_t i = 0; i < pedestrians_.size(); ++i) {
+    if (!pedestrians_[i].finished()) pedestrian_boxes_[i] = pedestrians_[i].obb();
+  }
 }
 
 double World::delayed_speed(AgentId id, double delay) const {
@@ -151,14 +162,22 @@ std::optional<std::size_t> World::find_leader(std::size_t vi) const {
   const Vehicle& me = vehicles_[vi];
   const geom::Polyline& path = net_.route(me.route_id()).path;
   const double my_s = me.s();
+  const Vec2 my_point = path.point_at(my_s);
   std::optional<std::size_t> best;
   double best_gap = cfg_.leader_lookahead;
   for (std::size_t j = 0; j < vehicles_.size(); ++j) {
     if (j == vi) continue;
     const Vehicle& other = vehicles_[j];
     if (other.finished(net_)) continue;
+    // A vehicle out of leader reach fails the lateral or the gap test
+    // below, so its projection is skipped.
+    if (distance(vehicle_boxes_[j].center(), my_point) >
+        leader_reach(cfg_.leader_lookahead, net_.config().lane_width,
+                     me.params().dims.length, other.params().dims.length)) {
+      continue;
+    }
     double lateral = 0.0;
-    const double s_other = path.project(other.position(net_), &lateral);
+    const double s_other = path.project(vehicle_boxes_[j].center(), &lateral);
     if (lateral > net_.config().lane_width * 0.5) continue;
     const double center_gap = s_other - my_s;
     if (center_gap <= 0.0) continue;
@@ -173,7 +192,7 @@ std::optional<std::size_t> World::find_leader(std::size_t vi) const {
 }
 
 std::optional<World::ConflictInfo> World::hazard_conflict(
-    const Vehicle& me, AgentId hazard_id) const {
+    const Vehicle& me, const geom::Polyline& ahead, AgentId hazard_id) const {
   // Current hazard kinematics (ground truth of the agent, as a driver who is
   // aware of it would estimate).
   Vec2 hpos;
@@ -193,10 +212,6 @@ std::optional<World::ConflictInfo> World::hazard_conflict(
     return std::nullopt;
   }
 
-  const geom::Polyline& path = net_.route(me.route_id()).path;
-  const double lookahead =
-      std::max(25.0, me.speed() * cfg_.hazard_horizon + 15.0);
-  const geom::Polyline ahead = path.slice(me.s(), me.s() + lookahead);
   if (ahead.empty()) return std::nullopt;
 
   const double hspeed = hvel.norm();
@@ -222,23 +237,17 @@ std::optional<World::ConflictInfo> World::hazard_conflict(
                       crossing->s_other / hspeed};
 }
 
-double World::control_vehicle(Vehicle& me) {
+double World::control_vehicle(std::size_t vi) {
+  Vehicle& me = vehicles_[vi];
   const Route& route = net_.route(me.route_id());
   const IdmModel& idm = me.params().idm;
 
   // 1) Car following with reaction-delayed leader speed.
   double accel = idm.acceleration(me.speed(), 0.0, IdmModel::free_road());
-  std::size_t my_index = 0;
-  for (std::size_t i = 0; i < vehicles_.size(); ++i) {
-    if (vehicles_[i].id() == me.id()) {
-      my_index = i;
-      break;
-    }
-  }
-  if (const auto leader = find_leader(my_index)) {
+  if (const auto leader = find_leader(vi)) {
     const Vehicle& lead = vehicles_[*leader];
     const geom::Polyline& path = route.path;
-    const double s_lead = path.project(lead.position(net_));
+    const double s_lead = path.project(vehicle_boxes_[*leader].center());
     const double gap = s_lead - me.s() - 0.5 * me.params().dims.length -
                        0.5 * lead.params().dims.length;
     const double v_lead_seen =
@@ -290,11 +299,18 @@ double World::control_vehicle(Vehicle& me) {
   //    when react_to_visible_hazards is enabled.
   const bool reacts_to_visible =
       me.params().attentive || cfg_.react_to_visible_hazards;
+  // My route over the hazard lookahead, sliced once for every hazard.
+  std::optional<geom::Polyline> ahead;
   for (const auto& [hazard_id, knowledge] : me.known_hazards()) {
     if (!knowledge.from_dissemination && !reacts_to_visible) continue;
     if (time_ - knowledge.aware_since < me.params().reaction_time) continue;
 
-    const auto conflict = hazard_conflict(me, hazard_id);
+    if (!ahead) {
+      const double lookahead =
+          std::max(25.0, me.speed() * cfg_.hazard_horizon + 15.0);
+      ahead = route.path.slice(me.s(), me.s() + lookahead);
+    }
+    const auto conflict = hazard_conflict(me, *ahead, hazard_id);
 
     // Yield-latch policy: start yielding when the conflict is imminent;
     // hold a fixed stop target until the hazard clears the crossing (the
@@ -330,26 +346,50 @@ double World::control_vehicle(Vehicle& me) {
   return accel;
 }
 
-void World::sense_hazards() {
-  for (Vehicle& v : vehicles_) {
+void World::load_occluders(std::size_t vi, std::span<const Obb> boxes,
+                           SightOccluders& sight) const {
+  sight.reset(boxes[vi].center());
+  for (std::size_t j = 0; j < vehicles_.size(); ++j) {
+    if (j == vi || vehicles_[j].finished(net_)) continue;
+    sight.add(boxes[j], j);
+  }
+  // Statics carry vehicles_.size(), which no target skips. Pedestrians are
+  // too small to occlude vehicles meaningfully.
+  for (const StaticObstacle& s : statics_) sight.add(s.footprint, vehicles_.size());
+}
+
+bool World::sees(const SightOccluders& sight, Vec2 target, std::size_t skip,
+                 std::uint64_t& ray_tests) const {
+  return distance(sight.eye(), target) <= cfg_.sensor_range &&
+         sight.visible(target, skip, ray_tests);
+}
+
+void World::sense_hazards(StepStats& stats) {
+  for (std::size_t vi = 0; vi < vehicles_.size(); ++vi) {
+    Vehicle& v = vehicles_[vi];
     if (v.params().parked || v.crashed() || v.finished(net_)) continue;
-    for (const Vehicle& other : vehicles_) {
-      if (other.id() == v.id() || other.params().parked) continue;
+    load_occluders(vi, vehicle_boxes_, sight_);
+    for (std::size_t j = 0; j < vehicles_.size(); ++j) {
+      const Vehicle& other = vehicles_[j];
+      if (j == vi || other.params().parked) continue;
       if (other.finished(net_) || other.crashed()) continue;
-      if (agent_visible_from(v.id(), other.id())) {
+      if (sees(sight_, vehicle_boxes_[j].center(), j, stats.occlusion_ray_tests)) {
         v.learn_hazard(other.id(), time_, false);
       }
     }
-    for (const Pedestrian& p : pedestrians_) {
+    for (std::size_t j = 0; j < pedestrians_.size(); ++j) {
+      const Pedestrian& p = pedestrians_[j];
       if (p.finished()) continue;
-      if (agent_visible_from(v.id(), p.id())) {
+      if (sees(sight_, pedestrian_boxes_[j].center(), kNoSlot,
+               stats.occlusion_ray_tests)) {
         v.learn_hazard(p.id(), time_, false);
       }
     }
   }
 }
 
-void World::step() {
+StepStats World::step() {
+  StepStats stats;
   materialize_pending_spawns();
 
   // Maneuver layer (off by default): advance each vehicle's lateral state
@@ -363,14 +403,17 @@ void World::step() {
     }
   }
 
-  sense_hazards();
+  // Sensing and control read the pre-step footprints; nothing moves until
+  // every control is computed.
+  snapshot_geometry();
+  sense_hazards(stats);
 
   // Compute controls against the pre-step state, then integrate.
   std::vector<double> accels(vehicles_.size(), 0.0);
   for (std::size_t i = 0; i < vehicles_.size(); ++i) {
     Vehicle& v = vehicles_[i];
     if (v.params().parked || v.crashed() || v.finished(net_)) continue;
-    accels[i] = control_vehicle(v);
+    accels[i] = control_vehicle(i);
   }
   for (std::size_t i = 0; i < vehicles_.size(); ++i) {
     Vehicle& v = vehicles_[i];
@@ -392,32 +435,38 @@ void World::step() {
     }
   }
 
+  // Collisions and pair distances read the post-step footprints.
+  snapshot_geometry();
   detect_collisions();
   update_pair_distances();
+  return stats;
 }
 
 void World::detect_collisions() {
   for (std::size_t i = 0; i < vehicles_.size(); ++i) {
     Vehicle& a = vehicles_[i];
     if (a.finished(net_)) continue;
-    const Obb box_a = a.obb(net_);
+    const Obb& box_a = vehicle_boxes_[i];
     for (std::size_t j = i + 1; j < vehicles_.size(); ++j) {
       Vehicle& b = vehicles_[j];
       if (b.finished(net_)) continue;
       if (a.crashed() && b.crashed()) continue;
-      if (box_a.overlaps(b.obb(net_))) {
+      const Obb& box_b = vehicle_boxes_[j];
+      if (box_a.overlaps(box_b)) {
         collisions_.push_back(
-            {a.id(), b.id(), time_, (a.position(net_) + b.position(net_)) * 0.5});
+            {a.id(), b.id(), time_, (box_a.center() + box_b.center()) * 0.5});
         a.mark_crashed();
         b.mark_crashed();
       }
     }
-    for (Pedestrian& p : pedestrians_) {
+    for (std::size_t j = 0; j < pedestrians_.size(); ++j) {
+      const Pedestrian& p = pedestrians_[j];
       if (p.finished()) continue;
       if (a.crashed()) continue;
-      if (box_a.overlaps(p.obb())) {
+      const Obb& box_p = pedestrian_boxes_[j];
+      if (box_a.overlaps(box_p)) {
         collisions_.push_back(
-            {a.id(), p.id(), time_, (a.position(net_) + p.position()) * 0.5});
+            {a.id(), p.id(), time_, (box_a.center() + box_p.center()) * 0.5});
         a.mark_crashed();
       }
     }
@@ -425,28 +474,28 @@ void World::detect_collisions() {
 }
 
 void World::update_pair_distances() {
+  const auto ids = static_cast<std::size_t>(next_id_);
+  if (ids > 1) {
+    pair_min_dist_.resize(ids * (ids - 1) / 2,
+                          std::numeric_limits<double>::infinity());
+  }
   for (std::size_t i = 0; i < vehicles_.size(); ++i) {
     const Vehicle& a = vehicles_[i];
     if (a.finished(net_) || a.params().parked) continue;
-    const Obb box_a = a.obb(net_);
+    const Obb& box_a = vehicle_boxes_[i];
     for (std::size_t j = i + 1; j < vehicles_.size(); ++j) {
       const Vehicle& b = vehicles_[j];
       if (b.finished(net_) || b.params().parked) continue;
-      const double d = box_a.distance_to(b.obb(net_));
-      auto& slot = pair_min_dist_
-                       .try_emplace(pair_key(a.id(), b.id()),
-                                    std::numeric_limits<double>::infinity())
-                       .first->second;
+      double& slot = pair_min_dist_[pair_slot(a.id(), b.id())];
+      const double d = box_a.distance_to(vehicle_boxes_[j]);
       slot = std::min(slot, d);
       global_min_distance_ = std::min(global_min_distance_, d);
     }
-    for (const Pedestrian& p : pedestrians_) {
+    for (std::size_t j = 0; j < pedestrians_.size(); ++j) {
+      const Pedestrian& p = pedestrians_[j];
       if (p.finished()) continue;
-      const double d = box_a.distance_to(p.obb());
-      auto& slot = pair_min_dist_
-                       .try_emplace(pair_key(a.id(), p.id()),
-                                    std::numeric_limits<double>::infinity())
-                       .first->second;
+      double& slot = pair_min_dist_[pair_slot(a.id(), p.id())];
+      const double d = box_a.distance_to(pedestrian_boxes_[j]);
       slot = std::min(slot, d);
       global_min_ped_distance_ = std::min(global_min_ped_distance_, d);
     }
@@ -486,32 +535,33 @@ LidarScan World::scan_from(AgentId vehicle_id) const {
 }
 
 bool World::agent_visible_from(AgentId viewer, AgentId target) const {
-  const Vehicle* ve = find_vehicle(viewer);
-  if (ve == nullptr) return false;
-  const Vec2 eye = ve->position(net_);
-
-  Vec2 tpos;
-  if (const Vehicle* tv = find_vehicle(target)) {
-    if (tv->finished(net_)) return false;
-    tpos = tv->position(net_);
-  } else if (const Pedestrian* tp = find_pedestrian(target)) {
-    if (tp->finished()) return false;
-    tpos = tp->position();
-  } else {
-    return false;
+  // step()'s sensing path for one (viewer, target), on live footprints.
+  std::vector<Obb> boxes;
+  boxes.reserve(vehicles_.size());
+  std::optional<std::size_t> vi;
+  std::optional<Vec2> tpos;
+  std::size_t skip = kNoSlot;
+  for (std::size_t i = 0; i < vehicles_.size(); ++i) {
+    const Vehicle& v = vehicles_[i];
+    boxes.push_back(v.obb(net_));
+    if (v.id() == viewer) vi = i;
+    if (v.id() == target) {
+      if (v.finished(net_)) return false;
+      tpos = boxes.back().center();
+      skip = i;
+    }
   }
-
-  if (distance(eye, tpos) > cfg_.sensor_range) return false;
-
-  std::vector<Obb> occluders;
-  occluders.reserve(vehicles_.size() + statics_.size());
-  for (const Vehicle& v : vehicles_) {
-    if (v.id() == viewer || v.id() == target || v.finished(net_)) continue;
-    occluders.push_back(v.obb(net_));
+  if (!tpos) {
+    const Pedestrian* p = find_pedestrian(target);
+    if (p == nullptr || p->finished()) return false;
+    tpos = p->position();
   }
-  for (const StaticObstacle& s : statics_) occluders.push_back(s.footprint);
-  // Pedestrians are too small to occlude vehicles meaningfully.
-  return line_of_sight(eye, tpos, occluders);
+  if (!vi) return false;
+
+  SightOccluders sight;
+  load_occluders(*vi, boxes, sight);
+  std::uint64_t ray_tests = 0;
+  return sees(sight, *tpos, skip, ray_tests);
 }
 
 void World::notify_vehicle(AgentId vehicle, AgentId hazard) {
@@ -528,9 +578,10 @@ bool World::agent_crashed(AgentId id) const {
 }
 
 double World::min_pair_distance(AgentId a, AgentId b) const {
-  const auto it = pair_min_dist_.find(pair_key(a, b));
-  return it == pair_min_dist_.end() ? std::numeric_limits<double>::infinity()
-                                    : it->second;
+  if (a == b || a < 0 || b < 0) return std::numeric_limits<double>::infinity();
+  const std::size_t slot = pair_slot(a, b);
+  return slot < pair_min_dist_.size() ? pair_min_dist_[slot]
+                                      : std::numeric_limits<double>::infinity();
 }
 
 std::vector<AgentSnapshot> World::snapshot() const {

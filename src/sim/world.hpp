@@ -12,10 +12,12 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "sim/agent.hpp"
@@ -72,6 +74,24 @@ struct AgentSnapshot {
   bool parked{false};
 };
 
+/// Work one World::step did, returned for the caller to book.
+struct StepStats {
+  /// Occluder ray casts (ray_hit calls) of the drivers' line-of-sight pass.
+  std::uint64_t occlusion_ray_tests{0};
+};
+
+/// Farthest a leader's center can sit from the follower's own route point
+/// and still pass World's leader tests: lateral distance to the route at
+/// most lane_width / 2, and a center gap (arc length ahead) under
+/// lookahead + both half-lengths. The projection point is at most that gap
+/// of arc, so of chord, ahead, and the center lies within half a lane of
+/// it. The 1e-6 m slack covers rounding in the projection.
+inline double leader_reach(double lookahead, double lane_width,
+                           double my_length, double other_length) {
+  return lookahead + 0.5 * lane_width + 0.5 * (my_length + other_length) +
+         1e-6;
+}
+
 class World {
  public:
   World(RoadNetwork network, WorldConfig cfg);
@@ -110,7 +130,7 @@ class World {
   const Pedestrian* find_pedestrian(AgentId id) const;
 
   /// Advance the world by one tick (cfg.dt).
-  void step();
+  StepStats step();
 
   // --- Perception support -------------------------------------------------
 
@@ -187,13 +207,22 @@ class World {
   ManeuverPlanner maneuver_planner_;
 
   std::vector<CollisionEvent> collisions_;
-  /// Ordered by pair key (detlint D1): metrics consumers may enumerate the
-  /// observed pairs, and an ordered container keeps any such walk — and the
-  /// safety numbers derived from it — independent of hash-bucket layout.
-  /// The per-tick O(pairs) keyed lookups are cheap at fleet sizes where the
-  /// O(n^2) pair update is itself affordable.
-  std::map<std::uint64_t, double> pair_min_dist_;
+  /// Minimum distance per agent pair, a dense lower-triangular matrix over
+  /// agent ids (ids are dense from 0): pair (lo, hi) sits at
+  /// hi * (hi - 1) / 2 + lo. It grows by appending rows as ids appear;
+  /// never-observed pairs hold infinity.
+  std::vector<double> pair_min_dist_;
   double global_min_distance_{std::numeric_limits<double>::infinity()};
+
+  /// Per-step geometry (DESIGN.md §19): each live agent's footprint,
+  /// computed once and read by every pair test of the phase that took it.
+  /// Slot-indexed like vehicles_ / pedestrians_; a finished agent's slot is
+  /// stale and never read. Reused across steps, so a step allocates
+  /// nothing once the fleet has reached its size.
+  std::vector<geom::Obb> vehicle_boxes_;
+  std::vector<geom::Obb> pedestrian_boxes_;
+  /// Occluders seen from the current viewer in sense_hazards.
+  SightOccluders sight_;
 
   /// Recent speed history per vehicle for delayed-perception following.
   /// Ordered by AgentId (detlint D1), as above.
@@ -217,19 +246,36 @@ class World {
 
   double global_min_ped_distance_{std::numeric_limits<double>::infinity()};
 
-  double control_vehicle(Vehicle& v);
+  /// Control of vehicles_[vi]; reads the pre-step vehicle_boxes_.
+  double control_vehicle(std::size_t vi);
   void materialize_pending_spawns();
+  /// Footprints of every live agent into vehicle_boxes_ / pedestrian_boxes_.
+  void snapshot_geometry();
   std::optional<std::size_t> find_leader(std::size_t vi) const;
   double delayed_speed(AgentId id, double delay) const;
-  /// Crossing between the vehicle's path ahead and the hazard's projected
-  /// path, if any. Purely geometric; activation/latching policy lives in
-  /// control_vehicle.
+  /// Crossing between the vehicle's path ahead (`ahead`, its route sliced
+  /// over the hazard lookahead) and the hazard's projected path, if any.
+  /// Purely geometric; activation/latching policy lives in control_vehicle.
   std::optional<ConflictInfo> hazard_conflict(const Vehicle& me,
+                                              const geom::Polyline& ahead,
                                               AgentId hazard_id) const;
-  void sense_hazards();
+  /// No vehicle slot: a pedestrian target skips no occluder.
+  static constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
+  /// Occluders seen from vehicles_[vi] into `sight`, anchored at its
+  /// footprint center: every unfinished vehicle but the viewer, tagged by
+  /// slot, and the statics. `boxes` holds every vehicle's footprint by slot.
+  void load_occluders(std::size_t vi, std::span<const geom::Obb> boxes,
+                      SightOccluders& sight) const;
+  /// True if `target` is within sensor range of the sight's eye and no
+  /// occluder but vehicle slot `skip` blocks it. Adds its ray tests to
+  /// `ray_tests`.
+  bool sees(const SightOccluders& sight, geom::Vec2 target, std::size_t skip,
+            std::uint64_t& ray_tests) const;
+  void sense_hazards(StepStats& stats);
   void detect_collisions();
   void update_pair_distances();
-  static std::uint64_t pair_key(AgentId a, AgentId b);
+  /// pair_min_dist_ slot of two distinct agents.
+  static std::size_t pair_slot(AgentId a, AgentId b);
 };
 
 }  // namespace erpd::sim

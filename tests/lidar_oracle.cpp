@@ -125,4 +125,14 @@ LidarScan oracle_scan(const LidarConfig& cfg, const geom::Pose& pose,
   return out;
 }
 
+bool oracle_line_of_sight(Vec2 eye, Vec2 target_point,
+                          std::span<const geom::Obb> occluders) {
+  const geom::Segment seg{eye, target_point};
+  for (const geom::Obb& box : occluders) {
+    const double t = box.ray_hit(seg);
+    if (t >= 0.0 && t < 1.0) return false;
+  }
+  return true;
+}
+
 }  // namespace erpd::sim

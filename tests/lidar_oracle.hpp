@@ -1,5 +1,6 @@
 #pragma once
-// Serial textbook reference for sim::LidarSensor::scan (DESIGN.md §14).
+// Serial textbook references for sim::LidarSensor::scan (DESIGN.md §14)
+// and for the driver model's sim::SightOccluders (DESIGN.md §19).
 //
 // oracle_scan is the sensor written the obvious way: for every azimuth, test
 // every in-range target's circumcircle span, ray-cast each candidate with
@@ -26,5 +27,12 @@ namespace erpd::sim {
 LidarScan oracle_scan(const LidarConfig& cfg, const geom::Pose& pose,
                       std::span<const LidarTarget> targets,
                       std::mt19937_64& rng);
+
+/// Line of sight written the obvious way: the segment from `eye` to
+/// `target_point` is blocked when any occluder's Obb::ray_hit lands in
+/// [0, 1). Every box is ray-cast, in order, with no culling and no
+/// ObbRaySoa. The occluder list should exclude the viewer and the target.
+bool oracle_line_of_sight(geom::Vec2 eye, geom::Vec2 target_point,
+                          std::span<const geom::Obb> occluders);
 
 }  // namespace erpd::sim

@@ -6,6 +6,7 @@
 #include <random>
 
 #include "core/dissemination.hpp"
+#include "knapsack_oracle.hpp"
 
 namespace erpd::core {
 namespace {

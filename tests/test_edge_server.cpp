@@ -246,6 +246,56 @@ TEST_F(EdgeServerTest, MovingTracksExcludeStationary) {
   EXPECT_EQ(out.moving_tracks, 1u);
 }
 
+// Under service mode a vehicle can arrive twice in one frame: a carried
+// frame with last frame's deferred objects, then its fresh skeleton. The
+// visibility rule reads the last one, what the vehicle sees now.
+TEST_F(EdgeServerTest, VisibilityReadsTheFreshFrameOverACarriedOne) {
+  EdgeConfig cfg;
+  cfg.service.enabled = true;
+  // 30 us: the threat (120 points, 14800 ns) fits with an extra 100-point
+  // object (13000 ns) but not with V1's 50-point sighting (8500 ns) too.
+  cfg.service.decode_merge_budget_us = 30;
+  EdgeServer server(net_, cfg);
+  // V1 waits on the threat's lane, 20 m ahead of where it is at frame 5.
+  const auto r = net_.find_route(Arm::kWest, 0, Maneuver::kStraight);
+  const sim::Route& lane = net_.route(*r);
+  const Vec2 v1_at = lane.path.point_at(lane.stop_line_s - 28.0 + 5.0 + 20.0);
+  FrameOutput out;
+  for (int k = 0; k <= 5; ++k) {
+    const double t = 0.1 * k;
+    std::vector<net::UploadFrame> frames;
+    net::UploadFrame f1 = frame_for(kV1, v1_at, 0.0, t);
+    net::UploadFrame f2 = frame_for(kV2, {30.0, 30.0}, 0.0, t);
+    f2.objects.push_back(object_for(threat_pos(t), {10.0, 0.0}, kThreat));
+    if (k == 4) {
+      // V1 sights the threat; its object is deferred to frame 5 behind
+      // V2's two bigger ones.
+      net::ObjectUpload sighting =
+          object_for(threat_pos(t), {10.0, 0.0}, kThreat);
+      sighting.point_count = 50;
+      f1.objects.push_back(sighting);
+      net::ObjectUpload extra = object_for({-60.0, 60.0}, {0.0, 0.0}, 99);
+      extra.point_count = 100;
+      f2.objects.push_back(extra);
+    }
+    frames.push_back(f1);
+    frames.push_back(f2);
+    out = server.process_frame(frames, t, nullptr);
+    if (k == 4) {
+      ASSERT_EQ(out.service.deferred_objects, 1u);
+    }
+  }
+  // Frame 5 admitted V1's carried frame (holding the sighting, within
+  // kVisibilityRadius of the track) and then V1's fresh, empty frame.
+  ASSERT_EQ(out.service.carried_objects, 1u);
+  ASSERT_EQ(out.service.admitted_objects, 2u);
+  bool to_v1 = false;
+  for (const net::Dissemination& d : out.selected) {
+    if (d.to == kV1 && d.about == kThreat) to_v1 = true;
+  }
+  EXPECT_TRUE(to_v1) << "the stale sighting must not mark the threat visible";
+}
+
 TEST_F(EdgeServerTest, StaleVehiclesForgotten) {
   EdgeServer server(net_, EdgeConfig{});
   for (int k = 0; k < 3; ++k) {

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <limits>
 #include <random>
+#include <span>
 
 #include "core/check.hpp"
 #include "core/thread_pool.hpp"
@@ -281,18 +282,123 @@ TEST(Lidar, InvalidConfigThrows) {
   EXPECT_NO_THROW(LidarSensor{flat});
 }
 
+// SightOccluders (src) and the plain loop (oracle) on one occluder list.
+bool culled_sight(Vec2 eye, Vec2 target, std::span<const Obb> occluders) {
+  SightOccluders sight;
+  sight.reset(eye);
+  for (std::size_t k = 0; k < occluders.size(); ++k) sight.add(occluders[k], k);
+  std::uint64_t ray_tests = 0;
+  return sight.visible(target, occluders.size(), ray_tests);
+}
+
 TEST(LineOfSight, ClearAndBlocked) {
   const std::vector<Obb> occluders = {Obb{{5.0, 0.0}, 0.0, 2.0, 2.0}};
-  EXPECT_FALSE(line_of_sight({0.0, 0.0}, {10.0, 0.0}, occluders));
-  EXPECT_TRUE(line_of_sight({0.0, 0.0}, {10.0, 10.0}, occluders));
-  EXPECT_TRUE(line_of_sight({0.0, 0.0}, {10.0, 0.0}, {}));
+  for (const auto& los : {oracle_line_of_sight, culled_sight}) {
+    EXPECT_FALSE(los({0.0, 0.0}, {10.0, 0.0}, occluders));
+    EXPECT_TRUE(los({0.0, 0.0}, {10.0, 10.0}, occluders));
+    EXPECT_TRUE(los({0.0, 0.0}, {10.0, 0.0}, std::span<const Obb>{}));
+  }
 }
 
 TEST(LineOfSight, GrazingEdge) {
   const std::vector<Obb> occluders = {Obb{{5.0, 2.0}, 0.0, 2.0, 2.0}};
-  // Segment passes just below the box (box spans y in [1, 3]).
-  EXPECT_TRUE(line_of_sight({0.0, 0.0}, {10.0, 0.5}, occluders));
-  EXPECT_FALSE(line_of_sight({0.0, 0.0}, {10.0, 4.0}, occluders));
+  for (const auto& los : {oracle_line_of_sight, culled_sight}) {
+    // Segment passes just below the box (box spans y in [1, 3]).
+    EXPECT_TRUE(los({0.0, 0.0}, {10.0, 0.5}, occluders));
+    EXPECT_FALSE(los({0.0, 0.0}, {10.0, 4.0}, occluders));
+  }
+}
+
+TEST(LineOfSight, SkippedTagAndCullCount) {
+  SightOccluders sight;
+  sight.reset({0.0, 0.0});
+  sight.add(Obb{{5.0, 0.0}, 0.0, 2.0, 2.0}, 7);    // on the ray
+  sight.add(Obb{{5.0, 40.0}, 0.0, 2.0, 2.0}, 8);   // far off it: culled
+  std::uint64_t ray_tests = 0;
+  EXPECT_FALSE(sight.visible({10.0, 0.0}, 8, ray_tests));
+  EXPECT_EQ(ray_tests, 1u);
+  EXPECT_TRUE(sight.visible({10.0, 0.0}, 7, ray_tests));
+  EXPECT_EQ(ray_tests, 1u);  // the only box left is culled
+}
+
+// The bounding-circle cull is exact: over seeded random scenes, culled
+// visibility equals the plain every-box loop bit for bit, including eyes
+// inside or on an occluder, targets inside one, zero-length rays, rays
+// through a corner and rays collinear with an edge.
+TEST(LineOfSight, CulledEqualsPlainLoopOnRandomScenes) {
+  std::mt19937_64 rng(0x51c47);
+  std::uniform_real_distribution<double> coord(-30.0, 30.0);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_real_distribution<double> heading(-3.2, 3.2);
+  std::uniform_int_distribution<int> count(0, 14);
+  std::size_t blocked = 0;
+  std::size_t compared = 0;
+  for (int scene = 0; scene < 10000; ++scene) {
+    std::vector<Obb> boxes;
+    const int n = count(rng);
+    for (int k = 0; k < n; ++k) {
+      const bool building = unit(rng) < 0.1;
+      boxes.emplace_back(Vec2{coord(rng), coord(rng)},
+                         unit(rng) < 0.3 ? 0.0 : heading(rng),
+                         building ? 8.0 + 12.0 * unit(rng) : 0.5 + 5.0 * unit(rng),
+                         building ? 6.0 + 8.0 * unit(rng) : 0.5 + 2.0 * unit(rng));
+    }
+    // A point of box k: its center, a corner, an edge point, or inside it.
+    const auto point_of = [&](const Obb& b) {
+      const auto c = b.corners();
+      switch (static_cast<int>(unit(rng) * 4.0)) {
+        case 0: return b.center();
+        case 1: return c[static_cast<std::size_t>(unit(rng) * 4.0) % 4];
+        case 2: return geom::lerp(c[0], c[1], unit(rng));
+        default: return geom::lerp(b.center(), c[2], unit(rng));
+      }
+    };
+    Vec2 eye{coord(rng), coord(rng)};
+    if (!boxes.empty() && unit(rng) < 0.25) {
+      eye = point_of(boxes[static_cast<std::size_t>(unit(rng) * n) % boxes.size()]);
+    }
+    for (int q = 0; q < 8; ++q) {
+      Vec2 target{coord(rng), coord(rng)};
+      const double kind = unit(rng);
+      if (!boxes.empty() && kind < 0.5) {
+        const Obb& b = boxes[static_cast<std::size_t>(unit(rng) * n) % boxes.size()];
+        const auto c = b.corners();
+        if (kind < 0.15) {
+          target = point_of(b);
+        } else if (kind < 0.3) {
+          // Through a corner exactly, stopping short of or past it.
+          target = eye + (c[0] - eye) * (0.5 + unit(rng));
+        } else if (kind < 0.4) {
+          // Along an edge's line.
+          eye = c[1] + (c[1] - c[0]) * unit(rng);
+          target = c[0] + (c[0] - c[1]) * (unit(rng) - 0.5);
+        } else {
+          target = eye;  // zero-length ray
+        }
+      }
+      const std::size_t skip =
+          boxes.empty() || unit(rng) < 0.5
+              ? boxes.size()
+              : static_cast<std::size_t>(unit(rng) * n) % boxes.size();
+      std::vector<Obb> plain;
+      for (std::size_t k = 0; k < boxes.size(); ++k) {
+        if (k != skip) plain.push_back(boxes[k]);
+      }
+      SightOccluders sight;
+      sight.reset(eye);
+      for (std::size_t k = 0; k < boxes.size(); ++k) sight.add(boxes[k], k);
+      std::uint64_t ray_tests = 0;
+      const bool want = oracle_line_of_sight(eye, target, plain);
+      ASSERT_EQ(sight.visible(target, skip, ray_tests), want)
+          << "scene " << scene << " query " << q;
+      EXPECT_LE(ray_tests, plain.size());
+      blocked += want ? 0 : 1;
+      ++compared;
+    }
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(blocked, compared / 10);
+  EXPECT_LT(blocked, compared * 9 / 10);
 }
 
 }  // namespace

@@ -127,6 +127,58 @@ TEST(AdmissionController, DeniedWorkIsParkedThenReadmittedWithPriority) {
   EXPECT_TRUE(out2[1].objects.empty());
 }
 
+TEST(AdmissionController, ReemitsCarriedFramesThenFreshFramesInArrivalOrder) {
+  // Costs: points * 100 + 1000 ns; 9000 ns per frame.
+  edge::AdmissionController ac({.capacity = 9000,
+                                .cost_per_point = 100,
+                                .cost_per_object = 1000,
+                                .defer_capacity = 16,
+                                .max_defer_frames = 2});
+  const auto points_of = [](const net::UploadFrame& f) {
+    std::vector<std::size_t> pts;
+    for (const net::ObjectUpload& o : f.objects) pts.push_back(o.point_count);
+    return pts;
+  };
+
+  // Frame 1 (orders 0..4): 40 (5000) and 30 (4000) use the budget; 20, 10
+  // and 5 park.
+  edge::ServiceStats s1;
+  const auto out1 = ac.run({service_frame(1, 0.1, {40, 5}),
+                            service_frame(2, 0.1, {30}),
+                            service_frame(3, 0.1, {20, 10})},
+                           &s1);
+  ASSERT_EQ(out1.size(), 3u);
+  EXPECT_EQ(points_of(out1[0]), (std::vector<std::size_t>{40}));
+  EXPECT_EQ(points_of(out1[1]), (std::vector<std::size_t>{30}));
+  EXPECT_TRUE(out1[2].objects.empty());
+  EXPECT_EQ(s1.deferred_objects, 3u);
+
+  // Frame 2 (orders 5..8): the three carried objects go first (6500), then
+  // fresh 35 (4500) and 25 (3500) park, 15 (2500) fits exactly, 8 parks.
+  edge::ServiceStats s2;
+  const auto out2 = ac.run({service_frame(1, 0.2, {25}),
+                            service_frame(2, 0.2, {35, 15}),
+                            service_frame(3, 0.2, {8})},
+                           &s2);
+  EXPECT_EQ(s2.carried_objects, 3u);
+  EXPECT_EQ(s2.arrived_objects, 4u);
+  EXPECT_EQ(s2.admitted_objects, 4u);
+  EXPECT_EQ(s2.deferred_objects, 3u);
+  // Carried objects regroup by source frame in arrival order (vehicle 1's
+  // order 1 before vehicle 3's orders 3 and 4); then every fresh skeleton,
+  // in input order, with its admitted objects in arrival order.
+  ASSERT_EQ(out2.size(), 5u);
+  const std::vector<std::pair<sim::AgentId, std::uint64_t>> frames = {
+      {1, 1}, {3, 1}, {1, 2}, {2, 2}, {3, 2}};
+  const std::vector<std::vector<std::size_t>> objects = {
+      {5}, {20, 10}, {}, {15}, {}};
+  for (std::size_t i = 0; i < out2.size(); ++i) {
+    EXPECT_EQ(out2[i].vehicle, frames[i].first) << "frame " << i;
+    EXPECT_EQ(out2[i].upload_seq, frames[i].second) << "frame " << i;
+    EXPECT_EQ(points_of(out2[i]), objects[i]) << "frame " << i;
+  }
+}
+
 TEST(AdmissionController, DeferralExpiresIntoShedAtMaxDeferFrames) {
   edge::AdmissionController ac({.capacity = 12000,
                                 .cost_per_point = 100,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "sim/world.hpp"
 
 namespace erpd::sim {
@@ -215,6 +217,59 @@ TEST(WorldMetrics, PairDistanceTracksMinimum) {
   EXPECT_GT(d, 0.0);
   EXPECT_LT(d, 30.0);
   EXPECT_TRUE(std::isinf(w.min_pair_distance(a, 999)));
+}
+
+// find_leader skips the projection of any vehicle beyond leader_reach of
+// the follower's route point. Every candidate that passes the unpruned
+// tests (lateral <= half a lane, center gap > 0, gap < lookahead) must lie
+// within that reach, on every route of the intersection, turns included.
+TEST(WorldLeader, ReachBoundsEveryCandidatePassingTheLeaderTests) {
+  const RoadNetwork net{RoadConfig{}};
+  const double lane = net.config().lane_width;
+  const double lookahead = WorldConfig{}.leader_lookahead;
+  std::mt19937_64 rng{0x1ead'0001};
+  const auto uni = [&](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  int passing = 0;
+  int near_bound = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const geom::Polyline& path =
+        net.routes()[rng() % net.routes().size()].path;
+    const double my_len = uni(0.5, 12.0);
+    const double other_len = uni(0.5, 12.0);
+    const double max_gap = lookahead + 0.5 * (my_len + other_len);
+    const double my_s = uni(0.0, std::max(path.length() - max_gap, 1.0));
+    // A candidate around the route ahead: near it, half a lane off it at
+    // the far end of the gap test, or anywhere in the square around it.
+    geom::Vec2 c;
+    const geom::Vec2 off = geom::Vec2::from_heading(uni(-M_PI, M_PI));
+    switch (rng() % 3) {
+      case 0:
+        c = path.point_at(my_s + uni(-5.0, max_gap + 5.0)) +
+            off * uni(0.0, 0.6 * lane);
+        break;
+      case 1:
+        c = path.point_at(my_s + max_gap - uni(0.0, 0.5)) +
+            off * (0.5 * lane * (1.0 - uni(0.0, 1e-9)));
+        break;
+      default:
+        c = path.point_at(my_s) + geom::Vec2{uni(-80.0, 80.0), uni(-80.0, 80.0)};
+    }
+    double lateral = 0.0;
+    const double s_other = path.project(c, &lateral);
+    const double center_gap = s_other - my_s;
+    const double gap = center_gap - 0.5 * my_len - 0.5 * other_len;
+    if (lateral > 0.5 * lane || center_gap <= 0.0 || gap >= lookahead) continue;
+    ++passing;
+    const double d = distance(c, path.point_at(my_s));
+    const double reach = leader_reach(lookahead, lane, my_len, other_len);
+    ASSERT_LE(d, reach) << "case " << i;
+    if (d > reach - lane) ++near_bound;
+  }
+  EXPECT_GT(passing, 5000);
+  // Many candidates sit within a lane width of the bound.
+  EXPECT_GT(near_bound, 500);
 }
 
 TEST(WorldMetrics, SnapshotListsActiveAgents) {
