@@ -2,6 +2,8 @@
 // Shared helpers for the figure-reproduction benches: scenario execution
 // over seeds, aggregation, and paper-style table printing.
 
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,6 +18,13 @@
 #include "sim/scenario.hpp"
 
 namespace erpd::bench {
+
+/// "%016x" rendering of a 64-bit fingerprint for JSON artifacts.
+inline std::string hex64(std::uint64_t h) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, h);
+  return buf;
+}
 
 /// Collects one row per (sweep point, seed) run and serializes them through
 /// the obs exporter: every row carries the RunManifest for the exact

@@ -12,7 +12,6 @@
 //   --quick     fewer frames + one seed (CI smoke; seconds, not minutes)
 //   --out=FILE  output path (default BENCH_pipeline.json in the CWD)
 
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 #include "obs/metrics.hpp"
 
@@ -73,47 +71,6 @@ RunResult run_once(edge::Method method, bool redundancy, std::uint64_t seed,
   r.sensing_seconds =
       static_cast<double>(r.registry->histogram("stage.sense").sum()) * 1e-9;
   return r;
-}
-
-/// Behavioral fingerprint: every simulated (non-wall-clock) quantity the run
-/// produces. Two runs are "identical" iff these match bit-for-bit.
-struct Fingerprint {
-  double up_bytes, down_bytes, offered, relevance, min_dist, gap;
-  int collisions, disseminations, entered;
-  bool operator==(const Fingerprint&) const = default;
-};
-
-Fingerprint fingerprint(const edge::MethodMetrics& m) {
-  return {m.uplink_bytes_per_frame,  m.downlink_bytes_per_frame,
-          m.uplink_offered_bytes_per_frame, m.delivered_relevance,
-          m.min_key_distance,        m.follower_min_gap,
-          m.collisions,              m.disseminations,
-          m.vehicles_entered};
-}
-
-/// 64-bit hash of the behavioral fingerprint, exported into the artifact so
-/// check_bench.py can require fault-free bench runs to stay *bit-identical*
-/// to the committed baseline — a tripwire for silent behavior drift (e.g. a
-/// wire-codec change altering billed bytes), not just perf regressions.
-std::string behavior_fingerprint_hex(const edge::MethodMetrics& m) {
-  const Fingerprint f = fingerprint(m);
-  std::uint64_t h = 0x9e3779b97f4a7c15ull;
-  const auto fold_d = [&h](double v) {
-    h = core::seed_mix(h, std::bit_cast<std::uint64_t>(v));
-  };
-  fold_d(f.up_bytes);
-  fold_d(f.down_bytes);
-  fold_d(f.offered);
-  fold_d(f.relevance);
-  fold_d(f.min_dist);
-  fold_d(f.gap);
-  h = core::seed_mix(h, static_cast<std::uint64_t>(f.collisions));
-  h = core::seed_mix(h, static_cast<std::uint64_t>(f.disseminations));
-  h = core::seed_mix(h, static_cast<std::uint64_t>(f.entered));
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return std::string(buf);
 }
 
 }  // namespace
@@ -194,7 +151,8 @@ int main(int argc, char** argv) {
     for (std::size_t si = 0; si < seeds.size(); ++si) {
       RunResult r = run_once(method, redundancy, seeds[si], duration);
       ser_wall += r.wall_seconds;
-      if (!(fingerprint(r.metrics) == fingerprint(par_runs[si].metrics))) {
+      if (edge::behavior_fingerprint(r.metrics) !=
+          edge::behavior_fingerprint(par_runs[si].metrics)) {
         deterministic = false;
       }
     }
@@ -229,7 +187,8 @@ int main(int argc, char** argv) {
     w.kv("speedup_vs_1_thread", speedup);
     w.kv("sensing_points_per_sec", pts_per_sec);
     w.kv("deterministic_vs_serial", deterministic);
-    w.kv("behavior_fingerprint", behavior_fingerprint_hex(head.metrics));
+    w.kv("behavior_fingerprint",
+         bench::hex64(edge::behavior_fingerprint(head.metrics)));
     w.kv("uplink_offered_bytes_per_frame",
          head.metrics.uplink_offered_bytes_per_frame);
     w.kv("uplink_drop_ratio", head.metrics.uplink_drop_ratio);

@@ -27,8 +27,6 @@
 //   --out=FILE       JSON report path (default SOAK_report.json in the CWD)
 
 #include <algorithm>
-#include <bit>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -40,6 +38,7 @@
 #include <unistd.h>
 #endif
 
+#include "bench_util.hpp"
 #include "core/check.hpp"
 #include "core/det_hash.hpp"
 #include "core/rng.hpp"
@@ -69,53 +68,6 @@ long resident_kb() {
 #else
   return 0;
 #endif
-}
-
-std::uint64_t fold(std::uint64_t h, double v) {
-  return core::seed_mix(h, std::bit_cast<std::uint64_t>(v));
-}
-std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
-  return core::seed_mix(h, v);
-}
-
-/// Behavioral fingerprint over the simulated MethodMetrics fields — the
-/// same subset the scenario harness locks goldens with (wall-clock stage
-/// timings excluded), including the service-layer fate counters. Bit-equal
-/// across worker counts and det-hash shuffles by the determinism contract.
-std::uint64_t fingerprint_of(const edge::MethodMetrics& m) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ull;
-  h = fold(h, static_cast<std::uint64_t>(m.vehicles_entered));
-  h = fold(h, static_cast<std::uint64_t>(m.vehicles_safe));
-  h = fold(h, static_cast<std::uint64_t>(m.collisions));
-  h = fold(h, static_cast<std::uint64_t>(m.ego_safe ? 1 : 0));
-  h = fold(h, m.safe_passage_rate);
-  h = fold(h, m.min_key_distance);
-  h = fold(h, m.uplink_bytes_per_frame);
-  h = fold(h, m.downlink_bytes_per_frame);
-  h = fold(h, m.uplink_offered_bytes_per_frame);
-  h = fold(h, m.uplink_drop_ratio);
-  h = fold(h, m.avg_objects_detected);
-  h = fold(h, m.delivered_relevance);
-  h = fold(h, static_cast<std::uint64_t>(m.disseminations));
-  h = fold(h, m.uplink_loss_ratio);
-  h = fold(h, m.downlink_deadline_miss_ratio);
-  h = fold(h, static_cast<std::uint64_t>(m.coasted_track_frames));
-  h = fold(h, static_cast<std::uint64_t>(m.ingest_rejected_crc));
-  h = fold(h, static_cast<std::uint64_t>(m.ingest_rejected_semantic));
-  h = fold(h, static_cast<std::uint64_t>(m.ingest_quarantined_vehicles));
-  h = fold(h, static_cast<std::uint64_t>(m.ingest_shed_uploads));
-  h = fold(h, m.uplink_suppressed_bytes_per_frame);
-  h = fold(h, m.uplink_capped_bytes_per_frame);
-  h = fold(h, m.uplink_lost_bytes_per_frame);
-  h = fold(h, m.uplink_backpressure_bytes_per_frame);
-  h = fold(h, static_cast<std::uint64_t>(m.coverage_feedback_msgs));
-  h = fold(h, static_cast<std::uint64_t>(m.service_arrived_objects));
-  h = fold(h, static_cast<std::uint64_t>(m.service_admitted_objects));
-  h = fold(h, static_cast<std::uint64_t>(m.service_deferred_objects));
-  h = fold(h, static_cast<std::uint64_t>(m.service_shed_objects));
-  h = fold(h, static_cast<std::uint64_t>(m.service_parked_residual));
-  h = fold(h, static_cast<std::uint64_t>(m.service_backpressure_uploads));
-  return h;
 }
 
 /// Same intersection shape the fault matrix soaks (coarse LiDAR keeps the
@@ -192,7 +144,7 @@ EpisodeResult run_episode(std::uint64_t base_seed, std::uint64_t episode) {
   try {
     edge::SystemRunner runner(rc);
     r.metrics = runner.run(sc);
-    r.fingerprint = fingerprint_of(r.metrics);
+    r.fingerprint = edge::behavior_fingerprint(r.metrics);
   } catch (const erpd::ContractViolation& e) {
     r.violated = true;
     r.what = e.what();
@@ -218,12 +170,6 @@ double mean_of_range(const std::vector<double>& v, std::size_t lo,
   double s = 0.0;
   for (std::size_t i = lo; i < hi; ++i) s += v[i];
   return s / static_cast<double>(hi - lo);
-}
-
-std::string hex64(std::uint64_t h) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, h);
-  return std::string(buf);
 }
 
 }  // namespace
@@ -366,7 +312,7 @@ int main(int argc, char** argv) {
   w.kv("violations", static_cast<std::uint64_t>(violations));
   w.kv("worker_sweep_ok", sweep_ok);
   w.key("worker_sweep").begin_object();
-  for (const auto& [label, fp] : sweep_rows) w.kv(label, hex64(fp));
+  for (const auto& [label, fp] : sweep_rows) w.kv(label, bench::hex64(fp));
   w.end_object();
   w.key("gates").begin_object();
   w.kv("rss_flat", rss_flat);
@@ -384,7 +330,7 @@ int main(int argc, char** argv) {
     const EpisodeResult& r = results[ep];
     w.begin_object();
     w.kv("episode", static_cast<std::uint64_t>(ep));
-    w.kv("behavior_fingerprint", hex64(r.fingerprint));
+    w.kv("behavior_fingerprint", bench::hex64(r.fingerprint));
     w.kv("e2e_p50_ms", r.e2e_p50_ms);
     w.kv("e2e_p99_ms", r.e2e_p99_ms);
     w.kv("rss_kb", static_cast<std::uint64_t>(

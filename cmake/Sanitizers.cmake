@@ -10,9 +10,10 @@
 # LeakSanitizer; the combination is rejected at configure time.
 #
 # Sanitized builds additionally get -fno-omit-frame-pointer (usable stack
-# traces), -fno-sanitize-recover (failures abort so ctest reports them), and
+# traces), -fno-sanitize-recover (failures abort so ctest reports them),
 # -DERPD_ENABLE_DCHECKS so the ERPD_DCHECK contract layer is exercised even
-# in optimized builds.
+# in optimized builds, and -D_GLIBCXX_ASSERTIONS so libstdc++ checks its own
+# preconditions (operator[] bounds, std::normal_distribution's stddev > 0).
 
 set(ERPD_SANITIZE "" CACHE STRING
     "Semicolon/comma-separated sanitizers: address;undefined | thread | leak")
@@ -51,6 +52,8 @@ function(erpd_enable_sanitizers)
     add_compile_options(-fno-sanitize-recover=undefined)
     add_link_options(-fno-sanitize-recover=undefined)
   endif()
-  # Sanitizer runs double as the contract-checking tier.
-  add_compile_definitions(ERPD_ENABLE_DCHECKS=1)
+  # Sanitizer runs double as the contract-checking tier, for our own
+  # contracts and for the standard library's preconditions (bounds,
+  # distribution parameters).
+  add_compile_definitions(ERPD_ENABLE_DCHECKS=1 _GLIBCXX_ASSERTIONS)
 endfunction()

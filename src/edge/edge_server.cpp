@@ -233,7 +233,6 @@ FrameOutput EdgeServer::process_frame(
       info.velocity = (pos - info.position) / (t - info.last_seen);
     }
     info.position = pos;
-    info.heading = f.pose.yaw;
     info.last_seen = t;
     info.has_prev = true;
   }

@@ -179,7 +179,6 @@ class EdgeServer {
   struct VehicleInfo {
     geom::Vec2 position{};
     geom::Vec2 velocity{};
-    double heading{0.0};
     double last_seen{0.0};
     bool has_prev{false};
   };

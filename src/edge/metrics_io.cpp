@@ -1,8 +1,30 @@
 #include "edge/metrics_io.hpp"
 
+#include <algorithm>
+#include <bit>
+
+#include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 
 namespace erpd::edge {
+
+namespace {
+
+std::uint64_t fold(std::uint64_t h, double v) {
+  return core::seed_mix(h, std::bit_cast<std::uint64_t>(v));
+}
+std::uint64_t fold(std::uint64_t h, int v) {
+  return core::seed_mix(h, static_cast<std::uint64_t>(v));
+}
+std::uint64_t fold(std::uint64_t h, bool v) {
+  return core::seed_mix(h, std::uint64_t{v ? 1u : 0u});
+}
+
+constexpr bool is_host_time_field(std::string_view name) {
+  return std::ranges::find(kHostTimeFields, name) != kHostTimeFields.end();
+}
+
+}  // namespace
 
 void append_method_metrics(obs::JsonWriter& w, const MethodMetrics& m) {
 #define X(field) w.kv(#field, m.field);
@@ -16,6 +38,15 @@ std::vector<std::string_view> method_metrics_keys() {
       ERPD_METHOD_METRICS_FIELDS(X)
 #undef X
   };
+}
+
+std::uint64_t behavior_fingerprint(const MethodMetrics& m) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ull;
+#define X(field) \
+  if constexpr (!is_host_time_field(#field)) h = fold(h, m.field);
+  ERPD_METHOD_METRICS_FIELDS(X)
+#undef X
+  return h;
 }
 
 obs::RunManifest make_manifest(const RunnerConfig& cfg,

@@ -6,6 +6,8 @@
 // format tracks the struct: adding a MethodMetrics field without touching
 // the exporter is impossible, and renaming a key silently is caught.
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -70,6 +72,19 @@ void append_method_metrics(obs::JsonWriter& w, const MethodMetrics& m);
 
 /// The JSON key set append_method_metrics emits, in emission order.
 std::vector<std::string_view> method_metrics_keys();
+
+/// The MethodMetrics fields that hold host wall-clock times. Every other
+/// field is simulated and deterministic.
+inline constexpr std::array<std::string_view, 5> kHostTimeFields = {
+    "e2e_latency", "extraction_seconds", "merge_seconds",
+    "track_predict_seconds", "dissemination_decision_seconds"};
+
+/// The behaviour fingerprint: a hash of every simulated MethodMetrics field
+/// (the table above minus kHostTimeFields), folded in table order with
+/// core::seed_mix from 0x9e3779b97f4a7c15. Doubles fold by bit pattern, ints
+/// by static_cast<uint64_t>, bools as 0/1. Bit-equal at any worker count by
+/// the determinism contract.
+std::uint64_t behavior_fingerprint(const MethodMetrics& m);
 
 /// Build the provenance manifest for a run of `cfg`: fingerprints every
 /// configuration value that can change simulated behavior, and stamps the

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
+#include <random>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -65,7 +67,10 @@ LidarScan oracle_scan(const LidarConfig& cfg, const geom::Pose& pose,
     const Vec2 dir = Vec2::from_heading(az_world);
     const geom::Segment ray{eye, eye + dir * cfg.max_range};
     core::SplitMix64 az_rng(core::seed_mix(noise_base, ia));
-    std::normal_distribution<double> noise(0.0, cfg.noise_sigma);
+    // std::normal_distribution requires a positive stddev, so the
+    // distribution exists only on the noisy path.
+    std::optional<std::normal_distribution<double>> noise;
+    if (noisy) noise.emplace(0.0, cfg.noise_sigma);
 
     // Every candidate this ray strikes, nearest first; equal ranges go to
     // the earlier-listed candidate.
@@ -96,7 +101,7 @@ LidarScan oracle_scan(const LidarConfig& cfg, const geom::Pose& pose,
       }
       if (struck != nullptr) {
         const LidarTarget& tg = *candidates[struck->cand].target;
-        const double d = struck->dist + (noisy ? noise(az_rng) : 0.0);
+        const double d = struck->dist + (noisy ? (*noise)(az_rng) : 0.0);
         world_points.push_back(
             Vec3{eye + dir * d, sensor_z + struck->dist * tan_e});
         if (tg.id >= 0) {
@@ -110,7 +115,7 @@ LidarScan oracle_scan(const LidarConfig& cfg, const geom::Pose& pose,
       if (tan_e < 0.0) {
         const double ground_d = -sensor_z / tan_e;
         if (ground_d <= cfg.max_range) {
-          const double d = ground_d + (noisy ? noise(az_rng) : 0.0);
+          const double d = ground_d + (noisy ? (*noise)(az_rng) : 0.0);
           world_points.push_back(Vec3{eye + dir * d, 0.0});
           ++out.ground_points;
         }

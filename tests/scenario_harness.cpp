@@ -245,85 +245,16 @@ std::string metrics_json(const std::vector<CaseResult>& results,
   return w.str() + "\n";
 }
 
-bool write_file(const std::string& path, const std::string& content) {
-  return obs::write_file(path, content);
-}
-
-namespace {
-
-std::uint64_t fold(std::uint64_t h, double v) {
-  return core::seed_mix(h, std::bit_cast<std::uint64_t>(v));
-}
-std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
-  return core::seed_mix(h, v);
-}
-
-}  // namespace
-
-std::uint64_t metrics_fingerprint(const edge::MethodMetrics& m) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ull;
-  h = fold(h, static_cast<std::uint64_t>(m.vehicles_entered));
-  h = fold(h, static_cast<std::uint64_t>(m.vehicles_safe));
-  h = fold(h, static_cast<std::uint64_t>(m.collisions));
-  h = fold(h, static_cast<std::uint64_t>(m.ego_safe ? 1 : 0));
-  h = fold(h, static_cast<std::uint64_t>(m.follower_safe ? 1 : 0));
-  h = fold(h, m.safe_passage_rate);
-  h = fold(h, m.conflict_safe_rate);
-  h = fold(h, m.min_key_distance);
-  h = fold(h, m.uplink_bytes_per_frame);
-  h = fold(h, m.downlink_bytes_per_frame);
-  h = fold(h, m.uplink_offered_bytes_per_frame);
-  h = fold(h, m.uplink_drop_ratio);
-  h = fold(h, m.avg_objects_detected);
-  h = fold(h, m.delivered_relevance);
-  h = fold(h, static_cast<std::uint64_t>(m.disseminations));
-  h = fold(h, m.uplink_loss_ratio);
-  h = fold(h, m.downlink_deadline_miss_ratio);
-  h = fold(h, static_cast<std::uint64_t>(m.coasted_track_frames));
-  h = fold(h, static_cast<std::uint64_t>(m.stale_relevance_frames));
-  // Ingest counters are folded only when the admission layer engaged, so
-  // clean-run fingerprints stay comparable with snapshots committed before
-  // the ingest layer existed (the golden seed-42 hash is one of them).
-  if (m.ingest_rejected_crc != 0 || m.ingest_rejected_semantic != 0 ||
-      m.ingest_quarantined_vehicles != 0 || m.ingest_shed_uploads != 0) {
-    h = fold(h, static_cast<std::uint64_t>(m.ingest_rejected_crc));
-    h = fold(h, static_cast<std::uint64_t>(m.ingest_rejected_semantic));
-    h = fold(h, static_cast<std::uint64_t>(m.ingest_quarantined_vehicles));
-    h = fold(h, static_cast<std::uint64_t>(m.ingest_shed_uploads));
-  }
-  // Same pattern for the redundancy layer: folded only when it engaged, so
-  // pre-redundancy fingerprints (golden seed-42 included) stay valid.
-  if (m.coverage_feedback_msgs != 0 ||
-      m.uplink_suppressed_bytes_per_frame != 0.0) {
-    h = fold(h, m.uplink_suppressed_bytes_per_frame);
-    h = fold(h, m.uplink_capped_bytes_per_frame);
-    h = fold(h, m.uplink_lost_bytes_per_frame);
-    h = fold(h, static_cast<std::uint64_t>(m.coverage_feedback_msgs));
-    h = fold(h, static_cast<std::uint64_t>(m.coverage_feedback_lost_msgs));
-  }
-  // Same pattern for the service layer (DESIGN.md §17): folded only when it
-  // engaged, so pre-service fingerprints (golden seed-42 included) stay
-  // valid.
-  if (m.service_arrived_objects != 0 || m.service_backpressure_uploads != 0) {
-    h = fold(h, static_cast<std::uint64_t>(m.service_arrived_objects));
-    h = fold(h, static_cast<std::uint64_t>(m.service_admitted_objects));
-    h = fold(h, static_cast<std::uint64_t>(m.service_deferred_objects));
-    h = fold(h, static_cast<std::uint64_t>(m.service_shed_objects));
-    h = fold(h, static_cast<std::uint64_t>(m.service_parked_residual));
-    h = fold(h, static_cast<std::uint64_t>(m.service_backpressure_uploads));
-    h = fold(h, m.uplink_backpressure_bytes_per_frame);
-  }
-  return h;
-}
-
 std::uint64_t fold_decision(std::uint64_t h, int frame,
                             const net::Dissemination& d) {
-  h = fold(h, static_cast<std::uint64_t>(frame));
-  h = fold(h, static_cast<std::uint64_t>(d.to));
-  h = fold(h, static_cast<std::uint64_t>(d.track_id));
-  h = fold(h, static_cast<std::uint64_t>(d.about));
-  h = fold(h, static_cast<std::uint64_t>(d.bytes));
-  h = fold(h, d.relevance);
+  for (const std::uint64_t v :
+       {static_cast<std::uint64_t>(frame), static_cast<std::uint64_t>(d.to),
+        static_cast<std::uint64_t>(d.track_id),
+        static_cast<std::uint64_t>(d.about),
+        static_cast<std::uint64_t>(d.bytes),
+        std::bit_cast<std::uint64_t>(d.relevance)}) {
+    h = core::seed_mix(h, v);
+  }
   return h;
 }
 

@@ -5,8 +5,8 @@
 // -> driver reaction) across a matrix of network-fault cases and checks the
 // recorded safety metrics against committed tolerance bands, so future PRs
 // cannot silently regress behavior under degraded networks. Also provides the
-// order-stable fingerprints the golden-scenario and determinism tests lock
-// behavior in with.
+// order-stable decision-stream fold the golden-scenario test locks behavior
+// in with (the metrics fingerprint is edge::behavior_fingerprint).
 //
 // Used by tests/test_fault_matrix.cpp, tests/test_golden_scenario.cpp and
 // tests/test_determinism.cpp; the fault lane in CI (`ctest -L fault`) runs
@@ -98,13 +98,6 @@ std::vector<FaultCase> default_fault_matrix();
 /// MethodMetrics field set. `method`/`seed` must match what run_case ran.
 std::string metrics_json(const std::vector<CaseResult>& results,
                          edge::Method method, std::uint64_t seed);
-
-/// Write `content` to `path`; returns false on I/O failure.
-bool write_file(const std::string& path, const std::string& content);
-
-/// Order-stable 64-bit fingerprint over the *simulated* metric fields
-/// (wall-clock timings excluded — they legitimately vary run to run).
-std::uint64_t metrics_fingerprint(const edge::MethodMetrics& m);
 
 /// Fold one dissemination decision into a running fingerprint.
 std::uint64_t fold_decision(std::uint64_t h, int frame,

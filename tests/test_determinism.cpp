@@ -11,6 +11,7 @@
 
 #include "core/det_hash.hpp"
 #include "core/thread_pool.hpp"
+#include "edge/metrics_io.hpp"
 #include "edge/system_runner.hpp"
 #include "pointcloud/encoding.hpp"
 #include "scenario_harness.hpp"
@@ -72,7 +73,9 @@ TEST(Determinism, LidarScanIdenticalAcrossThreadCounts) {
 // blob segmentation, dissemination) must yield identical behavioral metrics.
 // ---------------------------------------------------------------------------
 
-edge::MethodMetrics run_scenario(edge::Method method, std::size_t threads) {
+/// Behaviour fingerprint of a short closed-loop run (simulated fields only;
+/// wall-clock timings legitimately vary).
+std::uint64_t run_scenario(edge::Method method, std::size_t threads) {
   core::set_thread_count(threads);
   sim::ScenarioConfig cfg;
   cfg.speed_kmh = 30.0;
@@ -88,60 +91,14 @@ edge::MethodMetrics run_scenario(edge::Method method, std::size_t threads) {
   edge::RunnerConfig rc = edge::make_runner_config(method);
   rc.duration = 2.0;
   edge::SystemRunner runner(rc);
-  return runner.run(sc);
-}
-
-void expect_identical(const edge::MethodMetrics& a,
-                      const edge::MethodMetrics& b, std::size_t threads) {
-  // Simulated quantities only — wall-clock timing fields legitimately vary.
-  EXPECT_EQ(a.uplink_bytes_per_frame, b.uplink_bytes_per_frame) << threads;
-  EXPECT_EQ(a.uplink_offered_bytes_per_frame, b.uplink_offered_bytes_per_frame)
-      << threads;
-  EXPECT_EQ(a.uplink_drop_ratio, b.uplink_drop_ratio) << threads;
-  EXPECT_EQ(a.downlink_bytes_per_frame, b.downlink_bytes_per_frame) << threads;
-  EXPECT_EQ(a.avg_objects_detected, b.avg_objects_detected) << threads;
-  EXPECT_EQ(a.delivered_relevance, b.delivered_relevance) << threads;
-  EXPECT_EQ(a.disseminations, b.disseminations) << threads;
-  EXPECT_EQ(a.collisions, b.collisions) << threads;
-  EXPECT_EQ(a.min_key_distance, b.min_key_distance) << threads;
-  EXPECT_EQ(a.vehicles_entered, b.vehicles_entered) << threads;
-  EXPECT_EQ(a.uplink_loss_ratio, b.uplink_loss_ratio) << threads;
-  EXPECT_EQ(a.downlink_deadline_miss_ratio, b.downlink_deadline_miss_ratio)
-      << threads;
-  EXPECT_EQ(a.coasted_track_frames, b.coasted_track_frames) << threads;
-  EXPECT_EQ(a.stale_relevance_frames, b.stale_relevance_frames) << threads;
-  EXPECT_EQ(a.ingest_rejected_crc, b.ingest_rejected_crc) << threads;
-  EXPECT_EQ(a.ingest_rejected_semantic, b.ingest_rejected_semantic) << threads;
-  EXPECT_EQ(a.ingest_quarantined_vehicles, b.ingest_quarantined_vehicles)
-      << threads;
-  EXPECT_EQ(a.ingest_shed_uploads, b.ingest_shed_uploads) << threads;
-  EXPECT_EQ(a.uplink_suppressed_bytes_per_frame,
-            b.uplink_suppressed_bytes_per_frame)
-      << threads;
-  EXPECT_EQ(a.uplink_capped_bytes_per_frame, b.uplink_capped_bytes_per_frame)
-      << threads;
-  EXPECT_EQ(a.uplink_lost_bytes_per_frame, b.uplink_lost_bytes_per_frame)
-      << threads;
-  EXPECT_EQ(a.coverage_feedback_msgs, b.coverage_feedback_msgs) << threads;
-  EXPECT_EQ(a.coverage_feedback_lost_msgs, b.coverage_feedback_lost_msgs)
-      << threads;
-  EXPECT_EQ(a.uplink_backpressure_bytes_per_frame,
-            b.uplink_backpressure_bytes_per_frame)
-      << threads;
-  EXPECT_EQ(a.service_backpressure_uploads, b.service_backpressure_uploads)
-      << threads;
-  EXPECT_EQ(a.service_arrived_objects, b.service_arrived_objects) << threads;
-  EXPECT_EQ(a.service_admitted_objects, b.service_admitted_objects) << threads;
-  EXPECT_EQ(a.service_deferred_objects, b.service_deferred_objects) << threads;
-  EXPECT_EQ(a.service_shed_objects, b.service_shed_objects) << threads;
-  EXPECT_EQ(a.service_parked_residual, b.service_parked_residual) << threads;
+  return edge::behavior_fingerprint(runner.run(sc));
 }
 
 TEST(Determinism, SystemRunnerOursIdenticalAcrossThreadCounts) {
   PoolGuard guard;
-  const edge::MethodMetrics ref = run_scenario(edge::Method::kOurs, 1);
+  const std::uint64_t ref = run_scenario(edge::Method::kOurs, 1);
   for (const std::size_t t : kThreadCounts) {
-    expect_identical(run_scenario(edge::Method::kOurs, t), ref, t);
+    EXPECT_EQ(run_scenario(edge::Method::kOurs, t), ref) << t << " threads";
   }
 }
 
@@ -149,9 +106,9 @@ TEST(Determinism, SystemRunnerEmpIdenticalAcrossThreadCounts) {
   PoolGuard guard;
   // EMP uploads blobs, exercising the server-side parallel ground strip and
   // the collected-cluster segmentation.
-  const edge::MethodMetrics ref = run_scenario(edge::Method::kEmp, 1);
+  const std::uint64_t ref = run_scenario(edge::Method::kEmp, 1);
   for (const std::size_t t : kThreadCounts) {
-    expect_identical(run_scenario(edge::Method::kEmp, t), ref, t);
+    EXPECT_EQ(run_scenario(edge::Method::kEmp, t), ref) << t << " threads";
   }
 }
 
@@ -186,7 +143,7 @@ TEST(Determinism, InertFaultConfigIsANoOp) {
     rc.redundancy.enabled = true;
     rc.fault = fault;
     edge::SystemRunner runner(rc);
-    return harness::metrics_fingerprint(runner.run(sc));
+    return edge::behavior_fingerprint(runner.run(sc));
   };
   constexpr sim::AgentId kAbsent = 9999;  // no such agent in the scenario
   net::FaultConfig inert;
@@ -201,12 +158,9 @@ TEST(Determinism, InertFaultConfigIsANoOp) {
 TEST(Determinism, FaultMatrixIdenticalAcrossThreadCounts) {
   PoolGuard guard;
   for (const harness::FaultCase& fc : harness::default_fault_matrix()) {
-    const edge::MethodMetrics ref = run_fault_case(fc, 1);
-    const std::uint64_t ref_fp = harness::metrics_fingerprint(ref);
+    const std::uint64_t ref = edge::behavior_fingerprint(run_fault_case(fc, 1));
     for (const std::size_t t : kThreadCounts) {
-      const edge::MethodMetrics got = run_fault_case(fc, t);
-      expect_identical(got, ref, t);
-      EXPECT_EQ(harness::metrics_fingerprint(got), ref_fp)
+      EXPECT_EQ(edge::behavior_fingerprint(run_fault_case(fc, t)), ref)
           << fc.name << " @ " << t << " threads";
     }
   }
@@ -234,7 +188,7 @@ std::uint64_t seed42_fingerprint() {
   edge::RunnerConfig rc = edge::make_runner_config(edge::Method::kOurs);
   rc.duration = 4.0;
   edge::SystemRunner runner(rc);
-  return harness::metrics_fingerprint(runner.run(sc));
+  return edge::behavior_fingerprint(runner.run(sc));
 }
 
 TEST(Determinism, FingerprintImmuneToHashSeedShuffle) {
@@ -274,13 +228,13 @@ TEST(Determinism, ServiceModeFingerprintImmuneToHashSeedShuffle) {
   core::set_det_hash_seed(0);
   const edge::MethodMetrics ref = run_fault_case(fc, 2);
   ASSERT_GT(ref.service_arrived_objects, 0);  // the service path engaged
-  const std::uint64_t ref_fp = harness::metrics_fingerprint(ref);
+  const std::uint64_t ref_fp = edge::behavior_fingerprint(ref);
 
   for (const std::uint64_t shuffle :
        {std::uint64_t{0x9e3779b97f4a7c15}, std::uint64_t{1},
         std::uint64_t{0xdeadbeefcafef00d}}) {
     core::set_det_hash_seed(core::mix64(shuffle));
-    EXPECT_EQ(harness::metrics_fingerprint(run_fault_case(fc, 2)), ref_fp)
+    EXPECT_EQ(edge::behavior_fingerprint(run_fault_case(fc, 2)), ref_fp)
         << "service-mode hash-order dependence (shuffle seed " << shuffle
         << ")";
   }
@@ -308,7 +262,7 @@ std::uint64_t run_generated(std::uint64_t seed, std::size_t threads,
   // TSan; the committed anchors cover full-duration replays.
   rc.duration = 4.0;
   edge::SystemRunner runner(rc);
-  return harness::metrics_fingerprint(runner.run(sc));
+  return edge::behavior_fingerprint(runner.run(sc));
 }
 
 TEST(Determinism, GeneratedScenariosIdenticalAcrossThreadCounts) {

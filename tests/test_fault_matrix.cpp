@@ -14,6 +14,7 @@
 
 #include <cstdlib>
 
+#include "obs/json.hpp"
 #include "scenario_harness.hpp"
 
 namespace erpd {
@@ -30,7 +31,7 @@ class FaultMatrix : public ::testing::Test {
   }
   static void TearDownTestSuite() {
     if (const char* path = std::getenv("ERPD_SCENARIO_JSON")) {
-      harness::write_file(
+      obs::write_file(
           path, harness::metrics_json(*results_, edge::Method::kOurs, 42));
     }
     delete results_;

@@ -27,6 +27,8 @@
 #include <sstream>
 #include <string>
 
+#include "edge/metrics_io.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "scenario_harness.hpp"
 
@@ -44,7 +46,7 @@ std::string golden_path(const std::string& name) {
 void expect_golden(const std::string& name, const std::string& got) {
   const std::string path = golden_path(name);
   if (g_update_golden || std::getenv("ERPD_UPDATE_GOLDEN") != nullptr) {
-    ASSERT_TRUE(harness::write_file(path, got)) << "cannot write " << path;
+    ASSERT_TRUE(obs::write_file(path, got)) << "cannot write " << path;
     GTEST_SKIP() << "golden updated: " << path;
   }
   std::ifstream f(path);
@@ -86,7 +88,7 @@ std::string render_snapshot() {
                 "metrics_fingerprint 0x%016llx\n",
                 static_cast<unsigned long long>(decision_hash),
                 static_cast<unsigned long long>(
-                    harness::metrics_fingerprint(m)));
+                    edge::behavior_fingerprint(m)));
   out << tail;
   return out.str();
 }

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -213,6 +215,67 @@ TEST(Schema, MethodMetricsKeysMatchGolden) {
   EXPECT_EQ(edge::method_metrics_keys(), golden);
 }
 
+// The behaviour fingerprint, pinned. distinct_metrics() gives each of the
+// 45 fields its own value (signs alternate, so ints pin the sign-extending
+// cast). The expected hash is what the benchmark's own fingerprint_of
+// (perfbench/perfbench.cpp) returns for the same struct, so the two
+// definitions cannot drift apart.
+template <typename T>
+void set_distinct(T& field, int i) {
+  const int sign = i % 2 == 0 ? 1 : -1;
+  if constexpr (std::is_same_v<T, bool>) {
+    field = i % 2 == 0;
+  } else if constexpr (std::is_same_v<T, int>) {
+    field = sign * (i + 1);
+  } else {
+    field = sign * (i + 0.25);
+  }
+}
+
+template <typename T>
+void perturb(T& field) {
+  if constexpr (std::is_same_v<T, bool>) {
+    field = !field;
+  } else {
+    field += 1;
+  }
+}
+
+edge::MethodMetrics distinct_metrics() {
+  edge::MethodMetrics m;
+  int i = 0;
+#define X(field) set_distinct(m.field, i++);
+  ERPD_METHOD_METRICS_FIELDS(X)
+#undef X
+  return m;
+}
+
+TEST(BehaviorFingerprint, MatchesTheBenchmarkDefinition) {
+  EXPECT_EQ(edge::behavior_fingerprint(distinct_metrics()),
+            0x4a78c20210b42319ull);
+}
+
+TEST(BehaviorFingerprint, CoversEverySimulatedFieldAndNoHostTime) {
+  const edge::MethodMetrics base = distinct_metrics();
+  const std::uint64_t ref = edge::behavior_fingerprint(base);
+  int host_fields = 0;
+#define X(field)                                                         \
+  {                                                                      \
+    edge::MethodMetrics m = base;                                        \
+    perturb(m.field);                                                    \
+    if (std::ranges::find(edge::kHostTimeFields, #field) !=              \
+        edge::kHostTimeFields.end()) {                                   \
+      ++host_fields;                                                     \
+      EXPECT_EQ(edge::behavior_fingerprint(m), ref) << #field;           \
+    } else {                                                             \
+      EXPECT_NE(edge::behavior_fingerprint(m), ref) << #field;           \
+    }                                                                    \
+  }
+  ERPD_METHOD_METRICS_FIELDS(X)
+#undef X
+  EXPECT_EQ(host_fields, static_cast<int>(edge::kHostTimeFields.size()));
+}
+
 TEST(Schema, ExportedJsonCarriesEveryKey) {
   obs::JsonWriter w;
   w.begin_object();
@@ -271,13 +334,11 @@ TEST(ObsContract, RegistryNeverPerturbsAndReuseSumsRuns) {
   const edge::MethodMetrics a2 = run(42, &shared);
   const edge::MethodMetrics b2 = run(7, &shared);
 
-  const auto fp = harness::metrics_fingerprint;
+  const auto fp = edge::behavior_fingerprint;
   EXPECT_EQ(fp(bare), fp(a));
   ASSERT_NE(fp(a), fp(b));
   for (const auto& [alone, reused] : {std::pair{&a, &a2}, std::pair{&b, &b2}}) {
     EXPECT_EQ(fp(*alone), fp(*reused));
-    EXPECT_EQ(alone->uplink_mbps, reused->uplink_mbps);
-    EXPECT_EQ(alone->downlink_mbps, reused->downlink_mbps);
   }
   ASSERT_EQ(shared.counters().size(), alone_a.counters().size());
   for (const auto& [name, v] : shared.counters()) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/thread_pool.hpp"
+#include "edge/metrics_io.hpp"
 #include "edge/service.hpp"
 #include "edge/system_runner.hpp"
 #include "scenario_harness.hpp"
@@ -251,7 +252,7 @@ std::uint64_t closed_loop_fingerprint(const edge::ServiceConfig& service) {
   rc.duration = 3.0;
   rc.service = service;
   edge::SystemRunner runner(rc);
-  return harness::metrics_fingerprint(runner.run(sc));
+  return edge::behavior_fingerprint(runner.run(sc));
 }
 
 TEST(ServiceMode, DisabledConfigIsBitIdenticalWhateverTheKnobsSay) {
