@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -205,6 +206,38 @@ ThreadPool& global_pool() {
 }
 
 std::size_t thread_count() { return global_pool().workers(); }
+
+namespace {
+
+std::mutex g_shelf_mu;
+// Process-wide by design (borrow_scratch); freed at exit.
+std::multimap<std::type_index, std::shared_ptr<void>> g_shelf;  // NOLINT
+
+}  // namespace
+
+namespace detail {
+
+std::shared_ptr<void> shelf_take(std::type_index type) {
+  std::lock_guard<std::mutex> lk(g_shelf_mu);
+  const auto it = g_shelf.find(type);
+  if (it == g_shelf.end()) return nullptr;
+  std::shared_ptr<void> object = std::move(it->second);
+  g_shelf.erase(it);
+  return object;
+}
+
+void shelf_put(std::type_index type, std::shared_ptr<void> object) {
+  std::lock_guard<std::mutex> lk(g_shelf_mu);
+  g_shelf.emplace(type, std::move(object));
+}
+
+}  // namespace detail
+
+std::size_t current_lane() { return tl_lane; }
+
+bool runs_serially(std::size_t n_chunks) {
+  return n_chunks <= 1 || tl_in_parallel || thread_count() == 1;
+}
 
 void set_thread_count(std::size_t n) {
   std::lock_guard<std::mutex> lk(g_pool_mu);

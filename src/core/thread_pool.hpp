@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <typeindex>
 #include <vector>
 
 namespace erpd::core {
@@ -86,6 +87,43 @@ std::size_t thread_count();
 /// hardware concurrency). Harness/test setup only; not safe against
 /// concurrent parallel loops.
 void set_thread_count(std::size_t n);
+
+/// Lane of the calling thread in the global pool: 0 on the thread that calls
+/// a parallel loop (and on any thread outside the pool), 1 .. workers - 1 on
+/// the spawned workers. Two chunks never run on one lane at once, so working
+/// memory kept per lane and indexed by it needs no lock. Which lane runs a
+/// chunk depends on the schedule, so such memory may carry capacity only,
+/// never a value an output reads.
+std::size_t current_lane();
+
+/// True when a region of `n_chunks` chunks runs them in ascending order on
+/// the calling thread: one worker, one chunk, or a region nested inside
+/// another (the serial fast path of ThreadPool::run_chunks).
+bool runs_serially(std::size_t n_chunks);
+
+namespace detail {
+/// Pops a shelved object of `type`, or returns null.
+std::shared_ptr<void> shelf_take(std::type_index type);
+void shelf_put(std::type_index type, std::shared_ptr<void> object);
+}  // namespace detail
+
+/// Working memory that outlives its borrower (DESIGN.md §20): a T shelved
+/// by an earlier borrower, or a new one, put back on a process-wide shelf
+/// when the last copy of the handle goes. Harnesses rebuild the runner and
+/// the pool for every short run; the shelf keeps the capacity of their
+/// scratch warm across them. A T must carry capacity only (see
+/// current_lane), so which one a borrower gets never changes an output. The
+/// shelf holds at most as many T as were ever borrowed at once. Thread-safe.
+template <typename T>
+std::shared_ptr<T> borrow_scratch() {
+  std::shared_ptr<void> kept = detail::shelf_take(typeid(T));
+  std::shared_ptr<T> obj = kept ? std::static_pointer_cast<T>(kept)
+                                : std::make_shared<T>();
+  T* const raw = obj.get();
+  return std::shared_ptr<T>(raw, [obj = std::move(obj)](T*) mutable {
+    detail::shelf_put(typeid(T), std::move(obj));
+  });
+}
 
 /// Number of chunks parallel_chunks(n, grain, ...) will produce. Exposed so
 /// callers can size per-chunk result slots up front.

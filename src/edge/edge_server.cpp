@@ -6,9 +6,7 @@
 #include "core/check.hpp"
 #include "core/thread_pool.hpp"
 #include "obs/span.hpp"
-
 #include "pointcloud/encoding.hpp"
-#include "pointcloud/voxel_grid.hpp"
 
 namespace erpd::edge {
 
@@ -34,7 +32,8 @@ EdgeServer::EdgeServer(const sim::RoadNetwork& net, EdgeConfig cfg)
       admission_(deadline_policy(cfg.service)),
       tracker_(cfg.tracker),
       rules_(net, cfg.rules),
-      predictor_(net, cfg.predictor) {
+      predictor_(net, cfg.predictor),
+      blob_scratch_(core::borrow_scratch<BlobScratch>()) {
   cfg_.wireless.validate();
   ERPD_REQUIRE(cfg_.min_relevance >= 0.0,
                "EdgeServer: min_relevance must be >= 0, got ",
@@ -68,7 +67,7 @@ sim::AgentId EdgeServer::match_truth(
 std::vector<track::Detection> EdgeServer::build_detections(
     const std::vector<net::UploadFrame>& uploads,
     const std::vector<sim::AgentSnapshot>* truth,
-    std::uint64_t* dbscan_distance_tests) const {
+    std::uint64_t* dbscan_distance_tests) {
   std::vector<track::Detection> out;
 
   // Object-granular uploads (Ours) become detections directly; blob uploads
@@ -134,29 +133,21 @@ std::vector<track::Detection> EdgeServer::build_detections(
   }
 
   if (!blobs.empty()) {
-    // Server-side ground strip (raw uploads still carry ground returns):
-    // each blob filters into its own slot and slots concatenate in upload
-    // order, so the combined cloud is byte-identical to the serial merge for
-    // any thread count. Then voxel thinning and density clustering.
-    std::vector<pc::PointCloud> stripped(blobs.size());
-    core::parallel_for(blobs.size(), 1, [&](std::size_t b) {
-      const pc::PointCloud& src = *blobs[b];
-      pc::PointCloud& dst = stripped[b];
-      dst.reserve(src.size());
-      for (const geom::Vec3& p : src.points()) {
-        if (p.z > 0.25) dst.push_back(p);
+    // Server-side ground strip (raw uploads still carry ground returns),
+    // blobs in upload order into the kept merge buffer, then voxel thinning
+    // in place and density clustering.
+    BlobScratch& sc = *blob_scratch_;
+    pc::PointCloud& merged = sc.merged;
+    merged.clear();
+    for (const pc::PointCloud* blob : blobs) {
+      for (const geom::Vec3& p : blob->points()) {
+        if (p.z > 0.25) merged.push_back(p);
       }
-    });
-    pc::PointCloud above;
-    std::size_t total = 0;
-    for (const pc::PointCloud& s : stripped) total += s.size();
-    above.reserve(total);
-    for (const pc::PointCloud& s : stripped) above.append(s);
-
-    const pc::PointCloud thin = pc::voxel_downsample(above, kDetectVoxel);
-    const pc::DbscanResult seg = pc::dbscan(thin, kDetectDbscan);
+    }
+    pc::voxel_downsample(merged, kDetectVoxel, merged, sc.voxel);
+    const pc::DbscanResult seg = pc::dbscan(merged, kDetectDbscan, sc.dbscan);
     *dbscan_distance_tests += seg.distance_tests;
-    for (const pc::ObjectCluster& c : pc::extract_clusters(thin, seg)) {
+    for (const pc::ObjectCluster& c : pc::extract_clusters(merged, seg)) {
       if (c.point_count() < 4) continue;
       const geom::Aabb& footprint = c.footprint;
       track::Detection d;

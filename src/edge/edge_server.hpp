@@ -11,6 +11,7 @@
 // (Unlimited).
 
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "core/dissemination.hpp"
@@ -23,6 +24,7 @@
 #include "net/message.hpp"
 #include "obs/metrics.hpp"
 #include "pointcloud/dbscan.hpp"
+#include "pointcloud/voxel_grid.hpp"
 #include "sim/road_network.hpp"
 #include "sim/world.hpp"
 #include "track/prediction.hpp"
@@ -139,6 +141,9 @@ AdmissionPolicy deadline_policy(const ServiceConfig& service);
 class EdgeServer {
  public:
   EdgeServer(const sim::RoadNetwork& net, EdgeConfig cfg = {});
+  /// Not copyable: a copy would share the borrowed working memory.
+  EdgeServer(const EdgeServer&) = delete;
+  EdgeServer& operator=(const EdgeServer&) = delete;
 
   /// Process one frame of (already bandwidth-capped) uploads.
   /// `truth` is optional harness ground truth used solely to tag detections
@@ -194,12 +199,23 @@ class EdgeServer {
   /// Highest admitted upload_seq per vehicle, for the delta-base ack.
   std::map<sim::AgentId, std::uint64_t> acked_seq_;
 
+  /// Working memory of the blob re-segmentation: the merged cloud above the
+  /// ground strip (voxel-thinned in place) and the kernels' scratch.
+  /// Capacity only; borrowed for the server's lifetime so the largest
+  /// buffers of an EMP frame are not reallocated every frame (DESIGN.md §20).
+  struct BlobScratch {
+    pc::PointCloud merged;
+    pc::VoxelScratch voxel;
+    pc::DbscanScratch dbscan;
+  };
+  std::shared_ptr<BlobScratch> blob_scratch_;
+
   /// Adds the re-segmentation DBSCAN's distance tests to
   /// `*dbscan_distance_tests`.
   std::vector<track::Detection> build_detections(
       const std::vector<net::UploadFrame>& uploads,
       const std::vector<sim::AgentSnapshot>* truth,
-      std::uint64_t* dbscan_distance_tests) const;
+      std::uint64_t* dbscan_distance_tests);
 
   static sim::AgentKind classify_extent(const geom::Aabb& box);
   static sim::AgentId match_truth(const std::vector<sim::AgentSnapshot>& truth,

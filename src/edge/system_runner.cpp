@@ -347,6 +347,13 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
     }
   }
 
+  // make_upload's working memory, one per pool lane: a lane runs one client
+  // at a time, and the scratch carries capacity only (DESIGN.md §20).
+  std::vector<std::shared_ptr<ClientScratch>> lane_scratch;
+  while (lane_scratch.size() < core::thread_count()) {
+    lane_scratch.push_back(core::borrow_scratch<ClientScratch>());
+  }
+
   EdgeServer server(net, cfg_.edge);
   server.attach_metrics(&reg);
   // Thread-pool scheduling counters are recorded as a start/end delta so a
@@ -426,7 +433,9 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
         obs::StageSpan fanout_span(&reg, "stage.fanout");
         core::parallel_for(site_ids.size(), 1, [&](std::size_t i) {
           slots[i] = clients.at(site_ids[i])
-                         .make_upload(world, &voronoi, i, &stats[i], &truth);
+                         .make_upload(world, &voronoi, i, &stats[i], &truth,
+                                      lane_scratch.at(core::current_lane())
+                                          .get());
         });
       }
       double max_extract = 0.0;

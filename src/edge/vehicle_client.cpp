@@ -125,7 +125,7 @@ sim::AgentId VehicleClient::match_truth(
 net::UploadFrame VehicleClient::make_upload(
     const sim::World& world, const geom::VoronoiPartition* voronoi,
     std::size_t voronoi_cell, ClientFrameStats* stats,
-    const std::vector<sim::AgentSnapshot>* truth) {
+    const std::vector<sim::AgentSnapshot>* truth, ClientScratch* scratch) {
   net::UploadFrame frame;
   frame.vehicle = vehicle_;
   frame.timestamp = world.time();
@@ -139,8 +139,11 @@ net::UploadFrame VehicleClient::make_upload(
   // paper's on-vehicle pipeline does with the scan. sensing_points_per_sec
   // in the bench derives from the former, so extraction cost can never
   // masquerade as sensor cost (or vice versa).
+  ClientScratch own;
+  ClientScratch& sc = scratch != nullptr ? *scratch : own;
   obs::StageSpan sense_span(cfg_.metrics, "stage.sense");
-  const sim::LidarScan scan = world.scan_from(vehicle_);
+  world.scan_from(vehicle_, sc.scan);
+  const sim::LidarScan& scan = sc.scan;
   sense_span.stop();
 
   double processing_seconds = 0.0;
@@ -150,7 +153,7 @@ net::UploadFrame VehicleClient::make_upload(
   switch (cfg_.policy) {
     case UploadPolicy::kOursMovingObjects: {
       const pc::ExtractionResult ex =
-          extractor_.process(scan.cloud, frame.pose, world.time());
+          extractor_.process(scan.cloud, frame.pose, world.time(), sc.extract);
       if (stats != nullptr) {
         stats->dbscan_distance_tests = ex.stats.dbscan_distance_tests;
       }
@@ -250,22 +253,25 @@ net::UploadFrame VehicleClient::make_upload(
     }
     case UploadPolicy::kEmpVoronoi: {
       // EMP: ground-removed cloud, cropped to this vehicle's Voronoi cell.
-      pc::PointCloud no_ground =
-          pc::remove_ground(scan.cloud, cfg_.extractor.ground);
+      // One pass: each point above the ground cutoff goes to the world frame
+      // and is kept if it lies in the cell. The crop gathers in scratch and
+      // the upload gets an exactly sized copy.
+      const double cutoff = pc::ground_cutoff(cfg_.extractor.ground);
       const geom::Mat4 t_lw = geom::Mat4::from_pose(frame.pose);
-      pc::PointCloud world_cloud = no_ground.transformed(t_lw);
-      pc::PointCloud cell;
-      cell.reserve(world_cloud.size());
-      for (const geom::Vec3& p : world_cloud.points()) {
-        if (voronoi == nullptr || voronoi->in_cell(p.xy(), voronoi_cell)) {
-          cell.push_back(p);
+      pc::PointCloud& cell = sc.cell;
+      cell.clear();
+      for (const geom::Vec3& p : scan.cloud.points()) {
+        if (!(p.z > cutoff)) continue;
+        const geom::Vec3 w = t_lw.transform_point(p);
+        if (voronoi == nullptr || voronoi->in_cell(w.xy(), voronoi_cell)) {
+          cell.push_back(w);
         }
       }
       net::ObjectUpload up;
       up.centroid_world = cell.centroid();
       up.point_count = cell.size();
       up.bytes = pc::encoded_size_bytes(cell.size());
-      up.cloud_world = std::move(cell);
+      up.cloud_world = pc::PointCloud(std::vector<geom::Vec3>(cell.points()));
       frame.objects.push_back(std::move(up));
       break;
     }

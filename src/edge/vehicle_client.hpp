@@ -68,6 +68,18 @@ struct ClientFrameStats {
   double processing_seconds{0.0};
 };
 
+/// Working memory of make_upload: the scan, the extraction scratch and the
+/// EMP cell crop. Capacity only, so any client may use any one. SystemRunner
+/// keeps one per pool lane, never one per client, which would multiply the
+/// largest buffers of a frame by the fleet size (DESIGN.md §20). Aligned to
+/// a cache line: lanes push into their scratch's vectors concurrently, and
+/// two lanes' vector headers must not share a line.
+struct alignas(64) ClientScratch {
+  sim::LidarScan scan;
+  pc::ExtractScratch extract;
+  pc::PointCloud cell;
+};
+
 class VehicleClient {
  public:
   VehicleClient(sim::AgentId vehicle, ClientConfig cfg = {});
@@ -80,13 +92,16 @@ class VehicleClient {
   /// `truth` optionally supplies a precomputed world snapshot for truth
   /// matching so that N clients sharing one frame do not each re-snapshot the
   /// world; pass nullptr to snapshot internally. The world is only read, so
-  /// clients of distinct vehicles may run concurrently.
+  /// clients of distinct vehicles may run concurrently. `scratch`, when
+  /// given, is the working memory (one per concurrent caller); without it
+  /// the call allocates its own.
   net::UploadFrame make_upload(const sim::World& world,
                                const geom::VoronoiPartition* voronoi,
                                std::size_t voronoi_cell,
                                ClientFrameStats* stats = nullptr,
                                const std::vector<sim::AgentSnapshot>* truth =
-                                   nullptr);
+                                   nullptr,
+                               ClientScratch* scratch = nullptr);
 
   /// Drop all temporal pipeline state (frame-differencing baselines, delta
   /// keyframe bases, cached coverage feedback). Called by the harness when

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 
 #include "core/check.hpp"
 
@@ -16,34 +17,22 @@ constexpr std::int32_t kUnset = std::numeric_limits<std::int32_t>::max();
 /// Bound on the column table (4 B a column), on z layers and relative keys.
 constexpr std::uint64_t kMaxColumns = 1 << 20;
 
-/// Points binned into cells whose integer keys keep every near pair within
-/// two keys per axis. A class k neighbour differs by two keys on k axes: the
-/// nearest gap to it is 0, 1, √2 or √3 cell sides.
-struct Cells {
-  std::vector<std::uint32_t> order;  // by cell, ascending inside a cell
-  std::vector<std::uint32_t> start;  // cell c: order[start[c] .. start[c+1])
-  /// Class k neighbours of cell c, ascending:
-  /// nbr[nbr_start[4c + k] .. nbr_start[4c + k + 1]).
-  std::vector<std::uint32_t> nbr_start;
-  std::vector<std::uint32_t> nbr;
-};
-
-/// Keys along one axis: floor((v - lo) / side) while the extent spans under
-/// kMaxColumns keys, which leaves ~30 fractional bits for rounding. Wider
-/// extents (any finite one) take segment keys: a sorted sweep starts a
-/// segment three keys on at every gap wider than 2·eps, which no near pair
-/// straddles, and keys points from the segment's start. A segment of m
-/// points spans at most 2·eps·m, so keys stay below 7n.
-std::vector<std::uint32_t> axis_keys(const PointCloud& cloud,
-                                     double geom::Vec3::*axis, double lo,
-                                     double hi, double eps, double side) {
+/// Keys along one axis, into `key`: floor((v - lo) / side) while the extent
+/// spans under kMaxColumns keys, which leaves ~30 fractional bits for
+/// rounding. Wider extents (any finite one) take segment keys: a sorted
+/// sweep starts a segment three keys on at every gap wider than 2·eps, which
+/// no near pair straddles, and keys points from the segment's start. A
+/// segment of m points spans at most 2·eps·m, so keys stay below 7n.
+void axis_keys(const PointCloud& cloud, double geom::Vec3::*axis, double lo,
+               double hi, double eps, double side,
+               std::vector<std::uint32_t>& key) {
   const std::size_t n = cloud.size();
-  std::vector<std::uint32_t> key(n);
+  key.resize(n);
   if ((hi - lo) / side < kMaxColumns) {  // false for an infinite extent
     for (std::size_t i = 0; i < n; ++i) {
       key[i] = static_cast<std::uint32_t>((cloud[i].*axis - lo) / side);
     }
-    return key;
+    return;
   }
   std::vector<std::uint32_t> by(n);
   std::iota(by.begin(), by.end(), 0u);
@@ -60,13 +49,14 @@ std::vector<std::uint32_t> axis_keys(const PointCloud& cloud,
     }
     key[by[j]] = base + static_cast<std::uint32_t>((v - first) / side);
   }
-  return key;
 }
 
-/// Cubic cells of side eps/√3, counting-sorted by (x, y, z) key, with a dense
-/// column table. A box too large for it merges 2^s keys per axis: near pairs
-/// stay within two keys, but cells seldom pass the bounding-box test.
-Cells index_cells(const PointCloud& cloud, double eps) {
+/// Cubic cells of side eps/√3, counting-sorted by (x, y, z) key into
+/// sc.order / sc.start, with a dense column table, and each cell's
+/// neighbours in sc.nbr. A box too large for the table merges 2^s keys per
+/// axis: near pairs stay within two keys, but cells seldom pass the
+/// bounding-box test.
+void index_cells(const PointCloud& cloud, double eps, DbscanScratch& sc) {
   const double side = eps / std::sqrt(3.0);
   geom::Vec3 lo = cloud[0];
   geom::Vec3 hi = lo;
@@ -79,10 +69,10 @@ Cells index_cells(const PointCloud& cloud, double eps) {
   }
   constexpr double geom::Vec3::*kAxes[] = {&geom::Vec3::x, &geom::Vec3::y,
                                           &geom::Vec3::z};
-  std::array<std::vector<std::uint32_t>, 3> key;
+  std::array<std::vector<std::uint32_t>, 3>& key = sc.key;
   std::array<std::uint64_t, 3> top{};
   for (std::size_t a = 0; a < 3; ++a) {
-    key[a] = axis_keys(cloud, kAxes[a], lo.*kAxes[a], hi.*kAxes[a], eps, side);
+    axis_keys(cloud, kAxes[a], lo.*kAxes[a], hi.*kAxes[a], eps, side, key[a]);
     top[a] = *std::max_element(key[a].begin(), key[a].end());
   }
   // Two empty columns pad each side of the table.
@@ -102,7 +92,11 @@ Cells index_cells(const PointCloud& cloud, double eps) {
 
   // Counting sort by z, then stably by column.
   const std::uint64_t ncol = span(0) * ny;
-  std::vector<std::uint32_t> count(std::max(ncol, nz) + 1);
+  // resize + fill, not assign: a table that outgrows a reused buffer then
+  // grows it geometrically instead of to the exact size.
+  std::vector<std::uint32_t>& count = sc.count;
+  count.resize(std::max(ncol, nz) + 1);
+  std::fill(count.begin(), count.end(), 0);
   std::vector<std::uint32_t>& by_z = key[1];
   for (const std::uint32_t z : kz) ++count[z + 1];
   std::partial_sum(count.begin(), count.begin() + nz + 1, count.begin());
@@ -110,21 +104,24 @@ Cells index_cells(const PointCloud& cloud, double eps) {
   std::fill(count.begin(), count.end(), 0);
   for (const std::uint32_t k : col) ++count[k + 1];
   std::partial_sum(count.begin(), count.begin() + ncol + 1, count.begin());
-  Cells c;
-  c.order.resize(n);
-  for (const std::uint32_t i : by_z) c.order[count[col[i]]++] = i;
-  std::vector<std::uint32_t> cell_z;
+  std::vector<std::uint32_t>& order = sc.order;
+  order.resize(n);
+  for (const std::uint32_t i : by_z) order[count[col[i]]++] = i;
+  std::vector<std::uint32_t>& start = sc.start;
+  std::vector<std::uint32_t>& cell_z = sc.cell_z;
+  start.clear();
+  cell_z.clear();
   for (std::uint32_t j = 0; j < n; ++j) {
-    const std::uint32_t i = c.order[j];
-    const std::uint32_t prev = c.order[j == 0 ? 0 : j - 1];
+    const std::uint32_t i = order[j];
+    const std::uint32_t prev = order[j == 0 ? 0 : j - 1];
     if (j == 0 || col[i] != col[prev] || kz[i] != kz[prev]) {
-      c.start.push_back(j);
+      start.push_back(j);
       cell_z.push_back(kz[i]);
     }
   }
-  c.start.push_back(static_cast<std::uint32_t>(n));
+  start.push_back(static_cast<std::uint32_t>(n));
   const std::size_t nc = cell_z.size();
-  const auto col_of = [&](std::size_t a) { return col[c.order[c.start[a]]]; };
+  const auto col_of = [&](std::size_t a) { return col[order[start[a]]]; };
 
   // `count` turns into the column table: column id holds cells
   // [count[id], count[id + 1]).
@@ -143,8 +140,9 @@ Cells index_cells(const PointCloud& cloud, double eps) {
   // Staging by class; the 124 stencil cells split 26, 54, 36, 8.
   constexpr std::array<std::uint32_t, 4> kAt{0, 26, 80, 116};
   std::array<std::uint32_t, 124> stage;
-  c.nbr_start.assign(1, 0);
-  c.nbr.reserve(16 * nc);
+  sc.nbr_start.assign(1, 0);
+  sc.nbr.clear();
+  sc.nbr.reserve(16 * nc);
   for (std::size_t a = 0; a < nc; ++a) {
     if (a == 0 || col_of(a) != col_of(a - 1)) {
       m = 0;
@@ -168,16 +166,22 @@ Cells index_cells(const PointCloud& cloud, double eps) {
       }
     }
     for (std::size_t k = 0; k < 4; ++k) {
-      c.nbr.insert(c.nbr.end(), stage.data() + kAt[k], stage.data() + fill[k]);
-      c.nbr_start.push_back(static_cast<std::uint32_t>(c.nbr.size()));
+      sc.nbr.insert(sc.nbr.end(), stage.data() + kAt[k],
+                    stage.data() + fill[k]);
+      sc.nbr_start.push_back(static_cast<std::uint32_t>(sc.nbr.size()));
     }
   }
-  return c;
 }
 
 }  // namespace
 
 DbscanResult dbscan(const PointCloud& cloud, const DbscanConfig& cfg) {
+  DbscanScratch scratch;
+  return dbscan(cloud, cfg, scratch);
+}
+
+DbscanResult dbscan(const PointCloud& cloud, const DbscanConfig& cfg,
+                    DbscanScratch& sc) {
   const double eps2 = cfg.eps * cfg.eps;
   ERPD_REQUIRE(cfg.eps > 0.0 && std::isnormal(eps2),
                "dbscan: eps must be > 0 with eps * eps a normal double, got ",
@@ -190,9 +194,25 @@ DbscanResult dbscan(const PointCloud& cloud, const DbscanConfig& cfg) {
   res.labels.assign(n, kNoise);
   if (n == 0) return res;
 
-  const Cells cells = index_cells(cloud, cfg.eps);
-  const std::size_t nc = cells.start.size() - 1;
-  const std::vector<std::uint32_t>& order = cells.order;
+  index_cells(cloud, cfg.eps, sc);
+  const std::size_t nc = sc.start.size() - 1;
+  sc.compact.resize(nc);
+  sc.core.resize(n);
+  sc.first_core.assign(nc, kNone);
+  sc.parent.resize(n);
+  sc.low.assign(nc, kUnset);
+  // The loops below see the scratch through spans: a store through a
+  // uint8_t* may alias a vector's own pointers, and would force the compiler
+  // to reload them after every write.
+  const std::span<const std::uint32_t> order(sc.order);
+  const std::span<const std::uint32_t> start(sc.start);
+  const std::span<const std::uint32_t> nbr(sc.nbr);
+  const std::span<const std::uint32_t> nbr_start(sc.nbr_start);
+  const std::span<std::uint8_t> compact(sc.compact);
+  const std::span<std::uint8_t> core(sc.core);
+  const std::span<std::uint32_t> first_core(sc.first_core);
+  const std::span<std::uint32_t> parent(sc.parent);  // rule 2's union-find
+  const std::span<std::int32_t> low(sc.low);
   const auto near = [&](const geom::Vec3& d) {
     ++res.distance_tests;
     return d.norm_sq() <= eps2;
@@ -202,21 +222,17 @@ DbscanResult dbscan(const PointCloud& cloud, const DbscanConfig& cfg) {
   };
   // Neighbours of cell c in classes [k0, k1), nearest class first.
   const auto nbrs = [&](std::size_t c, std::size_t k0 = 0, std::size_t k1 = 4) {
-    return std::pair{cells.nbr.data() + cells.nbr_start[4 * c + k0],
-                     cells.nbr.data() + cells.nbr_start[4 * c + k1]};
+    return std::pair{nbr.data() + nbr_start[4 * c + k0],
+                     nbr.data() + nbr_start[4 * c + k1]};
   };
 
   // Rule 1. A cell whose bounding box passes the eps test is compact: every
   // pair in it is near, since rounding is monotone. Other points count
   // neighbours, own cell and nearest class first, up to min_pts.
-  std::vector<std::uint8_t> compact(nc);
-  std::vector<std::uint8_t> core(n);
-  std::vector<std::uint32_t> first_core(nc, kNone);
-  std::vector<std::uint32_t> parent(n);  // rule 2's union-find
   std::iota(parent.begin(), parent.end(), 0u);
   for (std::size_t c = 0; c < nc; ++c) {
-    const std::uint32_t b0 = cells.start[c];
-    const std::uint32_t b1 = cells.start[c + 1];
+    const std::uint32_t b0 = start[c];
+    const std::uint32_t b1 = start[c + 1];
     geom::Vec3 lo = cloud[order[b0]];
     geom::Vec3 hi = lo;
     for (std::uint32_t j = b0 + 1; j < b1; ++j) {
@@ -233,8 +249,8 @@ DbscanResult dbscan(const PointCloud& cloud, const DbscanConfig& cfg) {
         if (q != j && near_pts(i, order[q])) ++count;
       }
       for (auto [e, end] = nbrs(c); e != end && count < cfg.min_pts; ++e) {
-        for (std::uint32_t q = cells.start[*e];
-             q < cells.start[*e + 1] && count < cfg.min_pts; ++q) {
+        for (std::uint32_t q = start[*e];
+             q < start[*e + 1] && count < cfg.min_pts; ++q) {
           if (near_pts(i, order[q])) ++count;
         }
       }
@@ -254,10 +270,10 @@ DbscanResult dbscan(const PointCloud& cloud, const DbscanConfig& cfg) {
   // Joins near core pairs of cells a and b (a == b: each pair once) whose
   // roots differ; with `first_only`, stops at the first.
   const auto join = [&](std::size_t a, std::size_t b, bool first_only) {
-    for (std::uint32_t j = cells.start[a]; j < cells.start[a + 1]; ++j) {
+    for (std::uint32_t j = start[a]; j < start[a + 1]; ++j) {
       const std::uint32_t p = order[j];
-      for (std::uint32_t k = a == b ? j + 1 : cells.start[b];
-           core[p] && k < cells.start[b + 1]; ++k) {
+      for (std::uint32_t k = a == b ? j + 1 : start[b];
+           core[p] && k < start[b + 1]; ++k) {
         const std::uint32_t q = order[k];
         if (!core[q] || find(p) == find(q) || !near_pts(p, q)) continue;
         parent[std::max(find(p), find(q))] = std::min(find(p), find(q));
@@ -291,20 +307,19 @@ DbscanResult dbscan(const PointCloud& cloud, const DbscanConfig& cfg) {
 
   // Rule 3. `low[c]` is the lowest id among cell c's core points; a cell
   // whose `low` cannot beat the best id so far is skipped untested.
-  std::vector<std::int32_t> low(nc, kUnset);
   for (std::size_t c = 0; c < nc; ++c) {
-    for (std::uint32_t j = cells.start[c]; j < cells.start[c + 1]; ++j) {
+    for (std::uint32_t j = start[c]; j < start[c + 1]; ++j) {
       if (core[order[j]]) low[c] = std::min(low[c], res.labels[order[j]]);
     }
   }
   for (std::size_t c = 0; c < nc; ++c) {
-    for (std::uint32_t j = cells.start[c]; j < cells.start[c + 1]; ++j) {
+    for (std::uint32_t j = start[c]; j < start[c + 1]; ++j) {
       const std::uint32_t i = order[j];
       if (core[i]) continue;
       std::int32_t best = compact[c] ? low[c] : kUnset;  // all near
       const auto scan = [&](std::size_t b) {
-        for (std::uint32_t k = cells.start[b];
-             k < cells.start[b + 1] && low[b] < best; ++k) {
+        for (std::uint32_t k = start[b];
+             k < start[b + 1] && low[b] < best; ++k) {
           const std::uint32_t q = order[k];
           if (core[q] && res.labels[q] < best && near_pts(i, q)) {
             best = res.labels[q];

@@ -14,6 +14,7 @@
 //      or kNoise when there is none.
 // tests/test_dbscan_equivalence.cpp pins them against a textbook BFS.
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -42,7 +43,34 @@ struct DbscanResult {
   std::uint64_t distance_tests{0};
 };
 
+/// Working memory of dbscan(), kept by callers that cluster every frame so
+/// its capacity is reused. It holds capacity only: a call overwrites
+/// everything it reads, so which scratch is passed never changes a result.
+struct DbscanScratch {
+  /// Per-axis cell keys; later the counting sort's by-z order.
+  std::array<std::vector<std::uint32_t>, 3> key;
+  /// Counting-sort buckets, then the column table.
+  std::vector<std::uint32_t> count;
+  std::vector<std::uint32_t> order;  // by cell, ascending inside a cell
+  std::vector<std::uint32_t> start;  // cell c: order[start[c] .. start[c+1])
+  std::vector<std::uint32_t> cell_z;
+  /// Class k neighbours of cell c, ascending:
+  /// nbr[nbr_start[4c + k] .. nbr_start[4c + k + 1]).
+  std::vector<std::uint32_t> nbr_start;
+  std::vector<std::uint32_t> nbr;
+  /// Rule state, per cell or per point.
+  std::vector<std::uint8_t> compact;
+  std::vector<std::uint32_t> first_core;
+  std::vector<std::int32_t> low;
+  std::vector<std::uint8_t> core;
+  std::vector<std::uint32_t> parent;
+};
+
 DbscanResult dbscan(const PointCloud& cloud, const DbscanConfig& cfg);
+
+/// The same, with `scratch` as working memory.
+DbscanResult dbscan(const PointCloud& cloud, const DbscanConfig& cfg,
+                    DbscanScratch& scratch);
 
 /// A segmented object: the cluster's points plus summary geometry.
 struct ObjectCluster {

@@ -16,8 +16,20 @@ struct GroundFilterConfig {
   double epsilon{0.15};
 };
 
-/// Remove ground-plane points from a sensor-frame cloud.
+/// Sensor-frame height at or below which a point is ground.
+inline double ground_cutoff(const GroundFilterConfig& cfg) {
+  return -cfg.sensor_height + cfg.epsilon;
+}
+
+/// Remove ground-plane points from a sensor-frame cloud. The output is sized
+/// exactly: a count pass precedes the copy.
 PointCloud remove_ground(const PointCloud& cloud, const GroundFilterConfig& cfg);
+
+/// The same, written into `out`: cleared first, then grown only past its
+/// kept capacity, so a buffer reused every frame settles at the largest
+/// frame's size.
+void remove_ground(const PointCloud& cloud, const GroundFilterConfig& cfg,
+                   PointCloud& out);
 
 /// Fraction of points classified as ground (diagnostic for the bandwidth
 /// reduction reported in §II-B).

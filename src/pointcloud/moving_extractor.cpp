@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "pointcloud/voxel_grid.hpp"
-
 namespace erpd::pc {
 
 std::size_t ExtractionResult::total_points() const {
@@ -31,22 +29,31 @@ void MovingObjectExtractor::reset() {
 ExtractionResult MovingObjectExtractor::process(const PointCloud& sensor_frame,
                                                 const geom::Pose& ego_pose,
                                                 double t) {
+  ExtractScratch scratch;
+  return process(sensor_frame, ego_pose, t, scratch);
+}
+
+ExtractionResult MovingObjectExtractor::process(const PointCloud& sensor_frame,
+                                                const geom::Pose& ego_pose,
+                                                double t,
+                                                ExtractScratch& scratch) {
   ExtractionResult res;
   res.stats.raw_points = sensor_frame.size();
 
   // Stage 1: ground removal by z-threshold.
-  PointCloud no_ground = remove_ground(sensor_frame, cfg_.ground);
-  res.stats.after_ground = no_ground.size();
+  PointCloud& work = scratch.work;
+  remove_ground(sensor_frame, cfg_.ground, work);
+  res.stats.after_ground = work.size();
 
   // Optional voxel thinning keeps DBSCAN tractable on dense frames; object
   // identity is unaffected because clusters span many voxels.
-  PointCloud work = cfg_.voxel_size > 0.0
-                        ? voxel_downsample(no_ground, cfg_.voxel_size)
-                        : std::move(no_ground);
+  if (cfg_.voxel_size > 0.0) {
+    voxel_downsample(work, cfg_.voxel_size, work, scratch.voxel);
+  }
   res.stats.after_voxel = work.size();
 
   // Stage 2: segment objects.
-  const DbscanResult seg = dbscan(work, cfg_.dbscan);
+  const DbscanResult seg = dbscan(work, cfg_.dbscan, scratch.dbscan);
   res.stats.dbscan_distance_tests = seg.distance_tests;
   std::vector<ObjectCluster> clusters = extract_clusters(work, seg);
   std::erase_if(clusters, [&](const ObjectCluster& c) {

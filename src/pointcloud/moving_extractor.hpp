@@ -17,6 +17,7 @@
 #include "pointcloud/dbscan.hpp"
 #include "pointcloud/ground_filter.hpp"
 #include "pointcloud/pointcloud.hpp"
+#include "pointcloud/voxel_grid.hpp"
 
 namespace erpd::pc {
 
@@ -74,6 +75,16 @@ struct ExtractionResult {
   PointCloud merged_world() const;
 };
 
+/// Working memory of MovingObjectExtractor::process: the cloud being
+/// worked on (ground-removed, then voxel-thinned in place) and the kernels'
+/// scratch. Capacity only, like the scratch types it holds, so any frame of
+/// any vehicle may reuse one.
+struct ExtractScratch {
+  PointCloud work;
+  VoxelScratch voxel;
+  DbscanScratch dbscan;
+};
+
 /// Stateful per-vehicle extractor; feed frames in timestamp order.
 class MovingObjectExtractor {
  public:
@@ -82,6 +93,10 @@ class MovingObjectExtractor {
   /// Process one sensor-frame cloud captured at `ego_pose` and time `t` (s).
   ExtractionResult process(const PointCloud& sensor_frame,
                            const geom::Pose& ego_pose, double t);
+  /// The same, with `scratch` as working memory.
+  ExtractionResult process(const PointCloud& sensor_frame,
+                           const geom::Pose& ego_pose, double t,
+                           ExtractScratch& scratch);
 
   void reset();
 

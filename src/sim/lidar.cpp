@@ -144,6 +144,17 @@ LidarScan LidarSensor::scan(const geom::Pose& pose,
                             std::span<const LidarTarget> targets,
                             std::mt19937_64& rng) const {
   LidarScan out;
+  scan(pose, targets, rng, out);
+  return out;
+}
+
+void LidarSensor::scan(const geom::Pose& pose,
+                       std::span<const LidarTarget> targets,
+                       std::mt19937_64& rng, LidarScan& out) const {
+  out.cloud.clear();
+  out.points_per_agent.clear();
+  out.ground_points = 0;
+  out.static_points = 0;
 
   const Vec2 eye = pose.position.xy();
   const double sensor_z = pose.position.z;
@@ -232,14 +243,14 @@ LidarScan LidarSensor::scan(const geom::Pose& pose,
   const geom::Mat4 t_wl = geom::Mat4::from_pose(pose).rigid_inverse();
 
   // When the chunk schedule is provably serial-in-order — a single global
-  // worker lane (the serial fallback runs chunks in ascending order on the
-  // calling thread) or a single chunk — emit straight into the output
-  // cloud: the merge below would concatenate the chunk buffers in exactly
-  // that order anyway, so skipping them changes no bytes and saves a full
-  // copy of the cloud plus the per-chunk allocations.
+  // worker lane, a single chunk, or a scan nested in another parallel region
+  // (the serial fallback runs chunks in ascending order on the calling
+  // thread) — emit straight into the output cloud: the merge below would
+  // concatenate the chunk buffers in exactly that order anyway, so skipping
+  // them changes no bytes and saves a full copy of the cloud plus the
+  // per-chunk allocations.
   std::vector<Vec3>* const direct =
-      (core::thread_count() == 1 || n_chunks == 1) ? &out.cloud.points()
-                                                   : nullptr;
+      core::runs_serially(n_chunks) ? &out.cloud.points() : nullptr;
   if (direct != nullptr) {
     direct->reserve(static_cast<std::size_t>(n_az) * n_ch);
   }
@@ -422,7 +433,6 @@ LidarScan LidarSensor::scan(const geom::Pose& pose,
     out.ground_points += co.ground_points;
     out.static_points += co.static_points;
   }
-  return out;
 }
 
 void SightOccluders::reset(Vec2 eye) {

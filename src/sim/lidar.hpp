@@ -92,6 +92,11 @@ class LidarSensor {
   LidarScan scan(const geom::Pose& pose, std::span<const LidarTarget> targets,
                  std::mt19937_64& rng) const;
 
+  /// The same scan written into `out`, whose previous contents are
+  /// discarded and whose capacity is reused.
+  void scan(const geom::Pose& pose, std::span<const LidarTarget> targets,
+            std::mt19937_64& rng, LidarScan& out) const;
+
  private:
   LidarConfig cfg_;
   std::vector<double> elevations_;  // per-channel elevation (radians)

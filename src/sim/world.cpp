@@ -521,8 +521,17 @@ std::vector<LidarTarget> World::lidar_targets(AgentId exclude) const {
 }
 
 LidarScan World::scan_from(AgentId vehicle_id) const {
+  LidarScan out;
+  scan_from(vehicle_id, out);
+  return out;
+}
+
+void World::scan_from(AgentId vehicle_id, LidarScan& out) const {
   const Vehicle* v = find_vehicle(vehicle_id);
-  if (v == nullptr) return {};
+  if (v == nullptr) {
+    out = {};
+    return;
+  }
   const auto targets = lidar_targets(vehicle_id);
   // Per-scan RNG seeded from (world seed, vehicle, tick): the noise stream
   // is a pure function of who scans when, never of which other vehicles
@@ -530,8 +539,8 @@ LidarScan World::scan_from(AgentId vehicle_id) const {
   const auto tick = static_cast<std::uint64_t>(std::llround(time_ / cfg_.dt));
   std::mt19937_64 scan_rng = core::seeded_rng(core::seed_mix(
       cfg_.seed, static_cast<std::uint64_t>(vehicle_id), tick));
-  return lidar_.scan(v->sensor_pose(net_, cfg_.sensor_height), targets,
-                     scan_rng);
+  lidar_.scan(v->sensor_pose(net_, cfg_.sensor_height), targets, scan_rng,
+              out);
 }
 
 bool World::agent_visible_from(AgentId viewer, AgentId target) const {

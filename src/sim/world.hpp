@@ -141,6 +141,9 @@ class World {
   /// per (world seed, vehicle, tick), so concurrent scans from different
   /// vehicles are independent and deterministic.
   LidarScan scan_from(AgentId vehicle_id) const;
+  /// The same scan written into `out` (capacity reused); an unknown vehicle
+  /// leaves it empty.
+  void scan_from(AgentId vehicle_id, LidarScan& out) const;
 
   /// Driver/sensor line-of-sight check (range + occlusion).
   bool agent_visible_from(AgentId viewer, AgentId target) const;

@@ -10,12 +10,13 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "core/thread_pool.hpp"
 #include "edge/edge_server.hpp"
 #include "pointcloud/dbscan.hpp"
 #include "pointcloud/ground_filter.hpp"
 #include "pointcloud/moving_extractor.hpp"
 #include "pointcloud/voxel_grid.hpp"
-#include "sim/scenario.hpp"
+#include "real_scans.hpp"
 
 // Equivalence suite for the grid DBSCAN kernel (pointcloud/dbscan.hpp): its
 // labels must equal, bit for bit, those of the textbook algorithm below, a
@@ -270,54 +271,6 @@ TEST(DbscanEquivalenceDirected, KeysDoNotWrap) {
 // stay within 12 distance tests per point (the old BFS made 38.5-80 here).
 // ---------------------------------------------------------------------------
 
-sim::ScenarioConfig scene(int channels, double azimuth_step_deg) {
-  sim::ScenarioConfig cfg;
-  cfg.seed = 5;
-  cfg.speed_kmh = 30.0;
-  cfg.total_vehicles = 16;
-  cfg.pedestrians = 4;
-  cfg.connected_fraction = 0.5;
-  cfg.world.lidar.channels = channels;
-  cfg.world.lidar.azimuth_step_deg = azimuth_step_deg;
-  cfg.world.lidar.noise_sigma = 0.02;
-  return cfg;
-}
-
-/// Ground-filtered scans of up to four connected vehicles, every 15 ticks,
-/// three times; `merge` instead concatenates each tick's world-frame clouds.
-std::vector<PointCloud> real_clouds(const sim::ScenarioConfig& cfg,
-                                    bool merge) {
-  sim::Scenario sc = sim::make_unprotected_left_turn(cfg);
-  sim::World& world = sc.world;
-  const GroundFilterConfig ground = MovingExtractorConfig{}.ground;
-  std::vector<PointCloud> out;
-  for (int round = 0; round < 3; ++round) {
-    for (int t = 0; t < 15; ++t) world.step();
-    PointCloud merged;
-    int taken = 0;
-    for (const sim::Vehicle& v : world.vehicles()) {
-      if (!v.params().connected || v.params().parked ||
-          v.finished(world.network()) || v.crashed() || taken == 4) {
-        continue;
-      }
-      ++taken;
-      const PointCloud no_ground =
-          remove_ground(world.scan_from(v.id()).cloud, ground);
-      if (!merge) {
-        out.push_back(no_ground);
-        continue;
-      }
-      const geom::Pose pose =
-          v.sensor_pose(world.network(), world.config().sensor_height);
-      merged.append(no_ground.transformed(geom::Mat4::from_pose(pose)));
-    }
-    if (merge) {
-      out.push_back(merged.filtered([](const Vec3& p) { return p.z > 0.25; }));
-    }
-  }
-  return out;
-}
-
 void expect_real_equivalent(const std::vector<PointCloud>& clouds,
                             double voxel, const DbscanConfig& cfg,
                             const std::string& what) {
@@ -341,19 +294,65 @@ void expect_real_equivalent(const std::vector<PointCloud>& clouds,
 
 TEST(DbscanEquivalenceRealScans, DenseScene) {
   const MovingExtractorConfig ex;
-  expect_real_equivalent(real_clouds(scene(32, 0.5), false), ex.voxel_size,
-                         ex.dbscan, "dense 32ch x 0.5deg");
+  expect_real_equivalent(real_clouds(real_scan_scene(32, 0.5), false),
+                         ex.voxel_size, ex.dbscan, "dense 32ch x 0.5deg");
 }
 
 TEST(DbscanEquivalenceRealScans, CoarseScene) {
   const MovingExtractorConfig ex;
-  expect_real_equivalent(real_clouds(scene(16, 1.0), false), ex.voxel_size,
-                         ex.dbscan, "coarse 16ch x 1deg");
+  expect_real_equivalent(real_clouds(real_scan_scene(16, 1.0), false),
+                         ex.voxel_size, ex.dbscan, "coarse 16ch x 1deg");
 }
 
 TEST(DbscanEquivalenceRealScans, EmpMergeClouds) {
-  expect_real_equivalent(real_clouds(scene(32, 0.5), true), edge::kDetectVoxel,
-                         edge::kDetectDbscan, "EMP merge");
+  expect_real_equivalent(real_clouds(real_scan_scene(32, 0.5), true),
+                         edge::kDetectVoxel, edge::kDetectDbscan, "EMP merge");
+}
+
+// Top-level dbscan calls (the EMP edge's) run outside any parallel region.
+// Labels, cluster_count and distance_tests must not depend on the worker
+// count, nor on the scratch a call reuses: one scratch serves every cloud
+// and width here, each result checked against a fresh 1-worker call.
+TEST(DbscanEquivalenceRealScans, SameResultAtEveryWorkerCount) {
+  struct Set {
+    std::vector<PointCloud> clouds;
+    double voxel;
+    DbscanConfig cfg;
+  };
+  const MovingExtractorConfig ex;
+  std::vector<Set> sets;
+  sets.push_back({real_clouds(real_scan_scene(32, 0.5), false), ex.voxel_size,
+                  ex.dbscan});
+  sets.push_back({real_clouds(real_scan_scene(16, 1.0), false), ex.voxel_size,
+                  ex.dbscan});
+  sets.push_back({real_clouds(real_scan_scene(32, 0.5), true),
+                  edge::kDetectVoxel, edge::kDetectDbscan});
+  const std::size_t restore = core::thread_count();
+  std::vector<DbscanResult> want;
+  core::set_thread_count(1);
+  for (const Set& s : sets) {
+    for (const PointCloud& c : s.clouds) {
+      want.push_back(dbscan(voxel_downsample(c, s.voxel), s.cfg));
+    }
+  }
+  DbscanScratch scratch;
+  for (const std::size_t workers : {1, 2, 8}) {
+    core::set_thread_count(workers);
+    std::size_t k = 0;
+    for (const Set& s : sets) {
+      for (const PointCloud& c : s.clouds) {
+        const DbscanResult got =
+            dbscan(voxel_downsample(c, s.voxel), s.cfg, scratch);
+        const std::string what =
+            std::to_string(workers) + " workers, cloud " + std::to_string(k);
+        EXPECT_EQ(got.labels, want[k].labels) << what;
+        EXPECT_EQ(got.cluster_count, want[k].cluster_count) << what;
+        EXPECT_EQ(got.distance_tests, want[k].distance_tests) << what;
+        ++k;
+      }
+    }
+  }
+  core::set_thread_count(restore);
 }
 
 }  // namespace

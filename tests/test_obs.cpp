@@ -282,8 +282,9 @@ TEST(Schema, ExportedJsonCarriesEveryKey) {
   edge::append_method_metrics(w, edge::MethodMetrics{});
   w.end_object();
   for (const std::string_view k : edge::method_metrics_keys()) {
-    EXPECT_NE(w.str().find("\"" + std::string(k) + "\":"), std::string::npos)
-        << k;
+    std::string needle(1, '"');
+    needle.append(k).append("\":");
+    EXPECT_NE(w.str().find(needle), std::string::npos) << k;
   }
 }
 
