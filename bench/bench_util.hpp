@@ -132,54 +132,14 @@ inline double mean_of(const std::vector<double>& v) {
          static_cast<double>(v.size());
 }
 
-/// Run one (factory, method) combination for each seed and return the
-/// per-seed metrics. When `ex` is set, each run is recorded as an export row
-/// labeled `sweep`.
-inline std::vector<edge::MethodMetrics> run_seeds(
-    const ScenarioFactory& factory, sim::ScenarioConfig cfg,
-    edge::Method method, const std::vector<std::uint64_t>& seeds,
-    double duration = 18.0,
-    const net::WirelessConfig& wireless = bench_wireless(),
-    BenchExport* ex = nullptr, const std::string& sweep = {}) {
-  std::vector<edge::MethodMetrics> out;
-  for (std::uint64_t seed : seeds) {
-    cfg.seed = seed;
-    sim::Scenario sc = factory(cfg);
-    edge::RunnerConfig rc = edge::make_runner_config(method, wireless);
-    rc.duration = duration;
-    edge::SystemRunner runner(rc);
-    out.push_back(runner.run(sc));
-    if (ex != nullptr) ex->add(sweep, rc, seed, out.back());
-  }
-  return out;
-}
-
-/// run_seeds with the redundancy-aware uplink (coverage-feedback suppression
-/// + delta encoding, DESIGN.md §16) enabled at its default knobs.
-inline std::vector<edge::MethodMetrics> run_seeds_redundant(
-    const ScenarioFactory& factory, sim::ScenarioConfig cfg,
-    edge::Method method, const std::vector<std::uint64_t>& seeds,
-    double duration = 18.0,
-    const net::WirelessConfig& wireless = bench_wireless(),
-    BenchExport* ex = nullptr, const std::string& sweep = {}) {
-  std::vector<edge::MethodMetrics> out;
-  for (std::uint64_t seed : seeds) {
-    cfg.seed = seed;
-    sim::Scenario sc = factory(cfg);
-    edge::RunnerConfig rc = edge::make_runner_config(method, wireless);
-    rc.duration = duration;
-    rc.redundancy.enabled = true;
-    edge::SystemRunner runner(rc);
-    out.push_back(runner.run(sc));
-    if (ex != nullptr) ex->add(sweep, rc, seed, out.back());
-  }
-  return out;
-}
+/// A per-run tweak of the runner config, given the run's scenario seed.
+using RunnerHook = std::function<void(edge::RunnerConfig&, std::uint64_t)>;
 
 /// Degraded-cellular profile for the fault sections of Figs. 12/14: ~30%
 /// uplink Bernoulli loss, 10% downlink loss, exponential jitter against a
 /// 50 ms delivery deadline, with the edge's staleness decay and track
-/// coasting enabled so the pipeline rides through the gaps.
+/// coasting enabled so the pipeline rides through the gaps. The fault
+/// schedule derives from the scenario seed, so reruns are reproducible.
 inline void degrade_network(edge::RunnerConfig& rc, std::uint64_t seed) {
   rc.fault.seed = seed;
   rc.fault.uplink_loss = 0.30;
@@ -190,21 +150,24 @@ inline void degrade_network(edge::RunnerConfig& rc, std::uint64_t seed) {
   rc.edge.tracker.max_coast_frames = 6;
 }
 
-/// run_seeds with the degraded-network profile applied (fault schedule is
-/// derived from each scenario seed, so reruns are reproducible).
-inline std::vector<edge::MethodMetrics> run_seeds_degraded(
+/// Run one (factory, method) combination for each seed and return the
+/// per-seed metrics. `hook`, when set, adjusts each run's config after the
+/// defaults. When `ex` is set, each run is recorded as an export row
+/// labeled `sweep`.
+inline std::vector<edge::MethodMetrics> run_seeds(
     const ScenarioFactory& factory, sim::ScenarioConfig cfg,
     edge::Method method, const std::vector<std::uint64_t>& seeds,
     double duration = 18.0,
     const net::WirelessConfig& wireless = bench_wireless(),
-    BenchExport* ex = nullptr, const std::string& sweep = {}) {
+    BenchExport* ex = nullptr, const std::string& sweep = {},
+    const RunnerHook& hook = {}) {
   std::vector<edge::MethodMetrics> out;
   for (std::uint64_t seed : seeds) {
     cfg.seed = seed;
     sim::Scenario sc = factory(cfg);
     edge::RunnerConfig rc = edge::make_runner_config(method, wireless);
     rc.duration = duration;
-    degrade_network(rc, seed);
+    if (hook) hook(rc, seed);
     edge::SystemRunner runner(rc);
     out.push_back(runner.run(sc));
     if (ex != nullptr) ex->add(sweep, rc, seed, out.back());

@@ -93,9 +93,12 @@ int main(int argc, char** argv) {
         bench::run_seeds(sim::make_unprotected_left_turn, cfg,
                          edge::Method::kOurs, kSeeds, 10.0,
                          bench::bench_wireless(), nullptr, {});
-    const auto red = bench::run_seeds_redundant(
+    const auto red = bench::run_seeds(
         sim::make_unprotected_left_turn, cfg, edge::Method::kOurs, kSeeds,
-        10.0, bench::bench_wireless(), &ex, sweep);
+        10.0, bench::bench_wireless(), &ex, sweep,
+        [](edge::RunnerConfig& rc, std::uint64_t) {
+          rc.redundancy.enabled = true;
+        });
     const auto off = [](const edge::MethodMetrics& m) {
       return m.uplink_offered_bytes_per_frame / 1024.0;
     };
@@ -133,9 +136,9 @@ int main(int argc, char** argv) {
     bench::dense_lidar(cfg);
     char sweep[40];
     std::snprintf(sweep, sizeof(sweep), "degraded-conn-%02.0f", conn * 100.0);
-    const auto d = bench::run_seeds_degraded(
+    const auto d = bench::run_seeds(
         sim::make_unprotected_left_turn, cfg, edge::Method::kOurs, kSeeds,
-        10.0, bench::bench_wireless(), &ex, sweep);
+        10.0, bench::bench_wireless(), &ex, sweep, bench::degrade_network);
     const auto loss = [](const edge::MethodMetrics& m) {
       return m.uplink_loss_ratio;
     };

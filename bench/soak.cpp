@@ -16,9 +16,9 @@
 //     det-hash shuffle (episode 0 is re-run as the sweep probe);
 //   - flat memory: mean resident set of the back half of the run within
 //     15% of the front half (leaks grow without bound; caches plateau);
-//   - stable stage.e2e p99: back-half mean within 3x of the front half
-//     (the span folds host-measured module times, so the band is generous
-//     against machine noise while still catching monotone degradation).
+//   - stable host.frame p99 (host time of one loop iteration): back-half
+//     mean within 3x of the front half and never above 2 s (generous against
+//     machine noise while still catching monotone degradation).
 //
 // Usage: soak [--quick] [--sim-seconds=N] [--seed=N] [--out=FILE]
 //   --quick          target 600 simulated seconds (CI smoke; ~1 min wall)
@@ -53,6 +53,9 @@ using namespace erpd;
 namespace {
 
 constexpr double kEpisodeSeconds = 14.0;
+// host.frame p99 gates; tools/check_bench.py --soak holds the same values.
+constexpr double kP99CeilingMs = 2000.0;
+constexpr double kP99StabilityRatio = 3.0;
 
 /// Resident set size in kilobytes (0 where /proc is unavailable).
 long resident_kb() {
@@ -110,8 +113,8 @@ edge::RunnerConfig soak_runner(std::uint64_t fault_seed) {
 
 struct EpisodeResult {
   std::uint64_t fingerprint{0};
-  double e2e_p50_ms{0.0};
-  double e2e_p99_ms{0.0};
+  double frame_p50_ms{0.0};
+  double frame_p99_ms{0.0};
   double pool_jobs{0.0};
   long rss_kb{0};
   edge::MethodMetrics metrics{};
@@ -153,9 +156,9 @@ EpisodeResult run_episode(std::uint64_t base_seed, std::uint64_t episode) {
     r.what = e.what();
   }
   // Histogram samples are integer nanoseconds (record_seconds).
-  const obs::Histogram& e2e = registry.histogram("stage.e2e");
-  r.e2e_p50_ms = e2e.quantile(0.50) / 1e6;
-  r.e2e_p99_ms = e2e.quantile(0.99) / 1e6;
+  const obs::Histogram& frame = registry.histogram("host.frame");
+  r.frame_p50_ms = frame.quantile(0.50) / 1e6;
+  r.frame_p99_ms = frame.quantile(0.99) / 1e6;
   // Sum both job gauges so the flatness gate is meaningful on single-core
   // hosts too, where every parallel_for degenerates to a serial job.
   r.pool_jobs = registry.gauge("pool.jobs").value() +
@@ -248,7 +251,7 @@ int main(int argc, char** argv) {
 
   // ---- The soak proper.
   std::size_t violations = 0;
-  std::vector<double> p99_ms, p50_ms, rss_kb, pool_jobs;
+  std::vector<double> p99_ms, rss_kb, pool_jobs;
   std::vector<EpisodeResult> results;
   results.reserve(episodes);
   for (std::size_t ep = 0; ep < episodes; ++ep) {
@@ -258,14 +261,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "soak: episode %zu violated a contract: %s\n", ep,
                    r.what.c_str());
     }
-    p99_ms.push_back(r.e2e_p99_ms);
-    p50_ms.push_back(r.e2e_p50_ms);
+    p99_ms.push_back(r.frame_p99_ms);
     rss_kb.push_back(static_cast<double>(r.rss_kb));
     pool_jobs.push_back(r.pool_jobs);
     if ((ep + 1) % 10 == 0 || ep + 1 == episodes) {
-      std::printf("  episode %3zu/%zu  e2e p99 %6.1f ms  rss %6.0f MB  "
+      std::printf("  episode %3zu/%zu  frame p99 %6.1f ms  rss %6.0f MB  "
                   "fates a/d/s %d/%d/%d\n",
-                  ep + 1, episodes, r.e2e_p99_ms, rss_kb.back() / 1024.0,
+                  ep + 1, episodes, r.frame_p99_ms, rss_kb.back() / 1024.0,
                   r.metrics.service_admitted_objects,
                   r.metrics.service_deferred_objects,
                   r.metrics.service_shed_objects);
@@ -283,7 +285,11 @@ int main(int argc, char** argv) {
 
   const double p99_front = mean_of_range(p99_ms, 0, half);
   const double p99_back = mean_of_range(p99_ms, half, episodes);
-  const bool p99_stable = p99_front <= 0.0 || p99_back <= p99_front * 3.0;
+  const double p99_max =
+      p99_ms.empty() ? 0.0 : *std::max_element(p99_ms.begin(), p99_ms.end());
+  const bool p99_stable = p99_max <= kP99CeilingMs &&
+                          (p99_front <= 0.0 ||
+                           p99_back <= p99_front * kP99StabilityRatio);
 
   const double jobs_front = mean_of_range(pool_jobs, 0, half);
   const double jobs_back = mean_of_range(pool_jobs, half, episodes);
@@ -293,7 +299,7 @@ int main(int argc, char** argv) {
                   pool_flat;
 
   std::printf("\nviolations %zu | rss %6.0f -> %6.0f MB (%s) | "
-              "e2e p99 %5.1f -> %5.1f ms (%s) | pool.jobs %.0f -> %.0f (%s)\n",
+              "frame p99 %5.1f -> %5.1f ms (%s) | pool.jobs %.0f -> %.0f (%s)\n",
               violations, rss_front / 1024.0, rss_back / 1024.0,
               rss_flat ? "flat" : "GROWING", p99_front, p99_back,
               p99_stable ? "stable" : "DEGRADING", jobs_front, jobs_back,
@@ -320,8 +326,9 @@ int main(int argc, char** argv) {
   w.kv("pool_flat", pool_flat);
   w.kv("rss_front_kb", rss_front);
   w.kv("rss_back_kb", rss_back);
-  w.kv("e2e_p99_front_ms", p99_front);
-  w.kv("e2e_p99_back_ms", p99_back);
+  w.kv("frame_p99_front_ms", p99_front);
+  w.kv("frame_p99_back_ms", p99_back);
+  w.kv("frame_p99_max_ms", p99_max);
   w.kv("pool_jobs_front", jobs_front);
   w.kv("pool_jobs_back", jobs_back);
   w.end_object();
@@ -331,8 +338,8 @@ int main(int argc, char** argv) {
     w.begin_object();
     w.kv("episode", static_cast<std::uint64_t>(ep));
     w.kv("behavior_fingerprint", bench::hex64(r.fingerprint));
-    w.kv("e2e_p50_ms", r.e2e_p50_ms);
-    w.kv("e2e_p99_ms", r.e2e_p99_ms);
+    w.kv("frame_p50_ms", r.frame_p50_ms);
+    w.kv("frame_p99_ms", r.frame_p99_ms);
     w.kv("rss_kb", static_cast<std::uint64_t>(
                        r.rss_kb > 0 ? static_cast<std::uint64_t>(r.rss_kb)
                                     : 0));

@@ -209,8 +209,7 @@ FrameOutput EdgeServer::process_frame(
   }
 
   // ---- Traffic-map construction (merge + detection) -----------------------
-  obs::StageSpan merge_span(metrics_, "stage.merge",
-                            &out.timings.merge_seconds);
+  obs::StageSpan merge_span(metrics_, "stage.merge");
   const std::vector<track::Detection> detections =
       build_detections(uploads, truth, &out.dbscan_distance_tests);
   out.detections = detections.size();
@@ -234,8 +233,7 @@ FrameOutput EdgeServer::process_frame(
   merge_span.stop();
 
   // ---- Tracking + rules + prediction --------------------------------------
-  obs::StageSpan track_span(metrics_, "stage.track",
-                            &out.timings.track_predict_seconds);
+  obs::StageSpan track_span(metrics_, "stage.track");
   tracker_.step(detections, t);
   const std::vector<const track::Track*> confirmed = tracker_.confirmed();
   out.confirmed_tracks = confirmed.size();
@@ -346,8 +344,7 @@ FrameOutput EdgeServer::process_frame(
   }
 
   // ---- Relevance estimation -----------------------------------------------
-  obs::StageSpan relevance_span(metrics_, "stage.relevance",
-                                &out.timings.relevance_seconds);
+  obs::StageSpan relevance_span(metrics_, "stage.relevance");
 
   // Visibility: which tracks does each uploader already see?
   // For object-granular uploads, compare object centroids; for blobs, count
@@ -526,8 +523,7 @@ FrameOutput EdgeServer::process_frame(
   relevance_span.stop();
 
   // ---- Dissemination scheduling -------------------------------------------
-  obs::StageSpan diss_span(metrics_, "stage.disseminate",
-                           &out.timings.dissemination_seconds);
+  obs::StageSpan diss_span(metrics_, "stage.disseminate");
   const std::size_t budget = cfg_.wireless.downlink_budget_bytes();
   core::Selection sel;
   switch (cfg_.strategy) {

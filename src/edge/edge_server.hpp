@@ -86,13 +86,6 @@ struct EdgeConfig {
   ServiceConfig service{};
 };
 
-struct ModuleTimings {
-  double merge_seconds{0.0};
-  double track_predict_seconds{0.0};
-  double relevance_seconds{0.0};
-  double dissemination_seconds{0.0};
-};
-
 struct FrameOutput {
   std::vector<net::Dissemination> selected;
   std::size_t downlink_bytes{0};
@@ -128,7 +121,6 @@ struct FrameOutput {
   /// Deadline-admission outcome for this frame (all zero when service mode
   /// is off).
   ServiceStats service{};
-  ModuleTimings timings{};
 };
 
 /// The ingest point budget as an admission policy: cost = points, capacity

@@ -1,6 +1,5 @@
 #include "edge/metrics_io.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "core/rng.hpp"
@@ -18,10 +17,6 @@ std::uint64_t fold(std::uint64_t h, int v) {
 }
 std::uint64_t fold(std::uint64_t h, bool v) {
   return core::seed_mix(h, std::uint64_t{v ? 1u : 0u});
-}
-
-constexpr bool is_host_time_field(std::string_view name) {
-  return std::ranges::find(kHostTimeFields, name) != kHostTimeFields.end();
 }
 
 }  // namespace
@@ -42,8 +37,7 @@ std::vector<std::string_view> method_metrics_keys() {
 
 std::uint64_t behavior_fingerprint(const MethodMetrics& m) {
   std::uint64_t h = 0x9e3779b97f4a7c15ull;
-#define X(field) \
-  if constexpr (!is_host_time_field(#field)) h = fold(h, m.field);
+#define X(field) h = fold(h, m.field);
   ERPD_METHOD_METRICS_FIELDS(X)
 #undef X
   return h;
@@ -64,6 +58,14 @@ obs::RunManifest make_manifest(const RunnerConfig& cfg,
       .fold(cfg.edge.staleness_decay)
       .fold(cfg.edge.follower.alpha)
       .fold(static_cast<int>(cfg.edge.follower.criterion));
+  fp.fold(cfg.edge.tracker.gate)
+      .fold(cfg.edge.tracker.confirm_hits)
+      .fold(cfg.edge.tracker.max_misses)
+      .fold(cfg.edge.tracker.max_coast_frames)
+      .fold(cfg.edge.tracker.kalman.accel_noise)
+      .fold(cfg.edge.tracker.kalman.meas_sigma)
+      .fold(cfg.edge.tracker.kalman.init_vel_sigma)
+      .fold(cfg.edge.tracker.vel_meas_sigma);
   fp.fold(static_cast<int>(cfg.client.policy));
   fp.fold(cfg.duration);
   fp.fold(cfg.fault.seed)

@@ -6,7 +6,6 @@
 // format tracks the struct: adding a MethodMetrics field without touching
 // the exporter is impossible, and renaming a key silently is caught.
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -34,12 +33,7 @@
   X(uplink_offered_bytes_per_frame)   \
   X(uplink_drop_ratio)                \
   X(avg_objects_detected)             \
-  X(e2e_latency)                      \
-  X(extraction_seconds)               \
   X(upload_seconds)                   \
-  X(merge_seconds)                    \
-  X(track_predict_seconds)            \
-  X(dissemination_decision_seconds)   \
   X(downlink_transfer_seconds)        \
   X(delivered_relevance)              \
   X(disseminations)                   \
@@ -73,22 +67,18 @@ void append_method_metrics(obs::JsonWriter& w, const MethodMetrics& m);
 /// The JSON key set append_method_metrics emits, in emission order.
 std::vector<std::string_view> method_metrics_keys();
 
-/// The MethodMetrics fields that hold host wall-clock times. Every other
-/// field is simulated and deterministic.
-inline constexpr std::array<std::string_view, 5> kHostTimeFields = {
-    "e2e_latency", "extraction_seconds", "merge_seconds",
-    "track_predict_seconds", "dissemination_decision_seconds"};
-
-/// The behaviour fingerprint: a hash of every simulated MethodMetrics field
-/// (the table above minus kHostTimeFields), folded in table order with
-/// core::seed_mix from 0x9e3779b97f4a7c15. Doubles fold by bit pattern, ints
-/// by static_cast<uint64_t>, bools as 0/1. Bit-equal at any worker count by
-/// the determinism contract.
+/// The behaviour fingerprint: a hash of every MethodMetrics field (all of
+/// them simulated), folded in table order with core::seed_mix from
+/// 0x9e3779b97f4a7c15. Doubles fold by bit pattern, ints by
+/// static_cast<uint64_t>, bools as 0/1. Bit-equal at any worker count by the
+/// determinism contract.
 std::uint64_t behavior_fingerprint(const MethodMetrics& m);
 
-/// Build the provenance manifest for a run of `cfg`: fingerprints every
-/// configuration value that can change simulated behavior, and stamps the
-/// current thread count and configure-time git revision.
+/// Build the provenance manifest for a run of `cfg`, stamped with the thread
+/// count and configure-time git revision. The config fingerprint folds the
+/// method, link, edge strategy/relevance/follower knobs, TrackerConfig, client
+/// policy, duration, fault schedule, ingest guard, redundancy and service
+/// settings; not the rule, predictor, extractor or encoding configs.
 obs::RunManifest make_manifest(const RunnerConfig& cfg,
                                std::string_view scenario, std::uint64_t seed);
 

@@ -331,9 +331,8 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
   obs::MetricsRegistry reg;
   const MergeOnExit merge_on_exit{reg, cfg_.metrics};
   RunCounters ctr{reg};
-  obs::Histogram& upload_hist = reg.histogram("stage.upload");
-  obs::Histogram& downlink_hist = reg.histogram("stage.downlink");
-  obs::Histogram& e2e_hist = reg.histogram("stage.e2e");
+  obs::Histogram& upload_hist = reg.histogram("sim.upload");
+  obs::Histogram& downlink_hist = reg.histogram("sim.downlink");
 
   ClientConfig client_cfg = cfg_.client;
   client_cfg.metrics = &reg;
@@ -361,14 +360,9 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
   const core::PoolStats pool_start = core::global_pool().stats();
 
   MethodMetrics m;
-  // Latency sums the registry cannot hold exactly: simulated transfer delays
-  // and host wall times, summed in frame order.
-  double sum_e2e = 0.0;
-  double sum_extract = 0.0;
+  // Simulated transfer delays, summed in frame order: the registry's
+  // nanosecond histograms cannot hold them exactly.
   double sum_upload = 0.0;
-  double sum_merge = 0.0;
-  double sum_track = 0.0;
-  double sum_diss = 0.0;
   double sum_downlink = 0.0;
 
   // Fault injection. Every fate below is asked of the channel; a default
@@ -388,6 +382,8 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
   const bool service_mode = cfg_.service.enabled;
 
   for (int frame = 0; frame < steps; ++frame) {
+    // Host time of the whole iteration: pipeline frame plus world step.
+    obs::StageSpan frame_span(&reg, "host.frame");
     if (cfg_.method != Method::kSingle) {
       // Deferred spawns (World::schedule_vehicle) may have materialized
       // since the last pipeline frame; give each new connected vehicle a
@@ -438,9 +434,7 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
                                           .get());
         });
       }
-      double max_extract = 0.0;
       for (const ClientFrameStats& s : stats) {
-        max_extract = std::max(max_extract, s.processing_seconds);
         ctr.raw_points.add(s.raw_points);
         ctr.client_bytes.add(s.uploaded_bytes);
         ctr.suppressed_bytes.add(s.suppressed_bytes);
@@ -582,25 +576,10 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
       const double t_down = net::transfer_delay(
           fo.downlink_bytes + fo.feedback_bytes, cfg_.wireless.downlink_mbps,
           cfg_.wireless.base_latency) + max_down_jitter;
-      sum_extract += max_extract;
       sum_upload += t_upload;
-      sum_merge += fo.timings.merge_seconds;
-      sum_track +=
-          fo.timings.track_predict_seconds + fo.timings.relevance_seconds;
-      sum_diss += fo.timings.dissemination_seconds;
       sum_downlink += t_down;
-      const double e2e = max_extract + t_upload + fo.timings.merge_seconds +
-                         fo.timings.track_predict_seconds +
-                         fo.timings.relevance_seconds +
-                         fo.timings.dissemination_seconds + t_down;
-      sum_e2e += e2e;
-      // stage.upload / stage.downlink are simulated transfer delays
-      // (deterministic for a seed); stage.e2e additionally folds in the
-      // host-measured module times, so it varies run to run like any
-      // wall-clock span.
       upload_hist.record_seconds(t_upload);
       downlink_hist.record_seconds(t_down);
-      e2e_hist.record_seconds(e2e);
 
       if (cfg_.on_frame) {
         cfg_.on_frame(FrameTrace{frame});
@@ -671,12 +650,7 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
     m.uplink_lost_bytes_per_frame = count(ctr.lost_bytes) / n;
     m.uplink_backpressure_bytes_per_frame = count(ctr.backpressure_bytes) / n;
     m.avg_objects_detected = count(ctr.moving_tracks) / n;
-    m.e2e_latency = sum_e2e / n;
-    m.extraction_seconds = sum_extract / n;
     m.upload_seconds = sum_upload / n;
-    m.merge_seconds = sum_merge / n;
-    m.track_predict_seconds = sum_track / n;
-    m.dissemination_decision_seconds = sum_diss / n;
     m.downlink_transfer_seconds = sum_downlink / n;
   }
   if (ctr.offered_frames.value() > 0) {

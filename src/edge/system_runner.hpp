@@ -68,13 +68,14 @@ struct RunnerConfig {
   std::function<void(int frame, const std::vector<net::Dissemination>&)>
       on_decisions;
   /// Optional observability registry (not owned). Every run records into a
-  /// run-local registry — stage spans from the clients (stage.sense /
-  /// stage.extract) and the edge (stage.merge/track/relevance/disseminate),
-  /// the runner's own stage.fanout/upload/downlink/e2e spans, every fate
-  /// and byte counter, and the thread-pool gauges — and derives
-  /// MethodMetrics from it. When set, that registry is merged into this one
-  /// as run() exits, on every path, a thrown ContractViolation included; a
-  /// registry reused across runs therefore holds their sum. Recording is
+  /// run-local registry — host-time spans from the clients (stage.sense /
+  /// stage.extract), the edge (stage.merge/track/relevance/disseminate) and
+  /// the runner (stage.fanout, host.frame), the simulated sim.upload /
+  /// sim.downlink transfer delays, every fate and byte counter, and the
+  /// thread-pool gauges — and derives MethodMetrics from it. When set, that
+  /// registry is merged into this one as run() exits, on every path, a
+  /// thrown ContractViolation included; a registry reused across runs
+  /// therefore holds their sum. Recording is
   /// write-only: no decision ever reads a metric back.
   obs::MetricsRegistry* metrics{nullptr};
 };
@@ -114,13 +115,9 @@ struct MethodMetrics {
   double uplink_drop_ratio{0.0};
   // Map quality.
   double avg_objects_detected{0.0};
-  // Latency (seconds, averaged over pipeline frames).
-  double e2e_latency{0.0};
-  double extraction_seconds{0.0};
+  // Simulated transfer latency (seconds, averaged over pipeline frames).
+  // Host module times live only in the run registry's stage.* spans.
   double upload_seconds{0.0};
-  double merge_seconds{0.0};
-  double track_predict_seconds{0.0};
-  double dissemination_decision_seconds{0.0};
   double downlink_transfer_seconds{0.0};
   // Dissemination accounting.
   double delivered_relevance{0.0};

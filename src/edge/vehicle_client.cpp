@@ -146,9 +146,7 @@ net::UploadFrame VehicleClient::make_upload(
   const sim::LidarScan& scan = sc.scan;
   sense_span.stop();
 
-  double processing_seconds = 0.0;
-  obs::StageSpan extract_span(cfg_.metrics, "stage.extract",
-                              &processing_seconds);
+  obs::StageSpan extract_span(cfg_.metrics, "stage.extract");
 
   switch (cfg_.policy) {
     case UploadPolicy::kOursMovingObjects: {
@@ -292,7 +290,6 @@ net::UploadFrame VehicleClient::make_upload(
   if (stats != nullptr) {
     stats->raw_points = scan.cloud.size();
     stats->uploaded_bytes = frame.total_bytes();
-    stats->processing_seconds = processing_seconds;
   }
   return frame;
 }

@@ -63,9 +63,6 @@ struct ClientFrameStats {
   /// Distance tests of this frame's on-vehicle DBSCAN (zero for policies
   /// that do not extract objects).
   std::uint64_t dbscan_distance_tests{0};
-  /// Wall-clock seconds spent in local processing (the paper's Moving
-  /// Object Extraction runtime).
-  double processing_seconds{0.0};
 };
 
 /// Working memory of make_upload: the scan, the extraction scratch and the

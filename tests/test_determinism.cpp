@@ -73,8 +73,7 @@ TEST(Determinism, LidarScanIdenticalAcrossThreadCounts) {
 // blob segmentation, dissemination) must yield identical behavioral metrics.
 // ---------------------------------------------------------------------------
 
-/// Behaviour fingerprint of a short closed-loop run (simulated fields only;
-/// wall-clock timings legitimately vary).
+/// Behaviour fingerprint of a short closed-loop run.
 std::uint64_t run_scenario(edge::Method method, std::size_t threads) {
   core::set_thread_count(threads);
   sim::ScenarioConfig cfg;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "edge/system_runner.hpp"
+#include "obs/metrics.hpp"
 
 namespace erpd::edge {
 namespace {
@@ -119,21 +120,28 @@ TEST(Integration, EmpDetectsFewerObjectsUnderTightUplink) {
 
 TEST(Integration, LatencyBreakdownPopulated) {
   sim::Scenario sc = sim::make_unprotected_left_turn(fast_scenario());
-  const MethodMetrics m = run(Method::kOurs, sc, 5.0);
-  EXPECT_GT(m.e2e_latency, 0.0);
-  EXPECT_GT(m.extraction_seconds, 0.0);
-  EXPECT_GT(m.upload_seconds, 0.0);
-  EXPECT_GE(m.merge_seconds, 0.0);
-  EXPECT_GE(m.track_predict_seconds, 0.0);
-  EXPECT_GE(m.dissemination_decision_seconds, 0.0);
+  obs::MetricsRegistry reg;
+  RunnerConfig rc = make_runner_config(Method::kOurs, test_wireless());
+  rc.duration = 5.0;
+  rc.metrics = &reg;
+  const MethodMetrics m = SystemRunner(rc).run(sc);
+  // Host module times live in the registry (nanosecond samples), one per
+  // pipeline frame for each edge module.
+  const std::uint64_t frames = reg.counter("frames.pipeline").value();
+  EXPECT_GT(reg.histogram("stage.extract").mean(), 0.0);
+  for (const char* stage : {"stage.merge", "stage.track", "stage.relevance",
+                            "stage.disseminate"}) {
+    EXPECT_EQ(reg.histogram(stage).count(), frames) << stage;
+  }
   // The decision itself is the cheap part (paper: ~1 ms).
-  EXPECT_LT(m.dissemination_decision_seconds, 0.01);
-  // Sum of parts equals the whole (within fp tolerance).
-  const double parts = m.extraction_seconds + m.upload_seconds +
-                       m.merge_seconds + m.track_predict_seconds +
-                       m.dissemination_decision_seconds +
-                       m.downlink_transfer_seconds;
-  EXPECT_NEAR(m.e2e_latency, parts, 1e-9);
+  EXPECT_LT(reg.histogram("stage.disseminate").mean(), 10e6);
+  // Simulated transfer delays are results; sim.* holds the same per-frame
+  // delays, truncated to whole nanoseconds.
+  EXPECT_GE(m.upload_seconds, test_wireless().base_latency);
+  EXPECT_NEAR(m.upload_seconds, reg.histogram("sim.upload").mean() * 1e-9,
+              2e-9);
+  EXPECT_NEAR(m.downlink_transfer_seconds,
+              reg.histogram("sim.downlink").mean() * 1e-9, 2e-9);
 }
 
 TEST(Integration, SafePassageRateComputed) {

@@ -26,8 +26,9 @@ Usage: check_bench.py <fresh.json> <baseline.json>
 
 The --soak mode validates a SOAK report from bench/soak (DESIGN.md §17):
 zero contract violations, worker-sweep bit-identity, flat pool gauges and
-resident memory across the run, and a stage.e2e p99 that stays under an
-absolute ceiling and within a front-vs-back-half stability ratio. The gate
+resident memory across the run, and a host.frame p99 (host wall time of one
+loop iteration: pipeline frame plus world step) that stays under an absolute
+ceiling and within a front-vs-back-half stability ratio. The gate
 thresholds are re-derived here from the raw per-episode series, so the
 binary's own verdict cannot silently diverge from what CI enforces.
 """
@@ -35,10 +36,10 @@ binary's own verdict cannot silently diverge from what CI enforces.
 import json
 import sys
 
-# --soak gate thresholds. stage.e2e folds host-measured module times, so
-# the bands are generous against machine noise while still catching
-# monotone degradation (a real leak or quadratic blowup compounds across
-# dozens-to-hundreds of episodes).
+# --soak gate thresholds, the same values bench/soak.cpp holds. host.frame
+# is host wall time, so the bands are generous against machine noise while
+# still catching monotone degradation (a real leak or quadratic blowup
+# compounds across dozens-to-hundreds of episodes).
 SOAK_P99_CEILING_MS = 2000.0  # absolute: 2 s p99 means the edge is drowning
 SOAK_P99_STABILITY_RATIO = 3.0  # back-half mean vs front-half mean
 SOAK_RSS_GROWTH_RATIO = 1.15  # flat-memory band
@@ -80,21 +81,21 @@ def check_soak(path):
         back = values[half:] or [0.0]
         return sum(front) / len(front), sum(back) / len(back)
 
-    p99 = series("e2e_p99_ms")
+    p99 = series("frame_p99_ms")
     p99_front, p99_back = halves(p99)
     p99_max = max(p99)
     if p99_max > SOAK_P99_CEILING_MS:
         failures.append(
-            f"stage.e2e p99 peaked at {p99_max:.1f} ms >"
+            f"host.frame p99 peaked at {p99_max:.1f} ms >"
             f" {SOAK_P99_CEILING_MS:.0f} ms ceiling"
         )
     if p99_front > 0.0 and p99_back > p99_front * SOAK_P99_STABILITY_RATIO:
         failures.append(
-            f"stage.e2e p99 degraded {p99_front:.1f} -> {p99_back:.1f} ms"
+            f"host.frame p99 degraded {p99_front:.1f} -> {p99_back:.1f} ms"
             f" (> {SOAK_P99_STABILITY_RATIO:.1f}x)"
         )
     print(
-        f"e2e p99 front {p99_front:.1f} ms back {p99_back:.1f} ms"
+        f"host.frame p99 front {p99_front:.1f} ms back {p99_back:.1f} ms"
         f" max {p99_max:.1f} ms "
         + ("ok" if p99_max <= SOAK_P99_CEILING_MS else "FAIL")
     )
