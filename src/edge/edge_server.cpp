@@ -31,7 +31,7 @@ EdgeServer::EdgeServer(const sim::RoadNetwork& net, EdgeConfig cfg)
       point_stage_(point_budget_policy(cfg.ingest)),
       admission_(deadline_policy(cfg.service)),
       tracker_(cfg.tracker),
-      rules_(net, cfg.rules),
+      rules_(net, cfg.rules, cfg.predictor),
       predictor_(net, cfg.predictor),
       blob_scratch_(core::borrow_scratch<BlobScratch>()) {
   cfg_.wireless.validate();
@@ -168,34 +168,28 @@ std::vector<track::Detection> EdgeServer::build_detections(
 }
 
 FrameOutput EdgeServer::process_frame(
-    const std::vector<net::UploadFrame>& uploads_in, double t,
+    std::vector<net::UploadFrame> uploads, double t,
     const std::vector<sim::AgentSnapshot>* truth) {
   FrameOutput out;
 
   // ---- Ingest (DESIGN.md §12, §17) ---------------------------------------
   // Three steps, in order: the guard (validation + reputation), the point
   // budget, then service-mode deadline admission. The last two are the one
-  // rank-and-grant shedder under two policies. With every layer off and no
-  // wire payloads attached, all three are bypassed: `uploads` aliases the
-  // input and this frame is bit-identical to the pre-hardening pipeline.
-  std::vector<net::UploadFrame> admitted;
-  const std::vector<net::UploadFrame>* input = &uploads_in;
-  if (guard_.should_run(uploads_in)) {
-    admitted = guard_.admit(uploads_in, t, &out.ingest);
-    input = &admitted;
+  // rank-and-grant shedder under two policies. Each step takes the batch and
+  // returns what it admits. With every layer off and no wire payloads
+  // attached, all three are bypassed and this frame is bit-identical to the
+  // pre-hardening pipeline.
+  if (guard_.should_run(uploads)) {
+    uploads = guard_.admit(std::move(uploads), t, &out.ingest);
   }
-  if (cfg_.ingest.enabled) {  // the guard ran: `admitted` holds its output
+  if (cfg_.ingest.enabled) {  // the guard ran on this batch
     ServiceStats points;
-    admitted = point_stage_.run(std::move(admitted), &points);
+    uploads = point_stage_.run(std::move(uploads), &points);
     out.ingest.shed_uploads = points.shed_objects;
   }
   if (cfg_.service.enabled) {
-    std::vector<net::UploadFrame> batch =
-        (input == &admitted) ? std::move(admitted) : *input;
-    admitted = admission_.run(std::move(batch), &out.service);
-    input = &admitted;
+    uploads = admission_.run(std::move(uploads), &out.service);
   }
-  const std::vector<net::UploadFrame>& uploads = *input;
 
   // Delta-base acknowledgement: remember the highest admitted upload_seq per
   // vehicle so the next feedback can tell clients whether their keyframe

@@ -137,11 +137,11 @@ class EdgeServer {
   EdgeServer(const EdgeServer&) = delete;
   EdgeServer& operator=(const EdgeServer&) = delete;
 
-  /// Process one frame of (already bandwidth-capped) uploads.
+  /// Process one frame of (already bandwidth-capped) uploads, taken by
+  /// value: the ingest steps move the batch along instead of copying it.
   /// `truth` is optional harness ground truth used solely to tag detections
   /// with agent ids so the simulator can apply disseminations.
-  FrameOutput process_frame(const std::vector<net::UploadFrame>& uploads,
-                            double t,
+  FrameOutput process_frame(std::vector<net::UploadFrame> uploads, double t,
                             const std::vector<sim::AgentSnapshot>* truth);
 
   const track::MultiObjectTracker& tracker() const { return tracker_; }

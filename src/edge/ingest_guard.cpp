@@ -73,8 +73,7 @@ void IngestGuard::note_offense(VehicleState& vs, double t,
 }
 
 std::vector<net::UploadFrame> IngestGuard::admit(
-    const std::vector<net::UploadFrame>& uploads, double t,
-    IngestStats* stats) {
+    std::vector<net::UploadFrame> uploads, double t, IngestStats* stats) {
   std::vector<net::UploadFrame> admitted;
   admitted.reserve(uploads.size());
 
@@ -82,7 +81,7 @@ std::vector<net::UploadFrame> IngestGuard::admit(
   // within one pipeline frame is a replay/duplication artifact.
   std::vector<sim::AgentId> seen;
 
-  for (const net::UploadFrame& f : uploads) {
+  for (net::UploadFrame& f : uploads) {
     if (cfg_.enabled && quarantined(f.vehicle, t)) {
       ++stats->quarantine_dropped;
       continue;
@@ -125,15 +124,13 @@ std::vector<net::UploadFrame> IngestGuard::admit(
     // Per-object validation. Wire payloads (present only when the fault
     // layer mangles buffers) must pass try_decode regardless of `enabled`;
     // semantic bounds checks on object positions need admission control on.
-    net::UploadFrame kept;
-    kept.vehicle = f.vehicle;
-    kept.pose = f.pose;
-    kept.timestamp = f.timestamp;
-    kept.upload_seq = f.upload_seq;
-    kept.objects.reserve(f.objects.size());
+    std::vector<net::ObjectUpload> objects;
+    objects.swap(f.objects);
+    f.objects.reserve(objects.size());
     std::size_t dropped_objects = 0;
-    for (const net::ObjectUpload& o : f.objects) {
+    for (net::ObjectUpload& o : objects) {
       if (o.wire_present) {
+        pc::DecodeResult r;
         // Delta chunks decode against the last admitted keyframe for this
         // (vehicle, object). A chunk that *claims* to be a delta (is_delta)
         // or *looks* like one (magic) takes the delta path — either way the
@@ -145,8 +142,8 @@ std::vector<net::UploadFrame> IngestGuard::admit(
             const auto bit = vit->second.find(o.object_seq);
             if (bit != vit->second.end()) base = &bit->second;
           }
-          pc::DecodeResult r = pc::try_decode_delta(o.wire, base);
-          if (r.status != pc::DecodeStatus::kOk) {
+          r = pc::try_decode_delta(o.wire, base);
+          if (!r.ok()) {
             ++dropped_objects;
             // Transport-shaped damage (truncation, size, CRC) counts as
             // corruption; protocol-shaped damage (wrong magic, missing or
@@ -158,32 +155,27 @@ std::vector<net::UploadFrame> IngestGuard::admit(
             ++(transport ? stats->rejected_crc : stats->rejected_semantic);
             continue;
           }
-          net::ObjectUpload checked = o;
-          checked.cloud_world = std::move(r.cloud);
-          checked.wire = pc::EncodedCloud{};
-          checked.wire_present = false;
-          kept.objects.push_back(std::move(checked));
-          continue;
+        } else {
+          r = pc::try_decode(o.wire);
+          if (!r.ok()) {
+            ++dropped_objects;
+            ++stats->rejected_crc;
+            continue;
+          }
+          // A validated keyframe with an object identity becomes the delta
+          // base for that identity.
+          if (o.object_seq != 0) {
+            std::map<std::uint64_t, pc::EncodedCloud>& mine =
+                bases_[f.vehicle];
+            mine[o.object_seq] = std::move(o.wire);
+            while (mine.size() > kMaxBasesPerVehicle) mine.erase(mine.begin());
+          }
         }
-        pc::DecodeResult r = pc::try_decode(o.wire);
-        if (!r.ok()) {
-          ++dropped_objects;
-          ++stats->rejected_crc;
-          continue;
-        }
-        // A validated keyframe with an object identity becomes the delta
-        // base for that identity.
-        if (o.object_seq != 0) {
-          std::map<std::uint64_t, pc::EncodedCloud>& mine = bases_[f.vehicle];
-          mine[o.object_seq] = o.wire;
-          while (mine.size() > kMaxBasesPerVehicle) mine.erase(mine.begin());
-        }
-        net::ObjectUpload checked = o;
         // Trust only what validated: the decoded buffer is the payload.
-        checked.cloud_world = std::move(r.cloud);
-        checked.wire = pc::EncodedCloud{};
-        checked.wire_present = false;
-        kept.objects.push_back(std::move(checked));
+        o.cloud_world = std::move(r.cloud);
+        o.wire = pc::EncodedCloud{};
+        o.wire_present = false;
+        f.objects.push_back(std::move(o));
         continue;
       }
       if (cfg_.enabled &&
@@ -195,7 +187,7 @@ std::vector<net::UploadFrame> IngestGuard::admit(
         ++stats->rejected_semantic;
         continue;
       }
-      kept.objects.push_back(o);
+      f.objects.push_back(std::move(o));
     }
 
     if (cfg_.enabled) {
@@ -215,7 +207,7 @@ std::vector<net::UploadFrame> IngestGuard::admit(
     }
     // An all-objects-rejected frame still carries a validated pose, which
     // the edge's fleet registry can use.
-    admitted.push_back(std::move(kept));
+    admitted.push_back(std::move(f));
   }
 
   return admitted;

@@ -94,11 +94,10 @@ class IngestGuard {
 
   /// Run the admission pipeline over one frame's uploads (in order):
   /// quarantine gate -> semantic frame checks -> per-object wire validation
-  /// and bounds checks -> reputation update. Returns the admitted frames;
-  /// `t` is the edge's simulated clock.
-  std::vector<net::UploadFrame> admit(
-      const std::vector<net::UploadFrame>& uploads, double t,
-      IngestStats* stats);
+  /// and bounds checks -> reputation update. Returns the admitted frames,
+  /// moved out of `uploads`; `t` is the edge's simulated clock.
+  std::vector<net::UploadFrame> admit(std::vector<net::UploadFrame> uploads,
+                                      double t, IngestStats* stats);
 
   /// True while `vehicle` is serving a quarantine at time `t`.
   bool quarantined(sim::AgentId vehicle, double t) const;

@@ -1,8 +1,10 @@
 #include "edge/system_runner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "core/check.hpp"
 #include "core/thread_pool.hpp"
@@ -64,14 +66,11 @@ std::vector<net::UploadFrame> apply_uplink_cap(
   for (std::size_t k = 0; k < n; ++k) {
     net::UploadFrame& f = frames[(rotate + k) % n];
     if (!budget.try_grant(net::UploadFrame::kFrameOverhead)) break;
-    net::UploadFrame kept;
-    kept.vehicle = f.vehicle;
-    kept.pose = f.pose;
-    kept.timestamp = f.timestamp;
-    kept.upload_seq = f.upload_seq;
-    for (net::ObjectUpload& obj : f.objects) {
+    std::vector<net::ObjectUpload> offered;
+    offered.swap(f.objects);
+    for (net::ObjectUpload& obj : offered) {
       if (budget.try_grant(obj.bytes)) {
-        kept.objects.push_back(std::move(obj));
+        f.objects.push_back(std::move(obj));
         continue;
       }
       if (!obj.object_granular) {
@@ -92,12 +91,12 @@ std::vector<net::UploadFrame> apply_uplink_cap(
           part.bytes = pc::encoded_size_bytes(part.point_count);
           part.centroid_world = part.cloud_world.centroid();
           budget.grant_partial(part.bytes);
-          kept.objects.push_back(std::move(part));
+          f.objects.push_back(std::move(part));
         }
       }
       // Object-granular uploads: this object is simply lost this frame.
     }
-    if (!kept.objects.empty()) out.push_back(std::move(kept));
+    if (!f.objects.empty()) out.push_back(std::move(f));
   }
   return out;
 }
@@ -200,396 +199,340 @@ std::size_t apply_wire_faults(std::vector<net::UploadFrame>& delivered,
   return corrupted;
 }
 
-/// Every counter the runner books, resolved once per run. Resolving also
-/// registers each name, so a run's registry always lists the full set, zeros
-/// included. The runner is the only booking site: components return tallies
-/// (ClientFrameStats, FrameOutput, the channel's fate predicates) and the
-/// runner books them, serially on its own thread.
-struct RunCounters {
-  obs::MetricsRegistry& r;
-  // Vehicle fan-out.
-  obs::Counter& raw_points = r.counter("client.raw_points");
-  obs::Counter& client_bytes = r.counter("client.upload_bytes");
-  obs::Counter& client_dbscan_tests = r.counter("client.dbscan_distance_tests");
-  // Uplink fates.
-  obs::Counter& offered_frames = r.counter("uplink.offered_frames");
-  obs::Counter& offered_bytes = r.counter("uplink.offered_bytes");
-  obs::Counter& delivered_bytes = r.counter("uplink.delivered_bytes");
-  obs::Counter& lost_bytes = r.counter("uplink.lost_bytes");
-  obs::Counter& capped_bytes = r.counter("uplink.capped_bytes");
-  obs::Counter& suppressed_bytes = r.counter("uplink.suppressed_bytes");
-  obs::Counter& backpressure_bytes = r.counter("uplink.backpressure_bytes");
-  obs::Counter& backpressure_frames = r.counter("service.backpressure_uploads");
-  obs::Counter& up_lost_msgs = r.counter("net.uplink_lost_msgs");
-  obs::Counter& up_corrupted_msgs = r.counter("net.uplink_corrupted_msgs");
-  // Downlink fates.
-  obs::Counter& down_lost_msgs = r.counter("net.downlink_lost_msgs");
-  obs::Counter& down_corrupted_msgs = r.counter("net.downlink_corrupted_msgs");
-  obs::Counter& deadline_miss = r.counter("net.downlink_deadline_miss");
-  obs::Counter& delivered_msgs = r.counter("diss.delivered_msgs");
-  obs::Counter& feedback_lost_msgs = r.counter("coverage.feedback_lost_msgs");
-  // Edge output (FrameOutput).
-  obs::Counter& pipeline_frames = r.counter("frames.pipeline");
-  obs::Counter& downlink_bytes = r.counter("downlink.bytes");
-  obs::Counter& selected_msgs = r.counter("diss.selected_msgs");
-  obs::Counter& selected_bytes = r.counter("diss.selected_bytes");
-  obs::Counter& detections = r.counter("edge.detections");
-  obs::Counter& edge_dbscan_tests = r.counter("edge.dbscan_distance_tests");
-  obs::Counter& confirmed_tracks = r.counter("edge.confirmed_tracks");
-  obs::Counter& moving_tracks = r.counter("edge.moving_tracks");
-  obs::Counter& coasting_tracks = r.counter("edge.coasting_tracks");
-  obs::Counter& candidates = r.counter("edge.candidates");
-  obs::Counter& relevance_pairs = r.counter("edge.relevance_pairs");
-  obs::Counter& collision_estimates = r.counter("edge.collision_estimates");
-  obs::Counter& collision_hits = r.counter("edge.collision_hits");
-  obs::Counter& stale_candidates = r.counter("edge.stale_candidates");
-  obs::Counter& feedback_msgs = r.counter("coverage.feedback_msgs");
-  obs::Counter& feedback_bytes = r.counter("coverage.feedback_bytes");
-  obs::Counter& rejected_crc = r.counter("ingest.rejected_crc");
-  obs::Counter& rejected_semantic = r.counter("ingest.rejected_semantic");
-  obs::Counter& quarantined = r.counter("ingest.quarantined_vehicles");
-  obs::Counter& quarantine_dropped =
-      r.counter("ingest.quarantine_dropped_frames");
-  obs::Counter& shed_uploads = r.counter("ingest.shed_uploads");
-  obs::Counter& arrived_objects = r.counter("service.arrived_objects");
-  obs::Counter& admitted_objects = r.counter("service.admitted_objects");
-  obs::Counter& deferred_objects = r.counter("service.deferred_objects");
-  obs::Counter& shed_objects = r.counter("service.shed_objects");
-  obs::Counter& budget_granted = r.counter("service.budget_granted_ns");
-  obs::Counter& budget_denied = r.counter("service.budget_denied_ns");
-  // Simulator (World::step's StepStats).
-  obs::Counter& occlusion_ray_tests = r.counter("sim.occlusion_ray_tests");
-
-  /// Book one edge frame: everything process_frame tallied.
-  void book(const FrameOutput& fo) {
-    pipeline_frames.add();
-    downlink_bytes.add(fo.downlink_bytes);
-    selected_msgs.add(fo.selected.size());
-    selected_bytes.add(fo.downlink_bytes);
-    detections.add(fo.detections);
-    edge_dbscan_tests.add(fo.dbscan_distance_tests);
-    confirmed_tracks.add(fo.confirmed_tracks);
-    moving_tracks.add(fo.moving_tracks);
-    coasting_tracks.add(fo.coasting_tracks);
-    candidates.add(fo.candidates);
-    relevance_pairs.add(fo.relevance.pairs);
-    collision_estimates.add(fo.relevance.estimates);
-    collision_hits.add(fo.relevance.hits);
-    stale_candidates.add(fo.stale_candidates);
-    feedback_msgs.add(fo.feedback.size());
-    feedback_bytes.add(fo.feedback_bytes);
-    rejected_crc.add(fo.ingest.rejected_crc);
-    rejected_semantic.add(fo.ingest.rejected_semantic);
-    quarantined.add(fo.ingest.quarantine_events);
-    quarantine_dropped.add(fo.ingest.quarantine_dropped);
-    shed_uploads.add(fo.ingest.shed_uploads);
-    arrived_objects.add(fo.service.arrived_objects);
-    admitted_objects.add(fo.service.admitted_objects);
-    deferred_objects.add(fo.service.deferred_objects);
-    shed_objects.add(fo.service.shed_objects);
-    budget_granted.add(fo.service.admitted_cost);
-    budget_denied.add(fo.service.denied_cost);
-  }
-};
-
-/// Merges the run registry into the caller's on every exit from run(), a
-/// thrown ContractViolation included, so a violated run still reports what
-/// it recorded.
-struct MergeOnExit {
-  const obs::MetricsRegistry& from;
-  obs::MetricsRegistry* into;
-  ~MergeOnExit() {
-    if (into != nullptr) into->merge(from);
-  }
-};
-
-/// Counter value as a double, for the MethodMetrics ratios.
-double count(const obs::Counter& c) { return static_cast<double>(c.value()); }
-
-}  // namespace
-
-SystemRunner::SystemRunner(RunnerConfig cfg) : cfg_(cfg) {
-  cfg_.wireless.validate();
-  cfg_.fault.validate();
-  // One source of truth: the edge's downlink budget and both ends of the
-  // link use the runner's settings.
-  cfg_.edge.wireless = cfg_.wireless;
-  cfg_.client.redundancy = cfg_.redundancy;
-  cfg_.edge.redundancy = cfg_.redundancy;
-  cfg_.edge.service = cfg_.service;
-  ERPD_REQUIRE(cfg_.duration > 0.0,
-               "SystemRunner: duration must be > 0, got ", cfg_.duration);
+std::size_t total_bytes(const std::vector<net::UploadFrame>& frames) {
+  std::size_t n = 0;
+  for (const net::UploadFrame& f : frames) n += f.total_bytes();
+  return n;
 }
 
-MethodMetrics SystemRunner::run(sim::Scenario& sc) {
-  sim::World& world = sc.world;
-  const sim::RoadNetwork& net = world.network();
+// Every counter a pipeline frame books, one row each: the id the derivation
+// reads it back by, the registry name, and the amount, over for_each_count's
+// views `fan`, `up`, `edge`, `in`, `svc` and `down` of the frame's ledger.
+#define ERPD_FRAME_COUNTERS(X)                                                \
+  X(raw_points, "client.raw_points", fan.raw_points)                          \
+  X(client_bytes, "client.upload_bytes", fan.uploaded_bytes)                  \
+  X(client_dbscan, "client.dbscan_distance_tests", fan.dbscan_distance_tests) \
+  X(offered_frames, "uplink.offered_frames", up.offered_frames)               \
+  X(offered_bytes, "uplink.offered_bytes", up.offered_bytes)                  \
+  X(delivered_bytes, "uplink.delivered_bytes", up.delivered_bytes)            \
+  X(lost_bytes, "uplink.lost_bytes", up.lost_bytes)                           \
+  X(capped_bytes, "uplink.capped_bytes", up.capped_bytes)                     \
+  X(suppressed_bytes, "uplink.suppressed_bytes", fan.suppressed_bytes)        \
+  X(backpressure_bytes, "uplink.backpressure_bytes", up.backpressure_bytes)   \
+  X(backpressure_ups, "service.backpressure_uploads", up.backpressure_frames) \
+  X(up_lost_msgs, "net.uplink_lost_msgs", up.lost_frames)                     \
+  X(up_corrupted, "net.uplink_corrupted_msgs", up.corrupted_msgs)             \
+  X(down_lost_msgs, "net.downlink_lost_msgs", down.lost_msgs)                 \
+  X(down_corrupted, "net.downlink_corrupted_msgs", down.corrupted_msgs)       \
+  X(deadline_miss, "net.downlink_deadline_miss", down.deadline_miss_msgs)     \
+  X(delivered_msgs, "diss.delivered_msgs", down.delivered_msgs)               \
+  X(feedback_lost, "coverage.feedback_lost_msgs", down.feedback_lost_msgs)    \
+  X(pipeline_frames, "frames.pipeline", 1)                                    \
+  X(downlink_bytes, "downlink.bytes", edge.downlink_bytes)                    \
+  X(selected_msgs, "diss.selected_msgs", edge.selected.size())                \
+  X(selected_bytes, "diss.selected_bytes", edge.downlink_bytes)               \
+  X(detections, "edge.detections", edge.detections)                           \
+  X(edge_dbscan, "edge.dbscan_distance_tests", edge.dbscan_distance_tests)    \
+  X(confirmed_tracks, "edge.confirmed_tracks", edge.confirmed_tracks)         \
+  X(moving_tracks, "edge.moving_tracks", edge.moving_tracks)                  \
+  X(coasting_tracks, "edge.coasting_tracks", edge.coasting_tracks)            \
+  X(candidates, "edge.candidates", edge.candidates)                           \
+  X(relevance_pairs, "edge.relevance_pairs", edge.relevance.pairs)            \
+  X(estimates, "edge.collision_estimates", edge.relevance.estimates)          \
+  X(hits, "edge.collision_hits", edge.relevance.hits)                         \
+  X(stale_candidates, "edge.stale_candidates", edge.stale_candidates)         \
+  X(feedback_msgs, "coverage.feedback_msgs", edge.feedback.size())            \
+  X(feedback_bytes, "coverage.feedback_bytes", edge.feedback_bytes)           \
+  X(rejected_crc, "ingest.rejected_crc", in.rejected_crc)                     \
+  X(rejected_sem, "ingest.rejected_semantic", in.rejected_semantic)           \
+  X(quarantined, "ingest.quarantined_vehicles", in.quarantine_events)         \
+  X(q_dropped, "ingest.quarantine_dropped_frames", in.quarantine_dropped)     \
+  X(shed_uploads, "ingest.shed_uploads", in.shed_uploads)                     \
+  X(arrived, "service.arrived_objects", svc.arrived_objects)                  \
+  X(admitted, "service.admitted_objects", svc.admitted_objects)               \
+  X(deferred, "service.deferred_objects", svc.deferred_objects)               \
+  X(shed_objects, "service.shed_objects", svc.shed_objects)                   \
+  X(granted_ns, "service.budget_granted_ns", svc.admitted_cost)               \
+  X(denied_ns, "service.budget_denied_ns", svc.denied_cost)
 
-  // The run registry is the single source of every count MethodMetrics
-  // reports (DESIGN.md §11): the loop books into it, the end of the run
-  // derives from it, and the caller's registry only receives a merged copy.
+enum class Count : std::size_t {
+#define ERPD_COUNT_ID(id, name, amount) id,
+  ERPD_FRAME_COUNTERS(ERPD_COUNT_ID)
+#undef ERPD_COUNT_ID
+  kSize
+};
+
+/// The run registry and its one booking site (DESIGN.md §11): nothing else
+/// adds to a counter. Stages and components return tallies; the ledger books
+/// them, serially on the runner's thread. Resolving every counter up front
+/// also registers it, so a run's registry lists the full set, zeros
+/// included. The registry is merged into `into` (if set) on every exit from
+/// run(), a thrown ContractViolation included.
+class Ledger {
+ public:
+  explicit Ledger(obs::MetricsRegistry* into)
+      : into_(into),
+        occlusion_ray_tests_(reg.counter("sim.occlusion_ray_tests")),
+        upload_(reg.histogram("sim.upload")),
+        downlink_(reg.histogram("sim.downlink")) {
+    std::size_t i = 0;
+    for_each_count(FrameTrace{}, [&](const char* name, std::uint64_t) {
+      counters_[i++] = &reg.counter(name);
+    });
+  }
+  ~Ledger() {
+    if (into_ != nullptr) into_->merge(reg);
+  }
+
+  /// Book one pipeline frame, before on_frame sees it.
+  void book(const FrameTrace& tr) {
+    std::size_t i = 0;
+    for_each_count(tr, [&](const char*, std::uint64_t amount) {
+      counters_[i++]->add(amount);
+    });
+    upload_.record_seconds(tr.up.t_upload);
+    downlink_.record_seconds(tr.down.t_down);
+    upload_seconds += tr.up.t_upload;
+    downlink_seconds += tr.down.t_down;
+    relevance = tr.down.relevance_total;
+  }
+  /// Book one world step (after its frame's on_frame).
+  void book(const sim::StepStats& step) {
+    occlusion_ray_tests_.add(step.occlusion_ray_tests);
+  }
+
+  std::uint64_t value(Count c) const {
+    return counters_[static_cast<std::size_t>(c)]->value();
+  }
+
   obs::MetricsRegistry reg;
-  const MergeOnExit merge_on_exit{reg, cfg_.metrics};
-  RunCounters ctr{reg};
-  obs::Histogram& upload_hist = reg.histogram("sim.upload");
-  obs::Histogram& downlink_hist = reg.histogram("sim.downlink");
+  // What a counter cannot hold exactly, summed in frame order: the two
+  // simulated transfer delays and the run's delivered relevance.
+  double upload_seconds{0.0};
+  double downlink_seconds{0.0};
+  double relevance{0.0};
 
-  ClientConfig client_cfg = cfg_.client;
-  client_cfg.metrics = &reg;
+ private:
+  obs::MetricsRegistry* into_;
+  std::array<obs::Counter*, static_cast<std::size_t>(Count::kSize)> counters_;
+  obs::Counter& occlusion_ray_tests_;
+  obs::Histogram& upload_;
+  obs::Histogram& downlink_;
+};
 
-  std::map<sim::AgentId, VehicleClient> clients;
-  if (cfg_.method != Method::kSingle) {
-    for (const sim::Vehicle& v : world.vehicles()) {
-      if (v.params().connected && !v.params().parked) {
-        clients.emplace(v.id(), VehicleClient(v.id(), client_cfg));
-      }
+/// The frame stages and the state they carry between frames. Each stage
+/// fills or returns its tally and touches the registry only through its
+/// StageSpan.
+class FrameStages {
+ public:
+  FrameStages(const RunnerConfig& cfg, sim::World& world,
+              obs::MetricsRegistry& reg)
+      : cfg_(cfg), world_(world), reg_(reg), channel_(cfg.fault) {
+    client_cfg_.metrics = &reg;
+    // make_upload's working memory, one per pool lane: a lane runs one
+    // client at a time, and the scratch carries capacity only (§20).
+    while (lane_scratch_.size() < core::thread_count()) {
+      lane_scratch_.push_back(core::borrow_scratch<ClientScratch>());
     }
   }
 
-  // make_upload's working memory, one per pool lane: a lane runs one client
-  // at a time, and the scratch carries capacity only (DESIGN.md §20).
-  std::vector<std::shared_ptr<ClientScratch>> lane_scratch;
-  while (lane_scratch.size() < core::thread_count()) {
-    lane_scratch.push_back(core::borrow_scratch<ClientScratch>());
+  /// Connected vehicles sense, extract and encode their uploads, one slot
+  /// per uploading vehicle in client order.
+  std::vector<net::UploadFrame> sense_fanout(
+      const std::vector<sim::AgentSnapshot>& truth, ClientFrameStats* tally) {
+    const sim::RoadNetwork& net = world_.network();
+    // A connected vehicle gets its client when it first appears: the
+    // initial fleet at frame 0, World::schedule_vehicle's spawns later.
+    for (const sim::Vehicle& v : world_.vehicles()) {
+      if (v.params().connected && !v.params().parked &&
+          !clients_.contains(v.id())) {
+        clients_.emplace(v.id(), VehicleClient(v.id(), client_cfg_));
+      }
+    }
+    std::vector<geom::Vec2> sites;
+    std::vector<sim::AgentId> site_ids;
+    for (auto& [vid, client] : clients_) {
+      const sim::Vehicle* v = world_.find_vehicle(vid);
+      if (v == nullptr || v->finished(net) || v->crashed()) continue;
+      // Disconnected vehicles neither sense-for-upload nor count as Voronoi
+      // sites; on reconnect the local pipeline restarts because its
+      // frame-differencing baseline is stale.
+      const bool off = channel_.vehicle_offline(vid, world_.time());
+      bool& was_off = offline_prev_[vid];
+      if (was_off && !off) client.reset_pipeline();
+      was_off = off;
+      if (off) continue;
+      sites.push_back(v->position(net));
+      site_ids.push_back(vid);
+    }
+    const geom::VoronoiPartition voronoi(sites);
+
+    // Each task reads the (const) world and the shared snapshot and mutates
+    // only its own client and output slot, so reading the slots in site
+    // order afterwards is identical to the serial loop for any thread count.
+    // stage.fanout is the wall time of the whole parallel region; the
+    // per-vehicle scan and extraction costs are recorded inside make_upload
+    // (stage.sense / stage.extract).
+    std::vector<ClientFrameStats> stats(site_ids.size());
+    std::vector<net::UploadFrame> slots(site_ids.size());
+    {
+      obs::StageSpan fanout_span(&reg_, "stage.fanout");
+      core::parallel_for(site_ids.size(), 1, [&](std::size_t i) {
+        slots[i] = clients_.at(site_ids[i])
+                       .make_upload(world_, &voronoi, i, &stats[i], &truth,
+                                    lane_scratch_.at(core::current_lane())
+                                        .get());
+      });
+    }
+    for (const ClientFrameStats& s : stats) {
+      tally->raw_points += s.raw_points;
+      tally->uploaded_bytes += s.uploaded_bytes;
+      tally->suppressed_bytes += s.suppressed_bytes;
+      tally->dbscan_distance_tests += s.dbscan_distance_tests;
+    }
+    return slots;
   }
 
-  EdgeServer server(net, cfg_.edge);
-  server.attach_metrics(&reg);
-  // Thread-pool scheduling counters are recorded as a start/end delta so a
-  // shared global pool does not leak earlier runs' work into this run.
-  const core::PoolStats pool_start = core::global_pool().stats();
-
-  MethodMetrics m;
-  // Simulated transfer delays, summed in frame order: the registry's
-  // nanosecond histograms cannot hold them exactly.
-  double sum_upload = 0.0;
-  double sum_downlink = 0.0;
-
-  // Fault injection. Every fate below is asked of the channel; a default
-  // FaultConfig answers "no fault" to each question, so the run is
-  // bit-identical to the lossless pipeline.
-  net::LossyChannel channel(cfg_.fault);
-  // Tracks which clients were offline last pipeline frame, to reset their
-  // local pipeline state on reconnect.
-  std::map<sim::AgentId, bool> offline_prev;
-  // Per-vehicle cache of the previously delivered (clean) upload frame, fed
-  // to stale-replay corruption. Only maintained while corruption is active.
-  std::map<sim::AgentId, net::UploadFrame> replay_cache;
-
-  const int steps =
-      static_cast<int>(std::llround(cfg_.duration / world.config().dt));
-  const bool capped = cfg_.method == Method::kEmp || cfg_.method == Method::kOurs;
-  const bool service_mode = cfg_.service.enabled;
-
-  for (int frame = 0; frame < steps; ++frame) {
-    // Host time of the whole iteration: pipeline frame plus world step.
-    obs::StageSpan frame_span(&reg, "host.frame");
-    if (cfg_.method != Method::kSingle) {
-      // Deferred spawns (World::schedule_vehicle) may have materialized
-      // since the last pipeline frame; give each new connected vehicle a
-      // client. For scenarios without deferred spawns this inserts nothing,
-      // so the pre-existing behavior is unchanged.
-      for (const sim::Vehicle& v : world.vehicles()) {
-        if (v.params().connected && !v.params().parked &&
-            !clients.contains(v.id())) {
-          clients.emplace(v.id(), VehicleClient(v.id(), client_cfg));
-        }
+  /// The uplink fates of the offered `slots`; returns what reaches the edge.
+  std::vector<net::UploadFrame> uplink_fates(
+      int frame, std::vector<net::UploadFrame> slots, UplinkTally* u) {
+    // Every offered byte gets exactly one fate: lost to channel faults,
+    // dropped as backpressure by the service-mode drain cap (the first
+    // queue_drain_max surviving frames go on), shed by the shared cap, or
+    // delivered. (Bytes the redundancy layer avoided sending were never
+    // offered; the fan-out tallies them as suppressed.) Loss is a pure
+    // (seed, vehicle, frame) hash, so deciding it serially here is
+    // thread-count-independent.
+    const double t = world_.time();
+    const std::size_t drain_max =
+        cfg_.service.enabled ? cfg_.service.queue_drain_max : 0;
+    u->offered_frames = slots.size();
+    std::vector<net::UploadFrame> uploads;
+    uploads.reserve(slots.size());
+    std::size_t cap_offered_bytes = 0;
+    for (net::UploadFrame& f : slots) {
+      const std::size_t bytes = f.total_bytes();
+      u->offered_bytes += bytes;
+      if (channel_.uplink_lost(f.vehicle, frame, t)) {
+        // A lost frame never reaches the edge nor consumes cap budget.
+        ++u->lost_frames;
+        u->lost_bytes += bytes;
+      } else if (drain_max != 0 && uploads.size() >= drain_max) {
+        ++u->backpressure_frames;
+        u->backpressure_bytes += bytes;
+      } else {
+        cap_offered_bytes += bytes;
+        uploads.push_back(std::move(f));
       }
-      // --- Vehicle-side sensing & extraction ---
-      std::vector<geom::Vec2> sites;
-      std::vector<sim::AgentId> site_ids;
-      for (auto& [vid, client] : clients) {
-        const sim::Vehicle* v = world.find_vehicle(vid);
-        if (v == nullptr || v->finished(net) || v->crashed()) continue;
-        // Disconnected vehicles neither sense-for-upload nor count as
-        // Voronoi sites; on reconnect the local pipeline restarts because its
-        // frame-differencing baseline is stale.
-        const bool off = channel.vehicle_offline(vid, world.time());
-        bool& was_off = offline_prev[vid];
-        if (was_off && !off) client.reset_pipeline();
-        was_off = off;
-        if (off) continue;
-        sites.push_back(v->position(net));
-        site_ids.push_back(vid);
+    }
+    if (cfg_.method == Method::kEmp || cfg_.method == Method::kOurs) {
+      uploads = apply_uplink_cap(std::move(uploads),
+                                 cfg_.wireless.uplink_budget_bytes(),
+                                 static_cast<std::size_t>(frame));
+    }
+    // Cap shedding is measured before wire faults: corruption can *add*
+    // bytes (duplicated frames), never to be mistaken for negative shedding.
+    u->delivered_pre_fault_bytes = total_bytes(uploads);
+    ERPD_ENSURE(u->delivered_pre_fault_bytes <= cap_offered_bytes,
+                "uplink cap delivered ", u->delivered_pre_fault_bytes,
+                " bytes of the ", cap_offered_bytes, " offered to it");
+    u->capped_bytes = cap_offered_bytes - u->delivered_pre_fault_bytes;
+    // Corruption and Byzantine senders hit what crosses the wire (post-cap):
+    // mangled payloads travel as ObjectUpload::wire buffers the edge must
+    // validate with pc::try_decode; duplicated/replayed frames consume
+    // downstream bytes like any other transmission.
+    u->corrupted_msgs = apply_wire_faults(uploads, channel_, frame, t,
+                                          client_cfg_.encoding, replay_cache_);
+    u->delivered_bytes = total_bytes(uploads);
+    u->t_upload = net::transfer_delay(u->delivered_bytes,
+                                      cfg_.wireless.uplink_mbps,
+                                      cfg_.wireless.base_latency) +
+                  channel_.uplink_jitter(frame);
+    return uploads;
+  }
+
+  /// Delivers the edge's messages; `relevance_before` is the run's delivered
+  /// relevance so far.
+  DownlinkTally downlink_fates(int frame, const FrameOutput& fo,
+                               double relevance_before) {
+    // Each selected message independently survives the lossy downlink and
+    // must land within the configured deadline. Exactly one fate per
+    // message: lost, else corrupted (fails the receiver's integrity check),
+    // else past the deadline, else delivered. Only delivered messages reach
+    // driver knowledge.
+    const double t = world_.time();
+    DownlinkTally d{.relevance_total = relevance_before};
+    double max_jitter = 0.0;
+    for (const net::Dissemination& msg : fo.selected) {
+      if (channel_.downlink_lost(msg.to, msg.track_id, frame, t)) {
+        ++d.lost_msgs;
+        continue;
       }
-      const geom::VoronoiPartition voronoi(sites);
-
-      // Sensing + extraction fans out across vehicles: each task reads the
-      // (const) world and mutates only its own client and its own output
-      // slot, so reading the slots in site order afterwards is identical to
-      // the serial loop for any thread count. The snapshot is hoisted out so
-      // N clients share one copy (world state does not change within a
-      // frame). stage.fanout is the wall time of the whole parallel region;
-      // the per-vehicle scan and extraction costs are recorded inside
-      // make_upload (stage.sense / stage.extract).
-      const std::vector<sim::AgentSnapshot> truth = world.snapshot();
-      std::vector<ClientFrameStats> stats(site_ids.size());
-      std::vector<net::UploadFrame> slots(site_ids.size());
-      {
-        obs::StageSpan fanout_span(&reg, "stage.fanout");
-        core::parallel_for(site_ids.size(), 1, [&](std::size_t i) {
-          slots[i] = clients.at(site_ids[i])
-                         .make_upload(world, &voronoi, i, &stats[i], &truth,
-                                      lane_scratch.at(core::current_lane())
-                                          .get());
-        });
+      if (channel_.downlink_corrupted(msg.to, msg.track_id, frame)) {
+        ++d.corrupted_msgs;
+        continue;
       }
-      for (const ClientFrameStats& s : stats) {
-        ctr.raw_points.add(s.raw_points);
-        ctr.client_bytes.add(s.uploaded_bytes);
-        ctr.suppressed_bytes.add(s.suppressed_bytes);
-        ctr.client_dbscan_tests.add(s.dbscan_distance_tests);
-      }
-
-      // --- Uplink fates, booked in slot order ---
-      // Every offered byte gets exactly one fate this frame: lost to channel
-      // faults, dropped as backpressure by the service-mode drain cap (the
-      // first queue_drain_max surviving frames reach the edge), shed by the
-      // shared cap, or delivered. (Bytes the redundancy layer avoided sending
-      // were never offered; they are booked separately as suppressed.)
-      // Loss is a pure (seed, vehicle, frame) hash, so booking it serially
-      // here is thread-count-independent.
-      const std::size_t drain_max =
-          service_mode ? cfg_.service.queue_drain_max : 0;
-      std::size_t offered_bytes = 0;
-      std::size_t lost_bytes = 0;
-      std::size_t backpressure_bytes = 0;
-      std::vector<net::UploadFrame> uploads;
-      uploads.reserve(slots.size());
-      ctr.offered_frames.add(slots.size());
-      for (net::UploadFrame& f : slots) {
-        const std::size_t bytes = f.total_bytes();
-        offered_bytes += bytes;
-        if (channel.uplink_lost(f.vehicle, frame, world.time())) {
-          // A lost upload frame never reaches the edge (and never consumes
-          // cap budget).
-          ctr.up_lost_msgs.add();
-          lost_bytes += bytes;
-        } else if (drain_max != 0 && uploads.size() >= drain_max) {
-          ctr.backpressure_frames.add();
-          backpressure_bytes += bytes;
-        } else {
-          uploads.push_back(std::move(f));
-        }
-      }
-
-      // --- Uplink cap ---
-      std::vector<net::UploadFrame> delivered =
-          capped ? apply_uplink_cap(std::move(uploads),
-                                    cfg_.wireless.uplink_budget_bytes(),
-                                    static_cast<std::size_t>(frame))
-                 : std::move(uploads);
-
-      // Cap shedding measured before wire faults: corruption can *add* bytes
-      // (duplicated frames), which must never be mistaken for negative
-      // shedding. This closes the fate partition exactly.
-      std::size_t delivered_pre_faults = 0;
-      for (const net::UploadFrame& f : delivered) {
-        delivered_pre_faults += f.total_bytes();
-      }
-      ERPD_ENSURE(
-          lost_bytes + backpressure_bytes + delivered_pre_faults <=
-              offered_bytes,
-          "uplink byte partition: lost ", lost_bytes, " + backpressure ",
-          backpressure_bytes, " + delivered ", delivered_pre_faults,
-          " exceeds offered ", offered_bytes);
-
-      // --- Payload corruption & Byzantine senders ---
-      // Applied to what actually crosses the wire (post-cap). Mangled
-      // payloads travel as ObjectUpload::wire buffers the edge must validate
-      // with pc::try_decode; duplicated/replayed frames consume downstream
-      // bytes like any other transmission.
-      ctr.up_corrupted_msgs.add(apply_wire_faults(delivered, channel, frame,
-                                                  world.time(),
-                                                  client_cfg.encoding,
-                                                  replay_cache));
-
-      std::size_t delivered_bytes = 0;
-      for (const net::UploadFrame& f : delivered) {
-        delivered_bytes += f.total_bytes();
-      }
-      ctr.offered_bytes.add(offered_bytes);
-      ctr.delivered_bytes.add(delivered_bytes);
-      ctr.lost_bytes.add(lost_bytes);
-      ctr.capped_bytes.add(offered_bytes - lost_bytes - backpressure_bytes -
-                           delivered_pre_faults);
-      ctr.backpressure_bytes.add(backpressure_bytes);
-
-      // --- Edge server ---
-      const FrameOutput fo =
-          server.process_frame(delivered, world.time(), &truth);
-      ctr.book(fo);
-
-      if (cfg_.on_decisions) cfg_.on_decisions(frame, fo.selected);
-
-      // --- Deliver disseminations back to drivers ---
-      // Each selected message independently survives the lossy downlink and
-      // must land within the configured deadline. Exactly one fate per
-      // message, booked once: lost, else corrupted (fails the receiver's
-      // integrity check), else past the deadline, else delivered. Only
-      // delivered messages reach driver knowledge.
-      double max_down_jitter = 0.0;
-      for (const net::Dissemination& d : fo.selected) {
-        if (channel.downlink_lost(d.to, d.track_id, frame, world.time())) {
-          ctr.down_lost_msgs.add();
-          continue;
-        }
-        if (channel.downlink_corrupted(d.to, d.track_id, frame)) {
-          ctr.down_corrupted_msgs.add();
-          continue;
-        }
-        const double jit = channel.downlink_jitter(d.to, d.track_id, frame);
-        max_down_jitter = std::max(max_down_jitter, jit);
-        const double delay =
-            net::transfer_delay(d.bytes, cfg_.wireless.downlink_mbps,
-                                cfg_.wireless.base_latency) +
-            jit;
-        if (cfg_.fault.downlink_deadline > 0.0 &&
-            delay > cfg_.fault.downlink_deadline) {
-          ctr.deadline_miss.add();
-          continue;
-        }
-        if (d.about != sim::kInvalidAgent) {
-          world.notify_vehicle(d.to, d.about);
-        }
-        m.delivered_relevance += d.relevance;
-        ctr.delivered_msgs.add();
-      }
-      // Coverage feedback rides the same lossy downlink: a dropped message
-      // simply leaves the vehicle's last feedback in place until it ages out
-      // (kMaxFeedbackAge), after which the vehicle uploads everything again.
-      for (const net::CoverageFeedback& fb : fo.feedback) {
-        if (channel.feedback_lost(fb.to, frame, world.time())) {
-          ctr.feedback_lost_msgs.add();
-          continue;
-        }
-        const auto it = clients.find(fb.to);
-        if (it != clients.end()) it->second.receive_feedback(fb);
-      }
-
-      // --- Latency accounting ---
-      const double t_upload =
-          net::transfer_delay(delivered_bytes, cfg_.wireless.uplink_mbps,
+      const double jit = channel_.downlink_jitter(msg.to, msg.track_id, frame);
+      max_jitter = std::max(max_jitter, jit);
+      const double delay =
+          net::transfer_delay(msg.bytes, cfg_.wireless.downlink_mbps,
                               cfg_.wireless.base_latency) +
-          channel.uplink_jitter(frame);
-      // The frame's dissemination completes when its slowest message lands.
-      const double t_down = net::transfer_delay(
-          fo.downlink_bytes + fo.feedback_bytes, cfg_.wireless.downlink_mbps,
-          cfg_.wireless.base_latency) + max_down_jitter;
-      sum_upload += t_upload;
-      sum_downlink += t_down;
-      upload_hist.record_seconds(t_upload);
-      downlink_hist.record_seconds(t_down);
-
-      if (cfg_.on_frame) {
-        cfg_.on_frame(FrameTrace{frame});
+          jit;
+      if (cfg_.fault.downlink_deadline > 0.0 &&
+          delay > cfg_.fault.downlink_deadline) {
+        ++d.deadline_miss_msgs;
+        continue;
       }
+      if (msg.about != sim::kInvalidAgent) {
+        world_.notify_vehicle(msg.to, msg.about);
+      }
+      d.relevance_total += msg.relevance;
+      ++d.delivered_msgs;
     }
-
-    ctr.occlusion_ray_tests.add(world.step().occlusion_ray_tests);
+    // Coverage feedback rides the same lossy downlink: a dropped message
+    // leaves the vehicle's last feedback in place until it ages out
+    // (kMaxFeedbackAge), after which the vehicle uploads everything again.
+    for (const net::CoverageFeedback& fb : fo.feedback) {
+      if (channel_.feedback_lost(fb.to, frame, t)) {
+        ++d.feedback_lost_msgs;
+        continue;
+      }
+      const auto it = clients_.find(fb.to);
+      if (it != clients_.end()) it->second.receive_feedback(fb);
+    }
+    d.t_down = net::transfer_delay(fo.downlink_bytes + fo.feedback_bytes,
+                                   cfg_.wireless.downlink_mbps,
+                                   cfg_.wireless.base_latency) +
+               max_jitter;
+    return d;
   }
 
-  // --- Safety metrics ---
+ private:
+  const RunnerConfig& cfg_;
+  sim::World& world_;
+  obs::MetricsRegistry& reg_;
+  ClientConfig client_cfg_ = cfg_.client;
+  // Every fate is asked of the channel; a default FaultConfig answers "no
+  // fault" to each question, so the run is bit-identical to the lossless
+  // pipeline.
+  net::LossyChannel channel_;
+  std::map<sim::AgentId, VehicleClient> clients_;
+  // Who was offline last frame, to reset their pipelines on reconnect.
+  std::map<sim::AgentId, bool> offline_prev_;
+  // Each vehicle's previous delivered (clean) frame, for stale-replay
+  // corruption; only kept while corruption is active.
+  std::map<sim::AgentId, net::UploadFrame> replay_cache_;
+  std::vector<std::shared_ptr<ClientScratch>> lane_scratch_;
+};
+
+/// After the frame loop: safety from the world, every count, byte and ratio
+/// from the ledger's counters, and the thread-pool gauges.
+MethodMetrics finalize(const sim::Scenario& sc, const RunnerConfig& cfg,
+                       Ledger& ledger, const EdgeServer& server,
+                       const core::PoolStats& pool_start) {
+  const sim::World& world = sc.world;
+  const sim::RoadNetwork& net = world.network();
+  MethodMetrics m;
   int entered = 0;
   int safe = 0;
   for (const sim::Vehicle& v : world.vehicles()) {
@@ -626,60 +569,64 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
   m.collisions = static_cast<int>(world.collisions().size());
   m.min_key_distance = world.min_pair_distance(sc.ego, sc.threat);
 
-  // --- Derive every count, byte and ratio from the run registry ---
   // Counters are exact integer sums; the floating-point operation order
   // below is pinned by the behaviour fingerprints.
-  const std::uint64_t frames = ctr.pipeline_frames.value();
-  const double up_bytes = count(ctr.delivered_bytes);
-  const double down_bytes = static_cast<double>(ctr.downlink_bytes.value() +
-                                                ctr.feedback_bytes.value());
-  m.uplink_mbps = up_bytes * 8.0 / 1e6 / cfg_.duration;
-  m.downlink_mbps = down_bytes * 8.0 / 1e6 / cfg_.duration;
+  using enum Count;
+  const auto count = [&](Count c) {
+    return static_cast<double>(ledger.value(c));
+  };
+  const std::uint64_t frames = ledger.value(pipeline_frames);
+  const double up_bytes = count(delivered_bytes);
+  const double down_bytes =
+      static_cast<double>(ledger.value(downlink_bytes) +
+                          ledger.value(feedback_bytes));
+  m.uplink_mbps = up_bytes * 8.0 / 1e6 / cfg.duration;
+  m.downlink_mbps = down_bytes * 8.0 / 1e6 / cfg.duration;
+  m.delivered_relevance = ledger.relevance;
   if (frames > 0) {
     const double n = static_cast<double>(frames);
-    const double offered = count(ctr.offered_bytes);
+    const double offered = count(offered_bytes);
     m.uplink_bytes_per_frame = up_bytes / n;
     m.downlink_bytes_per_frame = down_bytes / n;
     m.uplink_offered_bytes_per_frame = offered / n;
     m.uplink_drop_ratio =
-        offered > 0.0
-            ? (count(ctr.lost_bytes) + count(ctr.capped_bytes)) / offered
-            : 0.0;
-    m.uplink_suppressed_bytes_per_frame = count(ctr.suppressed_bytes) / n;
-    m.uplink_capped_bytes_per_frame = count(ctr.capped_bytes) / n;
-    m.uplink_lost_bytes_per_frame = count(ctr.lost_bytes) / n;
-    m.uplink_backpressure_bytes_per_frame = count(ctr.backpressure_bytes) / n;
-    m.avg_objects_detected = count(ctr.moving_tracks) / n;
-    m.upload_seconds = sum_upload / n;
-    m.downlink_transfer_seconds = sum_downlink / n;
+        offered > 0.0 ? (count(lost_bytes) + count(capped_bytes)) / offered
+                      : 0.0;
+    m.uplink_suppressed_bytes_per_frame = count(suppressed_bytes) / n;
+    m.uplink_capped_bytes_per_frame = count(capped_bytes) / n;
+    m.uplink_lost_bytes_per_frame = count(lost_bytes) / n;
+    m.uplink_backpressure_bytes_per_frame = count(backpressure_bytes) / n;
+    m.avg_objects_detected = count(moving_tracks) / n;
+    m.upload_seconds = ledger.upload_seconds / n;
+    m.downlink_transfer_seconds = ledger.downlink_seconds / n;
   }
-  if (ctr.offered_frames.value() > 0) {
-    m.uplink_loss_ratio = count(ctr.up_lost_msgs) / count(ctr.offered_frames);
+  if (ledger.value(offered_frames) > 0) {
+    m.uplink_loss_ratio = count(up_lost_msgs) / count(offered_frames);
   }
-  const std::uint64_t selected = ctr.selected_msgs.value();
+  const std::uint64_t selected = ledger.value(selected_msgs);
   if (selected > 0) {
     m.downlink_deadline_miss_ratio =
-        static_cast<double>(selected - ctr.delivered_msgs.value()) /
+        static_cast<double>(selected - ledger.value(delivered_msgs)) /
         static_cast<double>(selected);
   }
-  const auto as_int = [](const obs::Counter& c) {
-    return static_cast<int>(c.value());
+  const auto as_int = [&](Count c) {
+    return static_cast<int>(ledger.value(c));
   };
-  m.disseminations = as_int(ctr.selected_msgs);
-  m.coasted_track_frames = as_int(ctr.coasting_tracks);
-  m.stale_relevance_frames = as_int(ctr.stale_candidates);
-  m.ingest_rejected_crc = as_int(ctr.rejected_crc);
-  m.ingest_rejected_semantic = as_int(ctr.rejected_semantic);
-  m.ingest_quarantined_vehicles = as_int(ctr.quarantined);
-  m.ingest_shed_uploads = as_int(ctr.shed_uploads);
-  m.coverage_feedback_msgs = as_int(ctr.feedback_msgs);
-  m.coverage_feedback_lost_msgs = as_int(ctr.feedback_lost_msgs);
-  m.service_backpressure_uploads = as_int(ctr.backpressure_frames);
-  m.service_arrived_objects = as_int(ctr.arrived_objects);
-  m.service_admitted_objects = as_int(ctr.admitted_objects);
-  m.service_deferred_objects = as_int(ctr.deferred_objects);
-  m.service_shed_objects = as_int(ctr.shed_objects);
-  if (service_mode) {
+  m.disseminations = as_int(selected_msgs);
+  m.coasted_track_frames = as_int(coasting_tracks);
+  m.stale_relevance_frames = as_int(stale_candidates);
+  m.ingest_rejected_crc = as_int(rejected_crc);
+  m.ingest_rejected_semantic = as_int(rejected_sem);
+  m.ingest_quarantined_vehicles = as_int(quarantined);
+  m.ingest_shed_uploads = as_int(shed_uploads);
+  m.coverage_feedback_msgs = as_int(feedback_msgs);
+  m.coverage_feedback_lost_msgs = as_int(feedback_lost);
+  m.service_backpressure_uploads = as_int(backpressure_ups);
+  m.service_arrived_objects = as_int(arrived);
+  m.service_admitted_objects = as_int(admitted);
+  m.service_deferred_objects = as_int(deferred);
+  m.service_shed_objects = as_int(shed_objects);
+  if (cfg.service.enabled) {
     m.service_parked_residual = static_cast<int>(server.service_parked());
     // Run-level object-fate identity: every object that ever entered
     // deadline admission was admitted, shed, or is still parked. (Per-frame
@@ -695,6 +642,7 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
                 " + parked ", m.service_parked_residual);
   }
 
+  obs::MetricsRegistry& reg = ledger.reg;
   const core::PoolStats ps = core::global_pool().stats();
   reg.gauge("pool.workers").set(static_cast<double>(ps.workers));
   reg.gauge("pool.jobs").set(static_cast<double>(ps.jobs - pool_start.jobs));
@@ -714,6 +662,71 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
     reg.gauge(name).set(static_cast<double>(ps.lane_chunks[i] - before));
   }
   return m;
+}
+
+}  // namespace
+
+void for_each_count(
+    const FrameTrace& tr,
+    const std::function<void(const char* name, std::uint64_t amount)>& f) {
+  const ClientFrameStats& fan = tr.fanout;
+  const UplinkTally& up = tr.up;
+  const FrameOutput& edge = tr.edge;
+  const IngestStats& in = edge.ingest;
+  const ServiceStats& svc = edge.service;
+  const DownlinkTally& down = tr.down;
+#define ERPD_VISIT_COUNT(id, name, amount) \
+  f(name, static_cast<std::uint64_t>(amount));
+  ERPD_FRAME_COUNTERS(ERPD_VISIT_COUNT)
+#undef ERPD_VISIT_COUNT
+}
+
+SystemRunner::SystemRunner(RunnerConfig cfg) : cfg_(cfg) {
+  cfg_.wireless.validate();
+  cfg_.fault.validate();
+  // One source of truth: the edge's downlink budget and both ends of the
+  // link use the runner's settings.
+  cfg_.edge.wireless = cfg_.wireless;
+  cfg_.client.redundancy = cfg_.redundancy;
+  cfg_.edge.redundancy = cfg_.redundancy;
+  cfg_.edge.service = cfg_.service;
+  ERPD_REQUIRE(cfg_.duration > 0.0,
+               "SystemRunner: duration must be > 0, got ", cfg_.duration);
+}
+
+MethodMetrics SystemRunner::run(sim::Scenario& sc) {
+  sim::World& world = sc.world;
+  // The run registry is the single source of every count MethodMetrics
+  // reports (DESIGN.md §11): the ledger books into it, finalize derives from
+  // it, and the caller's registry only receives a merged copy.
+  Ledger ledger(cfg_.metrics);
+  obs::MetricsRegistry& reg = ledger.reg;
+  FrameStages stages(cfg_, world, reg);
+  EdgeServer server(world.network(), cfg_.edge);
+  server.attach_metrics(&reg);
+  // Thread-pool scheduling counters are recorded as a start/end delta so a
+  // shared global pool does not leak earlier runs' work into this run.
+  const core::PoolStats pool_start = core::global_pool().stats();
+
+  const int steps =
+      static_cast<int>(std::llround(cfg_.duration / world.config().dt));
+  for (int frame = 0; frame < steps; ++frame) {
+    // Host time of the whole iteration: pipeline frame plus world step.
+    obs::StageSpan frame_span(&reg, "host.frame");
+    if (cfg_.method != Method::kSingle) {
+      FrameTrace tr{.frame = frame};
+      const std::vector<sim::AgentSnapshot> truth = world.snapshot();
+      std::vector<net::UploadFrame> uploads =
+          stages.sense_fanout(truth, &tr.fanout);
+      uploads = stages.uplink_fates(frame, std::move(uploads), &tr.up);
+      tr.edge = server.process_frame(std::move(uploads), world.time(), &truth);
+      tr.down = stages.downlink_fates(frame, tr.edge, ledger.relevance);
+      ledger.book(tr);
+      if (cfg_.on_frame) cfg_.on_frame(tr);
+    }
+    ledger.book(world.step());
+  }
+  return finalize(sc, cfg_, ledger, server, pool_start);
 }
 
 }  // namespace erpd::edge

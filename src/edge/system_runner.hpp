@@ -1,10 +1,15 @@
 #pragma once
 // Closed-loop evaluation harness (paper §IV).
 //
-// Per LiDAR frame: connected vehicles sense + extract + upload under the
-// uplink cap; the edge server builds the map, estimates relevance and picks
-// disseminations under the downlink cap; disseminations are delivered back
-// to drivers (who react one reaction time later); the world advances.
+// One pipeline frame is a chain of stages (paper Fig. 2), each returning its
+// outputs and a plain tally: the sensing fan-out (connected vehicles sense,
+// extract and encode), the uplink fates (channel loss, drain cap, shared
+// uplink cap, wire faults), the edge (EdgeServer::process_frame: map,
+// relevance, dissemination under the downlink cap) and the downlink fates
+// (lossy, deadline-bound delivery back to drivers, who react one reaction
+// time later). The tallies form the frame's FrameTrace, which the runner
+// books into its registry at one site and hands to RunnerConfig::on_frame;
+// then the world advances.
 //
 // The four evaluated methods:
 //   kSingle    — no sharing at all;
@@ -31,12 +36,63 @@ enum class Method : std::uint8_t { kSingle, kEmp, kOurs, kUnlimited };
 
 const char* to_string(Method m);
 
-/// Per-pipeline-frame notification, emitted through RunnerConfig::on_frame.
-/// Host times and counts live in the run registry (stage.* histograms,
-/// counters), not here.
+/// Uplink fates of one frame. Every offered byte has exactly one fate:
+/// offered = lost (channel faults) + backpressure (service-mode drain cap) +
+/// capped (shared uplink cap) + delivered before wire faults. Wire faults
+/// may add bytes (duplicated frames), so `delivered_bytes` is taken after
+/// them; `corrupted_msgs` counts frames the channel corrupted (Byzantine
+/// frames are not corruption). `t_upload` is the simulated transfer delay.
+struct UplinkTally {
+  std::size_t offered_frames{0};
+  std::size_t offered_bytes{0};
+  std::size_t lost_frames{0};
+  std::size_t lost_bytes{0};
+  std::size_t backpressure_frames{0};
+  std::size_t backpressure_bytes{0};
+  std::size_t capped_bytes{0};
+  std::size_t delivered_pre_fault_bytes{0};
+  std::size_t delivered_bytes{0};
+  std::size_t corrupted_msgs{0};
+  double t_upload{0.0};
+};
+
+/// Downlink fates of one frame. Each selected dissemination is lost,
+/// corrupted, past the deadline or delivered; coverage feedback is lost or
+/// delivered. `t_down` is the simulated transfer delay of the slowest
+/// message.
+struct DownlinkTally {
+  std::size_t lost_msgs{0};
+  std::size_t corrupted_msgs{0};
+  std::size_t deadline_miss_msgs{0};
+  std::size_t delivered_msgs{0};
+  std::size_t feedback_lost_msgs{0};
+  /// Relevance delivered over the run through this frame: a running total,
+  /// summed message by message, since the behaviour fingerprint pins that
+  /// order and per-frame subtotals would change it.
+  double relevance_total{0.0};
+  double t_down{0.0};
+};
+
+/// One pipeline frame's ledger: each stage's tally and the edge's output
+/// (decisions as selected, before downlink faults). The runner books it at
+/// one site (DESIGN.md §11), then hands it to RunnerConfig::on_frame. Host
+/// times live in the registry's stage spans, not here.
 struct FrameTrace {
   int frame{0};
+  /// The sensing fan-out, summed over the frame's uploading clients.
+  ClientFrameStats fanout{};
+  UplinkTally up{};
+  FrameOutput edge{};
+  DownlinkTally down{};
 };
+
+/// Every counter a pipeline frame books, as (registry name, amount) pairs in
+/// a fixed order; each name is spelled only there. Summed over a run's
+/// frames they equal its registry counters, bar the world step's
+/// `sim.occlusion_ray_tests`.
+void for_each_count(
+    const FrameTrace& tr,
+    const std::function<void(const char* name, std::uint64_t amount)>& f);
 
 struct RunnerConfig {
   Method method{Method::kOurs};
@@ -48,8 +104,9 @@ struct RunnerConfig {
   /// Simulated duration (seconds). The perception pipeline runs on every
   /// LiDAR frame (the world dt).
   double duration{25.0};
-  /// Optional per-frame stage observer (used by the perf harness). Called
-  /// from run() on the caller's thread, once per pipeline frame.
+  /// Optional per-frame observer (the perf harness, the golden scenario):
+  /// called from run() on the caller's thread with each pipeline frame's
+  /// ledger, after the downlink fates are booked and before the world step.
   std::function<void(const FrameTrace&)> on_frame;
   /// Deterministic channel fault injection. The default config injects no
   /// fault: the run is bit-identical to the lossless pipeline.
@@ -63,20 +120,13 @@ struct RunnerConfig {
   /// edge. The runner copies this single source of truth into EdgeConfig.
   /// Off by default: bit-identical runs.
   ServiceConfig service{};
-  /// Optional observer of the edge's per-frame dissemination decisions (as
-  /// selected, before channel faults). Used by the golden-scenario harness.
-  std::function<void(int frame, const std::vector<net::Dissemination>&)>
-      on_decisions;
   /// Optional observability registry (not owned). Every run records into a
-  /// run-local registry — host-time spans from the clients (stage.sense /
-  /// stage.extract), the edge (stage.merge/track/relevance/disseminate) and
-  /// the runner (stage.fanout, host.frame), the simulated sim.upload /
-  /// sim.downlink transfer delays, every fate and byte counter, and the
-  /// thread-pool gauges — and derives MethodMetrics from it. When set, that
-  /// registry is merged into this one as run() exits, on every path, a
-  /// thrown ContractViolation included; a registry reused across runs
-  /// therefore holds their sum. Recording is
-  /// write-only: no decision ever reads a metric back.
+  /// run-local registry (stage spans, sim.* transfer delays, every fate and
+  /// work counter, pool gauges; DESIGN.md §11) and derives MethodMetrics
+  /// from it. When set, that registry is merged into this one as run()
+  /// exits, on every path, a thrown ContractViolation included; a registry
+  /// reused across runs therefore holds their sum. Recording is write-only:
+  /// no decision ever reads a metric back.
   obs::MetricsRegistry* metrics{nullptr};
 };
 
@@ -145,10 +195,7 @@ struct MethodMetrics {
   /// Objects shed by the per-frame ingest point budget under overload.
   int ingest_shed_uploads{0};
   // Redundancy-aware uplink (DESIGN.md §16; all zero with the knob off).
-  // Every offered uplink byte has exactly one fate per frame:
-  //   offered == delivered-to-edge + lost (channel faults) + capped (shared
-  //   uplink budget); suppressed bytes were never offered at all and are
-  //   accounted separately as savings.
+  // Byte fates are the per-frame means of UplinkTally's partition.
   /// Uplink bytes avoided per pipeline frame by coverage suppression and
   /// delta encoding (client-side savings; never part of `offered`).
   double uplink_suppressed_bytes_per_frame{0.0};
@@ -160,9 +207,7 @@ struct MethodMetrics {
   /// dropped before delivery.
   int coverage_feedback_msgs{0};
   int coverage_feedback_lost_msgs{0};
-  // Service mode (DESIGN.md §17; all zero with the knob off). The uplink
-  // byte partition above gains one fate: offered == delivered-to-edge +
-  // lost + backpressure (drain-cap overflow) + capped.
+  // Service mode (DESIGN.md §17; all zero with the knob off).
   // Ingest-object fates obey Σarrived == Σadmitted + Σshed + parked
   // residual over a run (deferrals re-arrive as carried work).
   /// Offered uplink bytes dropped as drain-cap backpressure, per frame.

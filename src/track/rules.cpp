@@ -4,8 +4,9 @@
 
 namespace erpd::track {
 
-RuleEngine::RuleEngine(const sim::RoadNetwork& net, RuleConfig cfg)
-    : net_(net), cfg_(cfg) {}
+RuleEngine::RuleEngine(const sim::RoadNetwork& net, RuleConfig cfg,
+                       PredictorConfig matcher)
+    : net_(net), cfg_(cfg), matcher_(matcher) {}
 
 RepresentativeSet RuleEngine::select(
     const std::vector<const Track*>& tracks) const {
@@ -43,7 +44,7 @@ RepresentativeSet RuleEngine::select(
     // Approach vehicles: snap to a route and join the entry-lane queue if
     // they are still before the stop line (i.e. approaching).
     const auto snap =
-        match_route(net_, pos, tr->velocity().heading(), cfg_.matcher);
+        match_route(net_, pos, tr->velocity().heading(), matcher_);
     if (!snap) continue;
     const sim::Route& route = net_.route(snap->route_id);
     if (snap->s > route.stop_line_s + 1.0) continue;  // already past / exiting

@@ -63,12 +63,15 @@ struct RuleConfig {
   /// Minimum speed for a boundary vehicle to count as moving (m/s).
   double min_moving_speed{0.5};
   CrowdClusterConfig crowd{};
-  PredictorConfig matcher{};
 };
 
 class RuleEngine {
  public:
-  RuleEngine(const sim::RoadNetwork& net, RuleConfig cfg = {});
+  /// `matcher` holds the lane-snap gates of Rule 1's route matching: the
+  /// edge passes its TrajectoryPredictor's config, so rules and prediction
+  /// snap alike.
+  RuleEngine(const sim::RoadNetwork& net, RuleConfig cfg = {},
+             PredictorConfig matcher = {});
 
   RepresentativeSet select(const std::vector<const Track*>& tracks) const;
 
@@ -77,6 +80,7 @@ class RuleEngine {
  private:
   const sim::RoadNetwork& net_;
   RuleConfig cfg_;
+  PredictorConfig matcher_;
 };
 
 }  // namespace erpd::track

@@ -41,8 +41,10 @@ edge::RunnerConfig make_fault_runner(edge::Method method,
   return rc;
 }
 
-CaseResult run_case(edge::Method method, const FaultCase& fc, double duration,
-                    std::uint64_t seed) {
+CaseResult run_case(
+    edge::Method method, const FaultCase& fc, double duration,
+    std::uint64_t seed,
+    const std::function<void(edge::RunnerConfig&)>& configure) {
   sim::Scenario sc = sim::make_unprotected_left_turn(default_intersection(seed));
   FaultCase resolved = fc;
   if (fc.blackout_ego) {
@@ -68,6 +70,7 @@ CaseResult run_case(edge::Method method, const FaultCase& fc, double duration,
   }
   edge::RunnerConfig rc = make_fault_runner(method, resolved);
   rc.duration = duration;
+  if (configure) configure(rc);
   edge::SystemRunner runner(rc);
   return {resolved, runner.run(sc)};
 }

@@ -13,6 +13,7 @@
 // the matrix under ASan+UBSan and uploads the metric JSON as an artifact.
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -84,8 +85,12 @@ sim::ScenarioConfig default_intersection(std::uint64_t seed);
 edge::RunnerConfig make_fault_runner(edge::Method method, const FaultCase& fc);
 
 /// Build the scenario, resolve ego-blackout windows, run the closed loop.
-CaseResult run_case(edge::Method method, const FaultCase& fc,
-                    double duration = 14.0, std::uint64_t seed = 42);
+/// `configure`, when set, edits the runner config last (to attach an
+/// on_frame observer or a caller registry).
+CaseResult run_case(
+    edge::Method method, const FaultCase& fc, double duration = 14.0,
+    std::uint64_t seed = 42,
+    const std::function<void(edge::RunnerConfig&)>& configure = {});
 
 /// The committed fault matrix: no faults / 10% loss / 30% loss /
 /// single-vehicle (ego) blackout / burst outage / latency jitter /

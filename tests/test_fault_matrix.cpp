@@ -7,26 +7,47 @@
 //       band, and
 //   (c) actually exercise the degradation machinery (the new MethodMetrics
 //       fields are live, not decorative).
+// Each case also keeps its per-frame ledgers (edge::FrameTrace) and its
+// registry counters, which must agree with each other.
 // When ERPD_SCENARIO_JSON is set, the per-case metrics are written there as
 // a JSON artifact for CI.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "scenario_harness.hpp"
 
 namespace erpd {
 namespace {
+
+/// One case's frame ledgers, as on_frame saw them, and its registry
+/// counters at the end of the run.
+struct CaseLedgers {
+  std::vector<edge::FrameTrace> frames;
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+};
 
 class FaultMatrix : public ::testing::Test {
  protected:
   // The matrix is expensive; run it once and share across assertions.
   static void SetUpTestSuite() {
     results_ = new std::vector<harness::CaseResult>();
+    ledgers_ = new std::vector<CaseLedgers>();
     for (const harness::FaultCase& fc : harness::default_fault_matrix()) {
-      results_->push_back(harness::run_case(edge::Method::kOurs, fc));
+      CaseLedgers& led = ledgers_->emplace_back();
+      obs::MetricsRegistry reg;
+      results_->push_back(harness::run_case(
+          edge::Method::kOurs, fc, 14.0, 42, [&](edge::RunnerConfig& rc) {
+            rc.metrics = &reg;
+            rc.on_frame = [&led](const edge::FrameTrace& tr) {
+              led.frames.push_back(tr);
+            };
+          }));
+      led.counters = reg.counters();
     }
   }
   static void TearDownTestSuite() {
@@ -36,6 +57,8 @@ class FaultMatrix : public ::testing::Test {
     }
     delete results_;
     results_ = nullptr;
+    delete ledgers_;
+    ledgers_ = nullptr;
   }
 
   static const harness::CaseResult& find(const std::string& name) {
@@ -48,9 +71,56 @@ class FaultMatrix : public ::testing::Test {
   }
 
   static std::vector<harness::CaseResult>* results_;
+  static std::vector<CaseLedgers>* ledgers_;
 };
 
 std::vector<harness::CaseResult>* FaultMatrix::results_ = nullptr;
+std::vector<CaseLedgers>* FaultMatrix::ledgers_ = nullptr;
+
+// Every frame of every case gives each uplink byte and each selected
+// dissemination exactly one fate, and the frame ledgers, summed, are the
+// run's registry counters key by key: each ledger is booked exactly once,
+// and nothing else books (the world step's occlusion count aside).
+TEST_F(FaultMatrix, FrameLedgersCloseAndSumToTheRegistry) {
+  std::size_t rows = 0;
+  edge::for_each_count(edge::FrameTrace{},
+                       [&](const char*, std::uint64_t) { ++rows; });
+  for (std::size_t c = 0; c < results_->size(); ++c) {
+    const std::string& name = (*results_)[c].fcase.name;
+    const CaseLedgers& led = (*ledgers_)[c];
+    ASSERT_EQ(led.frames.size(), 140u) << name;
+    std::map<std::string, std::uint64_t> summed;
+    for (const edge::FrameTrace& tr : led.frames) {
+      const edge::UplinkTally& u = tr.up;
+      EXPECT_EQ(u.offered_bytes, u.lost_bytes + u.backpressure_bytes +
+                                     u.capped_bytes +
+                                     u.delivered_pre_fault_bytes)
+          << name << " frame " << tr.frame;
+      const edge::DownlinkTally& d = tr.down;
+      EXPECT_EQ(tr.edge.selected.size(),
+                d.lost_msgs + d.corrupted_msgs + d.deadline_miss_msgs +
+                    d.delivered_msgs)
+          << name << " frame " << tr.frame;
+      edge::for_each_count(tr, [&](const char* key, std::uint64_t n) {
+        summed[key] += n;
+      });
+    }
+    // One row per key: a key listed twice would be booked twice.
+    EXPECT_EQ(summed.size(), rows) << name;
+    std::size_t matched = 0;
+    for (const auto& [key, value] : led.counters) {
+      if (key == "sim.occlusion_ray_tests") continue;  // the world step's
+      const auto it = summed.find(key);
+      if (it == summed.end()) {
+        ADD_FAILURE() << name << ": " << key << " booked outside the ledgers";
+        continue;
+      }
+      EXPECT_EQ(it->second, value) << name << ": " << key;
+      ++matched;
+    }
+    EXPECT_EQ(matched, summed.size()) << name;
+  }
+}
 
 TEST_F(FaultMatrix, AllCasesStayInsideToleranceBands) {
   for (const harness::CaseResult& r : *results_) {

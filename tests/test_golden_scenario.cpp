@@ -68,14 +68,14 @@ std::string render_snapshot() {
 
   std::ostringstream out;
   std::uint64_t decision_hash = 0x6f1d;
-  rc.on_decisions = [&](int frame, const std::vector<net::Dissemination>& ds) {
-    for (const net::Dissemination& d : ds) {
+  rc.on_frame = [&](const edge::FrameTrace& tr) {
+    for (const net::Dissemination& d : tr.edge.selected) {
       char line[160];
       std::snprintf(line, sizeof line, "decision %d to=%d track=%d about=%d "
                     "bytes=%zu rel=%a\n",
-                    frame, d.to, d.track_id, d.about, d.bytes, d.relevance);
+                    tr.frame, d.to, d.track_id, d.about, d.bytes, d.relevance);
       out << line;
-      decision_hash = harness::fold_decision(decision_hash, frame, d);
+      decision_hash = harness::fold_decision(decision_hash, tr.frame, d);
     }
   };
 

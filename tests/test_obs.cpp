@@ -401,7 +401,8 @@ TEST(ObsContract, DbscanWorkBookedWhereItRuns) {
   EXPECT_GT(emp_edge, 0u);
 }
 
-// A run that throws mid-loop still hands what it recorded to the caller.
+// A run that throws mid-loop still hands what it recorded to the caller,
+// and on_frame only sees ledgers that are already booked.
 TEST(ObsContract, ThrowingRunStillMergesItsRegistry) {
   sim::Scenario sc =
       sim::make_unprotected_left_turn(harness::default_intersection(42));
@@ -409,11 +410,15 @@ TEST(ObsContract, ThrowingRunStillMergesItsRegistry) {
       harness::make_fault_runner(edge::Method::kOurs, harness::FaultCase{});
   obs::MetricsRegistry reg;
   rc.metrics = &reg;
-  rc.on_frame = [](const edge::FrameTrace& tr) {
+  std::uint64_t offered_bytes = 0;
+  rc.on_frame = [&](const edge::FrameTrace& tr) {
+    offered_bytes += tr.up.offered_bytes;
     ERPD_ENSURE(tr.frame < 4, "stop the run at frame 4");
   };
   EXPECT_THROW(edge::SystemRunner(rc).run(sc), ContractViolation);
   EXPECT_EQ(reg.counter("frames.pipeline").value(), 5u);
+  EXPECT_GT(offered_bytes, 0u);
+  EXPECT_EQ(reg.counter("uplink.offered_bytes").value(), offered_bytes);
 }
 
 }  // namespace
