@@ -236,14 +236,12 @@ FrameOutput EdgeServer::process_frame(
     if (tr->misses > 0) ++out.coasting_tracks;
   }
 
-  const track::RepresentativeSet reps = rules_.select(confirmed);
-  out.predicted_tracks = reps.predicted_tracks.size();
-
-  // Hypothesis sets: on a shared approach the lane intent is ambiguous, so
-  // each predicted object/vehicle carries one trajectory per plausible
-  // maneuver and relevance maximizes over the combinations. Each hypothesis
-  // is clipped to its reach once here, not once per pair it is scored in.
-  // Only relevance-greedy dissemination reads them.
+  // Rules 1-3 and hypothesis sets: on a shared approach the lane intent is
+  // ambiguous, so each predicted object/vehicle carries one trajectory per
+  // plausible maneuver and relevance maximizes over the combinations. Each
+  // hypothesis is clipped to its reach once here, not once per pair it is
+  // scored in. Only relevance-greedy dissemination reads them, and a track
+  // the rules snapped is predicted from their route fits, not a second scan.
   using Hypotheses = std::vector<core::ClippedTrajectory>;
   const auto clip_all = [](std::vector<track::PredictedTrajectory> hyps) {
     Hypotheses out;
@@ -255,18 +253,30 @@ FrameOutput EdgeServer::process_frame(
   };
   const bool scores_relevance =
       cfg_.strategy == DisseminationStrategy::kRelevanceGreedy;
+  track::RepresentativeSet reps;
+  const auto hypotheses = [&](const track::Track& tr) {
+    const auto fit = reps.route_fits.find(tr.id);
+    return clip_all(predictor_.predict_hypotheses(
+        tr.position(), tr.velocity(), tr.kind,
+        fit == reps.route_fits.end() ? nullptr : &fit->second,
+        &out.route_projections));
+  };
   std::map<int, Hypotheses> traj;
   std::map<sim::AgentId, Hypotheses> vehicle_traj;
   if (scores_relevance) {
+    reps = rules_.select(confirmed);
+    out.predicted_tracks = reps.predicted_tracks.size();
+    out.route_projections = reps.route_projections;
     for (int id : reps.predicted_tracks) {
       if (const track::Track* tr = tracker_.find(id)) {
-        traj.emplace(id, clip_all(predictor_.predict_hypotheses(*tr)));
+        traj.emplace(id, hypotheses(*tr));
       }
     }
     for (const auto& [vid, info] : fleet_) {
       vehicle_traj.emplace(
           vid, clip_all(predictor_.predict_hypotheses(
-                   info.position, info.velocity, sim::AgentKind::kCar)));
+                   info.position, info.velocity, sim::AgentKind::kCar,
+                   nullptr, &out.route_projections)));
     }
   }
   track_span.stop();
@@ -440,9 +450,19 @@ FrameOutput EdgeServer::process_frame(
         }
         return sim::kInvalidAgent;
       };
-      // Hypotheses of unconnected leaders, predicted on first use and then
+      // Hypotheses of unconnected leaders: a lane front's are its own in
+      // `traj`; any other leader's are predicted on first use and then
       // shared by every object and queue step that needs them this frame.
       std::map<int, Hypotheses> leader_traj;
+      const auto leader_hypotheses = [&](const track::Track& ltr)
+          -> const Hypotheses& {
+        if (const auto it = traj.find(ltr.id); it != traj.end()) {
+          return it->second;
+        }
+        auto [it, fresh] = leader_traj.try_emplace(ltr.id);
+        if (fresh) it->second = hypotheses(ltr);
+        return it->second;
+      };
       for (const track::LaneQueue& q : reps.lane_queues) {
         for (std::size_t i = 1; i < q.track_ids.size(); ++i) {
           const int follower_tid = q.track_ids[i];
@@ -476,13 +496,8 @@ FrameOutput EdgeServer::process_frame(
             if (r_leader <= 0.0) {
               const auto obj_traj = traj.find(obj_tid);
               if (obj_traj == traj.end()) continue;
-              auto [lead_traj, fresh] = leader_traj.try_emplace(leader_tid);
-              if (fresh) {
-                lead_traj->second = clip_all(predictor_.predict_hypotheses(
-                    ltr->position(), ltr->velocity(), ltr->kind));
-              }
               const auto est = core::best_collision(
-                  obj_traj->second, lead_traj->second,
+                  obj_traj->second, leader_hypotheses(*ltr),
                   object_kind_length(tracker_.find(obj_tid)->kind),
                   object_kind_length(ltr->kind), out.relevance);
               if (est) r_leader = est->relevance;
@@ -534,7 +549,6 @@ FrameOutput EdgeServer::process_frame(
   diss_span.stop();
 
   out.downlink_bytes = sel.total_bytes;
-  out.delivered_relevance = sel.total_relevance;
   out.selected.reserve(sel.chosen.size());
   for (const core::Candidate& c : sel.chosen) {
     out.selected.push_back({c.to, c.track_id, c.about, c.bytes, c.relevance});

@@ -89,12 +89,12 @@ struct EdgeConfig {
 struct FrameOutput {
   std::vector<net::Dissemination> selected;
   std::size_t downlink_bytes{0};
-  double delivered_relevance{0.0};
   std::size_t detections{0};
   std::size_t confirmed_tracks{0};
   /// Confirmed tracks that are currently moving (> 1 m/s) and fresh —
   /// the paper's Fig. 12(b) "objects detected" counts moving objects.
   std::size_t moving_tracks{0};
+  /// Tracks Rules 1-3 chose to predict (relevance-greedy only; 0 otherwise).
   std::size_t predicted_tracks{0};
   std::size_t candidates{0};
   /// Confirmed tracks carried this frame purely on Kalman prediction
@@ -115,6 +115,10 @@ struct FrameOutput {
   /// uploads (EMP cells, raw frames); zero when every upload is
   /// object-granular.
   std::uint64_t dbscan_distance_tests{0};
+  /// Route-path projections of map matching: one per route for each scan
+  /// of the network, by the rules' snaps and by predictions the rules did
+  /// not snap (relevance-greedy only; 0 otherwise).
+  std::uint64_t route_projections{0};
   /// Relevance work: hypothesis-set pairs scored, exact collision estimates
   /// run (pairs passing the AABB reject) and estimates found.
   core::RelevanceTally relevance{};
@@ -145,7 +149,6 @@ class EdgeServer {
                             const std::vector<sim::AgentSnapshot>* truth);
 
   const track::MultiObjectTracker& tracker() const { return tracker_; }
-  const EdgeConfig& config() const { return cfg_; }
 
   /// Attach an observability registry (not owned; null detaches). Each
   /// process_frame then times its modules into the stage.merge / stage.track

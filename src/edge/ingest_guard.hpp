@@ -86,8 +86,6 @@ class IngestGuard {
  public:
   explicit IngestGuard(IngestConfig cfg = {});
 
-  const IngestConfig& config() const { return cfg_; }
-
   /// True when admit() could change this batch: admission control is on, or
   /// some upload carries an on-the-wire payload that must be validated.
   bool should_run(const std::vector<net::UploadFrame>& uploads) const;

@@ -233,6 +233,7 @@ std::size_t total_bytes(const std::vector<net::UploadFrame>& frames) {
   X(selected_bytes, "diss.selected_bytes", edge.downlink_bytes)               \
   X(detections, "edge.detections", edge.detections)                           \
   X(edge_dbscan, "edge.dbscan_distance_tests", edge.dbscan_distance_tests)    \
+  X(route_projections, "edge.route_projections", edge.route_projections)      \
   X(confirmed_tracks, "edge.confirmed_tracks", edge.confirmed_tracks)         \
   X(moving_tracks, "edge.moving_tracks", edge.moving_tracks)                  \
   X(coasting_tracks, "edge.coasting_tracks", edge.coasting_tracks)            \

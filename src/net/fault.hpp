@@ -160,8 +160,6 @@ class LossyChannel {
     cfg_.validate();
   }
 
-  const FaultConfig& config() const { return cfg_; }
-
   /// True while a channel-wide burst outage covers simulated time `t`.
   bool in_outage(double t) const {
     for (const Outage& o : cfg_.outages) {

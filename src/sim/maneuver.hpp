@@ -95,8 +95,6 @@ class ManeuverPlanner {
  public:
   explicit ManeuverPlanner(ManeuverConfig cfg);
 
-  const ManeuverConfig& config() const { return cfg_; }
-
   /// Advance one vehicle's maneuver state machine by one tick. May mutate
   /// the vehicle (route switch + lateral offset when a change commits).
   /// Reads the fleet in its (stable) storage order, so the update sequence

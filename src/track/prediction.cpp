@@ -1,6 +1,6 @@
 #include "track/prediction.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "core/check.hpp"
 #include "geom/angle.hpp"
@@ -9,9 +9,67 @@ namespace erpd::track {
 
 using geom::Vec2;
 
-std::optional<RouteMatch> match_route(const sim::RoadNetwork& net,
-                                      Vec2 position, double heading,
-                                      const PredictorConfig& cfg) {
+namespace {
+
+/// Moving vehicles follow routes; pedestrians and near-stationary objects go
+/// straight.
+bool follows_routes(Vec2 velocity, sim::AgentKind kind) {
+  return kind != sim::AgentKind::kPedestrian && velocity.norm() > 0.5;
+}
+
+/// The object's position stitched to the route centerline from the fit's arc
+/// length on, over the horizon's reach, resampled at the step.
+PredictedTrajectory along_route(const sim::RoadNetwork& net,
+                                const PredictorConfig& cfg, Vec2 position,
+                                double speed, const RouteMatch& fit) {
+  PredictedTrajectory out;
+  out.speed = speed;
+  out.horizon = cfg.horizon;
+  const double reach = std::max(speed * cfg.horizon, 0.5);
+  const geom::Polyline slice =
+      net.route(fit.route_id).path.slice(fit.s, fit.s + reach);
+  std::vector<Vec2> pts;
+  pts.reserve(slice.points().size() + 1);
+  pts.push_back(position);
+  for (const Vec2& p : slice.points()) pts.push_back(p);
+  out.path = geom::Polyline{std::move(pts)}.resampled(cfg.step);
+  return out;
+}
+
+/// Constant velocity: a straight line over the horizon's reach.
+PredictedTrajectory straight_line(const PredictorConfig& cfg, Vec2 position,
+                                  Vec2 velocity) {
+  PredictedTrajectory out;
+  out.speed = velocity.norm();
+  out.horizon = cfg.horizon;
+  const double reach = std::max(out.speed * cfg.horizon, 0.5);
+  const Vec2 dir = out.speed > 1e-3 ? velocity.normalized()
+                                    : Vec2::from_heading(velocity.heading());
+  out.path = geom::Polyline{{position, position + dir * reach}};
+  return out;
+}
+
+}  // namespace
+
+std::vector<RouteMatch> fit_routes(const sim::RoadNetwork& net, Vec2 position,
+                                   double heading, const PredictorConfig& gates,
+                                   std::uint64_t* route_projections) {
+  std::vector<RouteMatch> fits;
+  for (const sim::Route& route : net.routes()) {
+    double lateral = 0.0;
+    const double s = route.path.project(position, &lateral);
+    if (lateral > gates.max_lateral) continue;
+    if (geom::angle_dist(route.path.heading_at(s), heading) >
+        geom::deg_to_rad(gates.max_heading_diff_deg)) {
+      continue;
+    }
+    fits.push_back({route.id, route.maneuver, s, lateral});
+  }
+  if (route_projections != nullptr) *route_projections += net.routes().size();
+  return fits;
+}
+
+std::optional<RouteMatch> match_route(const std::vector<RouteMatch>& fits) {
   // On the shared approach segment several routes (straight/left/right from
   // the same lane) project equally well; lane intent is unknowable there, so
   // near-ties resolve toward the straight route (deterministic and the most
@@ -27,21 +85,13 @@ std::optional<RouteMatch> match_route(const sim::RoadNetwork& net,
   };
   std::optional<RouteMatch> best;
   int best_rank = 99;
-  for (const sim::Route& route : net.routes()) {
-    double lateral = 0.0;
-    const double s = route.path.project(position, &lateral);
-    if (lateral > cfg.max_lateral) continue;
-    const double path_heading = route.path.heading_at(s);
-    if (geom::angle_dist(path_heading, heading) >
-        geom::deg_to_rad(cfg.max_heading_diff_deg)) {
-      continue;
-    }
-    const int rank = maneuver_rank(route.maneuver);
+  for (const RouteMatch& fit : fits) {
+    const int rank = maneuver_rank(fit.maneuver);
     const bool better =
-        !best || lateral < best->lateral - 0.25 ||
-        (lateral < best->lateral + 0.25 && rank < best_rank);
+        !best || fit.lateral < best->lateral - 0.25 ||
+        (fit.lateral < best->lateral + 0.25 && rank < best_rank);
     if (better) {
-      best = RouteMatch{route.id, s, lateral};
+      best = fit;
       best_rank = rank;
     }
   }
@@ -52,99 +102,46 @@ TrajectoryPredictor::TrajectoryPredictor(const sim::RoadNetwork& net,
                                          PredictorConfig cfg)
     : net_(net), cfg_(cfg) {}
 
-std::vector<PredictedTrajectory> TrajectoryPredictor::predict_hypotheses(
-    Vec2 position, Vec2 velocity, sim::AgentKind kind) const {
-  std::vector<PredictedTrajectory> out;
-  const double speed = velocity.norm();
-  const double heading = velocity.heading();
-  const double reach = std::max(speed * cfg_.horizon, 0.5);
-
-  if (kind != sim::AgentKind::kPedestrian && speed > 0.5) {
-    // One hypothesis per matching maneuver (best lateral fit each).
-    struct Best {
-      int route_id{-1};
-      double s{0.0};
-      double lateral{1e9};
-    };
-    Best per_maneuver[3];
-    for (const sim::Route& route : net_.routes()) {
-      double lateral = 0.0;
-      const double s = route.path.project(position, &lateral);
-      if (lateral > cfg_.max_lateral) continue;
-      if (geom::angle_dist(route.path.heading_at(s), heading) >
-          geom::deg_to_rad(cfg_.max_heading_diff_deg)) {
-        continue;
-      }
-      const int mi = static_cast<int>(route.maneuver);
-      ERPD_DCHECK(mi >= 0 && mi < 3,
-                  "prediction: maneuver index ", mi, " out of range for route ",
-                  route.id);
-      Best& slot = per_maneuver[mi];
-      if (lateral < slot.lateral) slot = {route.id, s, lateral};
-    }
-    for (const Best& b : per_maneuver) {
-      if (b.route_id < 0) continue;
-      PredictedTrajectory t;
-      t.speed = speed;
-      t.horizon = cfg_.horizon;
-      geom::Polyline slice =
-          net_.route(b.route_id).path.slice(b.s, b.s + reach);
-      std::vector<Vec2> pts;
-      pts.push_back(position);
-      for (const Vec2& p : slice.points()) pts.push_back(p);
-      t.path = geom::Polyline{std::move(pts)}.resampled(cfg_.step);
-      out.push_back(std::move(t));
+PredictedTrajectory TrajectoryPredictor::predict(Vec2 position, Vec2 velocity,
+                                                 sim::AgentKind kind) const {
+  if (follows_routes(velocity, kind)) {
+    if (const auto snap =
+            match_route(net_, position, velocity.heading(), cfg_)) {
+      return along_route(net_, cfg_, position, velocity.norm(), *snap);
     }
   }
-  if (out.empty()) {
-    out.push_back(predict(position, velocity, kind));
-  }
-  return out;
+  return straight_line(cfg_, position, velocity);
 }
 
-PredictedTrajectory TrajectoryPredictor::predict(Vec2 position, Vec2 velocity,
-                                                 sim::AgentKind kind,
-                                                 double yaw_rate) const {
-  PredictedTrajectory out;
-  out.speed = velocity.norm();
-  out.horizon = cfg_.horizon;
-
-  const double reach = std::max(out.speed * cfg_.horizon, 0.5);
-  const double heading = velocity.heading();
-
-  if (kind != sim::AgentKind::kPedestrian && out.speed > 0.5) {
-    if (const auto snap = match_route(net_, position, heading, cfg_)) {
-      const geom::Polyline& route_path = net_.route(snap->route_id).path;
-      geom::Polyline slice = route_path.slice(snap->s, snap->s + reach);
-      // Stitch the actual current position to the lane centerline so the
-      // trajectory starts where the object really is.
-      std::vector<Vec2> pts;
-      pts.push_back(position);
-      for (const Vec2& p : slice.points()) pts.push_back(p);
-      out.path = geom::Polyline{std::move(pts)}.resampled(cfg_.step);
-      return out;
+std::vector<PredictedTrajectory> TrajectoryPredictor::predict_hypotheses(
+    Vec2 position, Vec2 velocity, sim::AgentKind kind,
+    const std::vector<RouteMatch>* fits,
+    std::uint64_t* route_projections) const {
+  std::vector<PredictedTrajectory> out;
+  if (follows_routes(velocity, kind)) {
+    std::vector<RouteMatch> scanned;
+    if (fits == nullptr) {
+      scanned = fit_routes(net_, position, velocity.heading(), cfg_,
+                           route_projections);
+      fits = &scanned;
     }
-    // Off the map and turning: constant turn-rate-and-velocity arc.
-    if (std::abs(yaw_rate) > geom::deg_to_rad(4.0)) {
-      std::vector<Vec2> pts;
-      Vec2 p = position;
-      double h = heading;
-      const double dt = cfg_.step / std::max(out.speed, 0.5);
-      pts.push_back(p);
-      for (double s = 0.0; s < reach; s += cfg_.step) {
-        h += yaw_rate * dt;
-        p += Vec2::from_heading(h) * cfg_.step;
-        pts.push_back(p);
+    // One hypothesis per matching maneuver: its best lateral fit, the first
+    // in network order among equals.
+    const RouteMatch* per_maneuver[3] = {};
+    for (const RouteMatch& fit : *fits) {
+      const auto mi = static_cast<std::size_t>(fit.maneuver);
+      ERPD_DCHECK(mi < 3, "prediction: maneuver index ", mi,
+                  " out of range for route ", fit.route_id);
+      const RouteMatch*& slot = per_maneuver[mi];
+      if (slot == nullptr || fit.lateral < slot->lateral) slot = &fit;
+    }
+    for (const RouteMatch* fit : per_maneuver) {
+      if (fit != nullptr) {
+        out.push_back(along_route(net_, cfg_, position, velocity.norm(), *fit));
       }
-      out.path = geom::Polyline{std::move(pts)};
-      return out;
     }
   }
-
-  // Constant-velocity fallback (pedestrians, unmatched vehicles).
-  const Vec2 dir = out.speed > 1e-3 ? velocity.normalized()
-                                    : Vec2::from_heading(heading);
-  out.path = geom::Polyline{{position, position + dir * reach}};
+  if (out.empty()) out.push_back(straight_line(cfg_, position, velocity));
   return out;
 }
 

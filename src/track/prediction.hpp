@@ -7,12 +7,12 @@
 // (capturing turns, the paper's lane-intent idea); everything else is
 // constant-velocity.
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "geom/polyline.hpp"
 #include "sim/road_network.hpp"
-#include "track/tracker.hpp"
 
 namespace erpd::track {
 
@@ -31,9 +31,11 @@ struct PredictedTrajectory {
   double reach() const { return speed * horizon; }
 };
 
-/// Result of snapping a tracked vehicle onto an HD-map route.
+/// One route that passes the lane-snap gates at a position: the result of
+/// snapping a tracked vehicle onto an HD-map route.
 struct RouteMatch {
   int route_id{-1};
+  sim::Maneuver maneuver{sim::Maneuver::kStraight};
   /// Arc length of the projection on the route path.
   double s{0.0};
   double lateral{0.0};
@@ -49,43 +51,50 @@ struct PredictorConfig {
   double step{1.0};
 };
 
+/// The one route scan of map matching: every route whose path lies within
+/// `gates.max_lateral` of `position` and heads within
+/// `gates.max_heading_diff_deg` of `heading` there, in network order. Each
+/// route costs one path projection; `*route_projections` (if given) grows by
+/// their number.
+std::vector<RouteMatch> fit_routes(const sim::RoadNetwork& net,
+                                   geom::Vec2 position, double heading,
+                                   const PredictorConfig& gates,
+                                   std::uint64_t* route_projections = nullptr);
+
+/// The single best of a scan's fits: the smallest lateral error, with
+/// near-ties (within 0.25 m) going to the straight route.
+std::optional<RouteMatch> match_route(const std::vector<RouteMatch>& fits);
+
 /// Snap a position/heading to the best-matching route of the network, if any.
-std::optional<RouteMatch> match_route(const sim::RoadNetwork& net,
-                                      geom::Vec2 position, double heading,
-                                      const PredictorConfig& cfg = {});
+inline std::optional<RouteMatch> match_route(const sim::RoadNetwork& net,
+                                             geom::Vec2 position,
+                                             double heading,
+                                             const PredictorConfig& cfg = {}) {
+  return match_route(fit_routes(net, position, heading, cfg));
+}
 
 class TrajectoryPredictor {
  public:
   TrajectoryPredictor(const sim::RoadNetwork& net, PredictorConfig cfg = {});
 
-  const PredictorConfig& config() const { return cfg_; }
-
   /// Predict from an explicit kinematic state (single best hypothesis).
-  /// `yaw_rate` (rad/s) activates a constant-turn-rate (CTRV) arc when the
-  /// object matches no map route — e.g. a vehicle swinging through a parking
-  /// lot or an unusual mid-intersection maneuver.
   PredictedTrajectory predict(geom::Vec2 position, geom::Vec2 velocity,
-                              sim::AgentKind kind, double yaw_rate = 0.0) const;
-
-  /// Predict for a track (uses the track's smoothed yaw-rate estimate).
-  PredictedTrajectory predict(const Track& track) const {
-    return predict(track.position(), track.velocity(), track.kind,
-                   track.yaw_rate);
-  }
+                              sim::AgentKind kind) const;
 
   /// All plausible trajectory hypotheses. On a shared approach segment the
   /// lane intent (straight vs turn) is unknowable, so one trajectory per
   /// matching maneuver is returned; collision risk should be evaluated as
   /// the maximum over hypotheses (standard practice in probabilistic risk
-  /// assessment, refs [32]-[34]). Falls back to the single constant-velocity
-  /// prediction when no route matches.
+  /// assessment, refs [32]-[34]). Falls back to the constant-velocity line
+  /// when no route matches.
+  ///
+  /// `fits`, when given, are the object's route fits at (position, velocity
+  /// heading) under this predictor's gates, e.g. the rules' snap; otherwise
+  /// a moving vehicle is scanned here, adding to `*route_projections`.
   std::vector<PredictedTrajectory> predict_hypotheses(
-      geom::Vec2 position, geom::Vec2 velocity, sim::AgentKind kind) const;
-
-  std::vector<PredictedTrajectory> predict_hypotheses(
-      const Track& track) const {
-    return predict_hypotheses(track.position(), track.velocity(), track.kind);
-  }
+      geom::Vec2 position, geom::Vec2 velocity, sim::AgentKind kind,
+      const std::vector<RouteMatch>* fits = nullptr,
+      std::uint64_t* route_projections = nullptr) const;
 
  private:
   const sim::RoadNetwork& net_;

@@ -20,8 +20,8 @@ RepresentativeSet RuleEngine::select(
     int track_id;
     double s;
   };
-  std::map<std::pair<int, int>, std::pair<sim::LaneRef, std::vector<QueueEntry>>>
-      queues;  // keyed by (arm, lane)
+  std::map<std::pair<int, int>, std::vector<QueueEntry>>
+      queues;  // keyed by the entry lane's (arm, lane)
 
   std::vector<const Track*> pedestrians;
   for (const Track* tr : tracks) {
@@ -43,28 +43,25 @@ RepresentativeSet RuleEngine::select(
 
     // Approach vehicles: snap to a route and join the entry-lane queue if
     // they are still before the stop line (i.e. approaching).
-    const auto snap =
-        match_route(net_, pos, tr->velocity().heading(), matcher_);
+    std::vector<RouteMatch> fits =
+        fit_routes(net_, pos, tr->velocity().heading(), matcher_,
+                   &out.route_projections);
+    const auto snap = match_route(fits);
+    out.route_fits.emplace(tr->id, std::move(fits));
     if (!snap) continue;
     const sim::Route& route = net_.route(snap->route_id);
     if (snap->s > route.stop_line_s + 1.0) continue;  // already past / exiting
     const sim::LaneRef lane = route.entry_lane_ref();
-    auto& q = queues[{static_cast<int>(lane.arm), lane.lane}];
-    q.first = lane;
-    q.second.push_back({tr->id, snap->s});
+    queues[{static_cast<int>(lane.arm), lane.lane}].push_back(
+        {tr->id, snap->s});
   }
 
-  for (auto& [key, lq] : queues) {
-    auto& entries = lq.second;
+  for (auto& [key, entries] : queues) {
     std::sort(entries.begin(), entries.end(),
               [](const QueueEntry& a, const QueueEntry& b) {
                 return a.s > b.s;  // larger arc length = closer to stop line
               });
     LaneQueue queue;
-    queue.lane = lq.first;
-    // Representative route id of the queue (any route entering this lane).
-    const auto rts = net_.routes_from(lq.first);
-    queue.route_id = rts.empty() ? -1 : rts.front();
     for (const QueueEntry& e : entries) {
       queue.track_ids.push_back(e.track_id);
       queue.arc_lengths.push_back(e.s);
@@ -72,9 +69,6 @@ RepresentativeSet RuleEngine::select(
     // Rule 1: only the lane leader gets a predicted trajectory.
     out.lane_leaders.push_back(queue.track_ids.front());
     out.predicted_tracks.push_back(queue.track_ids.front());
-    for (std::size_t i = 1; i < queue.track_ids.size(); ++i) {
-      out.follower_of[queue.track_ids[i]] = queue.track_ids[i - 1];
-    }
     out.lane_queues.push_back(std::move(queue));
   }
 

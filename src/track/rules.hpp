@@ -8,9 +8,12 @@
 //   Rule 3 — cluster pedestrians into crowds; predict only the cluster
 //            representatives.
 //
-// The output also exposes the follower chains (for the car-following
-// relevance of §III-A.2) and the pedestrian member -> representative map.
+// The output also exposes the lane queues (the follower chains of the
+// car-following relevance of §III-A.2), the pedestrian member ->
+// representative map and the route fits of every vehicle the rules snapped,
+// which prediction reads instead of scanning the map again.
 
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -22,8 +25,6 @@
 namespace erpd::track {
 
 struct LaneQueue {
-  sim::LaneRef lane{};
-  int route_id{-1};
   /// Track ids ordered front (closest to the stop line) to back.
   std::vector<int> track_ids;
   /// Arc length of each vehicle along the matched route (same order).
@@ -41,12 +42,17 @@ struct RepresentativeSet {
   /// Rule-3 pedestrian representatives.
   std::vector<int> pedestrian_representatives;
 
-  /// Follower -> immediate leader (track ids), from the lane queues.
-  std::map<int, int> follower_of;
   /// Pedestrian member -> its cluster representative (track ids).
   std::map<int, int> pedestrian_rep_of;
 
   std::vector<LaneQueue> lane_queues;
+
+  /// Route fits (fit_routes under the matcher's gates) of every vehicle
+  /// track outside the red boundary, keyed by track id; empty when no route
+  /// fits.
+  std::map<int, std::vector<RouteMatch>> route_fits;
+  /// Route-path projections those snaps made.
+  std::uint64_t route_projections{0};
 
   bool is_predicted(int track_id) const {
     for (int id : predicted_tracks) {
@@ -68,14 +74,12 @@ struct RuleConfig {
 class RuleEngine {
  public:
   /// `matcher` holds the lane-snap gates of Rule 1's route matching: the
-  /// edge passes its TrajectoryPredictor's config, so rules and prediction
-  /// snap alike.
+  /// edge passes its TrajectoryPredictor's config, so prediction can read
+  /// the rules' route fits as its own.
   RuleEngine(const sim::RoadNetwork& net, RuleConfig cfg = {},
              PredictorConfig matcher = {});
 
   RepresentativeSet select(const std::vector<const Track*>& tracks) const;
-
-  const RuleConfig& config() const { return cfg_; }
 
  private:
   const sim::RoadNetwork& net_;

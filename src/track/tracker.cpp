@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "core/check.hpp"
-#include "geom/angle.hpp"
 
 namespace erpd::track {
 
@@ -68,16 +67,6 @@ void MultiObjectTracker::step(const std::vector<Detection>& detections,
     tr.payload_bytes = de.payload_bytes;
     tr.point_count = de.point_count;
     tr.max_extent = std::max(tr.max_extent, de.extent);
-    // Yaw-rate estimation from the change of the velocity heading (EWMA).
-    if (tr.filter.speed() > 1.0 && dt > 0.0) {
-      const double h = tr.filter.velocity().heading();
-      if (tr.has_prev_heading) {
-        const double rate = geom::angle_diff(h, tr.prev_heading) / dt;
-        tr.yaw_rate = 0.7 * tr.yaw_rate + 0.3 * rate;
-      }
-      tr.prev_heading = h;
-      tr.has_prev_heading = true;
-    }
     // A pedestrian-sized first view of a car corrects itself once any view
     // shows a car-sized footprint.
     if (tr.max_extent > 1.4) tr.kind = sim::AgentKind::kCar;
@@ -108,9 +97,6 @@ void MultiObjectTracker::step(const std::vector<Detection>& detections,
              /*misses=*/0,
              /*last_update=*/t,
              /*max_extent=*/de.extent,
-             /*yaw_rate=*/0.0,
-             /*prev_heading=*/0.0,
-             /*has_prev_heading=*/false,
              de.payload_bytes,
              de.point_count,
              de.truth_id};

@@ -62,12 +62,6 @@ struct Track {
   double last_update{0.0};
   /// Largest planar extent ever observed for this track.
   double max_extent{0.0};
-  /// Smoothed heading rate (rad/s), estimated from velocity direction
-  /// changes; feeds constant-turn-rate prediction for off-map objects.
-  double yaw_rate{0.0};
-  /// Velocity heading at the previous update (internal to the estimator).
-  double prev_heading{0.0};
-  bool has_prev_heading{false};
   /// Latest payload metadata from the most recent matched detection.
   std::size_t payload_bytes{0};
   std::size_t point_count{0};
@@ -96,8 +90,6 @@ class MultiObjectTracker {
 
   /// Confirmed tracks only.
   std::vector<const Track*> confirmed() const;
-
-  const TrackerConfig& config() const { return cfg_; }
 
   const Track* find(int track_id) const;
 

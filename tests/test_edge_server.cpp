@@ -85,13 +85,15 @@ TEST_F(EdgeServerTest, DisseminatesRelevantObjectToEndangeredVehicle) {
   ASSERT_FALSE(out.selected.empty())
       << "no dissemination despite a converging threat";
   bool to_v1 = false;
+  double selected_relevance = 0.0;
   for (const net::Dissemination& d : out.selected) {
     if (d.to == kV1 && d.about == kThreat) to_v1 = true;
     EXPECT_GT(d.relevance, 0.0);
     EXPECT_GT(d.bytes, 0u);
+    selected_relevance += d.relevance;
   }
   EXPECT_TRUE(to_v1);
-  EXPECT_GT(out.delivered_relevance, 0.0);
+  EXPECT_GT(selected_relevance, 0.0);
 }
 
 TEST_F(EdgeServerTest, UploaderNeverReceivesWhatItSees) {
@@ -117,6 +119,28 @@ TEST_F(EdgeServerTest, TracksConfirmAndCount) {
   EXPECT_GE(out.predicted_tracks, 1u);
   // Object-granular uploads skip the edge's re-segmentation.
   EXPECT_EQ(out.dbscan_distance_tests, 0u);
+}
+
+TEST_F(EdgeServerTest, MapMatchingRunsOnlyWhereRelevanceReadsIt) {
+  // Rules 1-3 and prediction feed relevance-greedy scoring alone: round
+  // robin and broadcast predict nothing and snap nothing to the map.
+  for (const DisseminationStrategy strategy :
+       {DisseminationStrategy::kRelevanceGreedy,
+        DisseminationStrategy::kRoundRobin,
+        DisseminationStrategy::kBroadcast}) {
+    EdgeConfig cfg;
+    cfg.strategy = strategy;
+    EdgeServer server(net_, cfg);
+    FrameOutput out;
+    for (int k = 0; k < 4; ++k) {
+      out = server.process_frame(frames_at(0.1 * k), 0.1 * k, nullptr);
+    }
+    const bool greedy = strategy == DisseminationStrategy::kRelevanceGreedy;
+    EXPECT_EQ(out.predicted_tracks > 0, greedy);
+    EXPECT_EQ(out.route_projections > 0, greedy);
+    // Whole scans only: one projection per route.
+    EXPECT_EQ(out.route_projections % net_.routes().size(), 0u);
+  }
 }
 
 TEST_F(EdgeServerTest, OneFrameTimesEachEdgeStageOnce) {

@@ -102,41 +102,6 @@ TEST_F(PredictionTest, HypothesesFallBackToSinglePrediction) {
   EXPECT_NEAR(hyps[0].path.points().back().y, 300.0, 1e-9);
 }
 
-TEST_F(PredictionTest, CtrvArcWhenOffMapAndTurning) {
-  // Off every route, with a positive yaw rate: a left-curving arc.
-  const Vec2 pos{300.0, 300.0};
-  const Vec2 vel{10.0, 0.0};
-  const double yaw_rate = geom::deg_to_rad(20.0);  // ~20 deg/s left
-  const PredictedTrajectory traj =
-      predictor_.predict(pos, vel, sim::AgentKind::kCar, yaw_rate);
-  const Vec2 end = traj.path.points().back();
-  // After 5 s at 20 deg/s the heading rotated ~100 degrees: the endpoint is
-  // displaced up and to the left of the straight-line endpoint.
-  EXPECT_GT(end.y, pos.y + 10.0);
-  EXPECT_LT(end.x, pos.x + traj.reach());
-  // Arc length still matches the horizon reach.
-  EXPECT_NEAR(traj.path.length(), traj.reach(), 2.0);
-}
-
-TEST_F(PredictionTest, CtrvIgnoredWhenRouteMatches) {
-  // On a route, the lane geometry wins over the yaw-rate arc.
-  const sim::Route& r =
-      net_.route(*net_.find_route(Arm::kSouth, 1, Maneuver::kStraight));
-  const double s0 = 30.0;
-  const PredictedTrajectory traj = predictor_.predict(
-      r.path.point_at(s0), r.path.tangent_at(s0) * 10.0, sim::AgentKind::kCar,
-      geom::deg_to_rad(30.0));
-  // Straight northbound: x constant.
-  EXPECT_NEAR(traj.path.points().back().x, r.path.point_at(s0).x, 0.3);
-}
-
-TEST_F(PredictionTest, SmallYawRateStaysStraight) {
-  const PredictedTrajectory traj = predictor_.predict(
-      {300.0, 300.0}, {10.0, 0.0}, sim::AgentKind::kCar,
-      geom::deg_to_rad(1.0));
-  EXPECT_NEAR(traj.path.points().back().y, 300.0, 1e-9);
-}
-
 TEST_F(PredictionTest, PredictionStartsAtActualPosition) {
   const sim::Route& r =
       net_.route(*net_.find_route(Arm::kSouth, 1, Maneuver::kStraight));

@@ -64,9 +64,14 @@ TEST_F(RulesTest, Rule1OnlyLeaderPredicted) {
   EXPECT_TRUE(reps.is_predicted(front));
   EXPECT_FALSE(reps.is_predicted(middle));
   EXPECT_FALSE(reps.is_predicted(back));
-  // Follower chain: middle follows front, back follows middle.
-  EXPECT_EQ(reps.follower_of.at(middle), front);
-  EXPECT_EQ(reps.follower_of.at(back), middle);
+  // Follower chain: middle follows front, back follows middle, each behind
+  // its leader along the route.
+  EXPECT_GT(q.arc_lengths[0], q.arc_lengths[1]);
+  EXPECT_GT(q.arc_lengths[1], q.arc_lengths[2]);
+  // Each snapped vehicle keeps its route fits for prediction: one scan each.
+  EXPECT_EQ(reps.route_fits.size(), 3u);
+  EXPECT_FALSE(reps.route_fits.at(front).empty());
+  EXPECT_EQ(reps.route_projections, 3 * net_.routes().size());
 }
 
 TEST_F(RulesTest, SeparateLanesSeparateQueues) {
@@ -90,6 +95,9 @@ TEST_F(RulesTest, Rule2BoundaryVehiclePredicted) {
   EXPECT_TRUE(reps.is_predicted(inside));
   ASSERT_EQ(reps.boundary_vehicles.size(), 1u);
   EXPECT_EQ(reps.boundary_vehicles[0], inside);
+  // Rule 2 needs no snap: prediction scans for it.
+  EXPECT_TRUE(reps.route_fits.empty());
+  EXPECT_EQ(reps.route_projections, 0u);
 }
 
 TEST_F(RulesTest, Rule2IgnoresStoppedVehicleInBoundary) {

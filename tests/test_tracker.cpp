@@ -153,40 +153,6 @@ TEST(Tracker, FindById) {
   EXPECT_EQ(mot.find(12345), nullptr);
 }
 
-TEST(Tracker, YawRateEstimatedForTurningObject) {
-  // An object moving on a circle at ~0.3 rad/s: the smoothed yaw-rate
-  // estimate should converge to roughly that value.
-  MultiObjectTracker mot;
-  const double omega = 0.3;
-  const double speed = 8.0;
-  const double radius = speed / omega;
-  for (int k = 0; k < 40; ++k) {
-    const double t = 0.1 * k;
-    const double ang = omega * t;
-    Detection d;
-    d.position = {radius * std::cos(ang), radius * std::sin(ang)};
-    d.velocity = Vec2{-std::sin(ang), std::cos(ang)} * speed;
-    d.kind = sim::AgentKind::kCar;
-    d.extent = 4.5;
-    mot.step({d}, t);
-  }
-  ASSERT_EQ(mot.tracks().size(), 1u);
-  EXPECT_NEAR(mot.tracks()[0].yaw_rate, omega, 0.12);
-}
-
-TEST(Tracker, YawRateNearZeroForStraightMotion) {
-  MultiObjectTracker mot;
-  for (int k = 0; k < 20; ++k) {
-    const double t = 0.1 * k;
-    Detection d;
-    d.position = {8.0 * t, 0.0};
-    d.velocity = Vec2{8.0, 0.0};
-    d.extent = 4.5;
-    mot.step({d}, t);
-  }
-  EXPECT_NEAR(mot.tracks()[0].yaw_rate, 0.0, 0.05);
-}
-
 TEST(Tracker, ManyObjectsStableIdentity) {
   MultiObjectTracker mot;
   std::vector<Detection> frame;
