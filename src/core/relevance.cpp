@@ -131,8 +131,8 @@ std::optional<CollisionEstimate> best_collision(
 
 bool follower_unsafe(double gap, double follower_speed,
                      const FollowerRelevanceConfig& cfg) {
-  const bool pipes_ok = cfg.pipes.compliant(gap, follower_speed);
-  const bool gipps_ok = cfg.gipps.compliant(gap, follower_speed);
+  const bool pipes_ok = kFollowerPipes.compliant(gap, follower_speed);
+  const bool gipps_ok = kFollowerGipps.compliant(gap, follower_speed);
   switch (cfg.criterion) {
     case FollowerCriterion::kViolatesAny: return !pipes_ok || !gipps_ok;
     case FollowerCriterion::kViolatesBoth: return !pipes_ok && !gipps_ok;

@@ -122,11 +122,15 @@ enum class FollowerCriterion {
   kViolatesBoth,
 };
 
+/// The car-following safety models a follower is judged by.
+inline constexpr sim::PipesModel kFollowerPipes{};
+inline constexpr sim::GippsModel kFollowerGipps{};
+static_assert(kFollowerPipes.min_gap >= 0.0 &&
+              kFollowerGipps.reaction_time > 0.0);
+
 struct FollowerRelevanceConfig {
   /// Decay factor alpha in (0, 1]; paper uses 0.8.
   double alpha{0.8};
-  sim::PipesModel pipes{};
-  sim::GippsModel gipps{};
   FollowerCriterion criterion{FollowerCriterion::kViolatesAny};
 };
 

@@ -31,13 +31,10 @@ EdgeServer::EdgeServer(const sim::RoadNetwork& net, EdgeConfig cfg)
       point_stage_(point_budget_policy(cfg.ingest)),
       admission_(deadline_policy(cfg.service)),
       tracker_(cfg.tracker),
-      rules_(net, cfg.rules, cfg.predictor),
+      rules_(net, cfg.predictor),
       predictor_(net, cfg.predictor),
       blob_scratch_(core::borrow_scratch<BlobScratch>()) {
   cfg_.wireless.validate();
-  ERPD_REQUIRE(cfg_.min_relevance >= 0.0,
-               "EdgeServer: min_relevance must be >= 0, got ",
-               cfg_.min_relevance);
   ERPD_REQUIRE(cfg_.staleness_decay >= 0.0 && cfg_.staleness_decay < 1.0,
                "EdgeServer: staleness_decay must be in [0,1), got ",
                cfg_.staleness_decay);
@@ -170,6 +167,8 @@ std::vector<track::Detection> EdgeServer::build_detections(
 FrameOutput EdgeServer::process_frame(
     std::vector<net::UploadFrame> uploads, double t,
     const std::vector<sim::AgentSnapshot>* truth) {
+  ERPD_REQUIRE(cfg_.method != Method::kSingle,
+               "EdgeServer::process_frame: Single shares nothing");
   FrameOutput out;
 
   // ---- Ingest (DESIGN.md §12, §17) ---------------------------------------
@@ -251,8 +250,7 @@ FrameOutput EdgeServer::process_frame(
     }
     return out;
   };
-  const bool scores_relevance =
-      cfg_.strategy == DisseminationStrategy::kRelevanceGreedy;
+  const bool scores_relevance = cfg_.method == Method::kOurs;
   track::RepresentativeSet reps;
   const auto hypotheses = [&](const track::Track& tr) {
     const auto fit = reps.route_fits.find(tr.id);
@@ -415,7 +413,7 @@ FrameOutput EdgeServer::process_frame(
         if (tr->misses > 0 && cfg_.staleness_decay > 0.0) {
           rel *= std::pow(1.0 - cfg_.staleness_decay, tr->misses);
         }
-        if (rel < cfg_.min_relevance) continue;
+        if (rel < kMinRelevance) continue;
         if (tr->misses > 0) ++out.stale_candidates;
         relevance_of[tid][vid] = rel;
         candidates.push_back({tid, vid, rel, tr->payload_bytes,
@@ -502,9 +500,9 @@ FrameOutput EdgeServer::process_frame(
                   object_kind_length(ltr->kind), out.relevance);
               if (est) r_leader = est->relevance;
             }
-            if (r_leader < cfg_.min_relevance) continue;
+            if (r_leader < kMinRelevance) continue;
             const double r_f = cfg_.follower.alpha * r_leader;
-            if (r_f < cfg_.min_relevance) continue;
+            if (r_f < kMinRelevance) continue;
             auto& slot = relevance_of[obj_tid][follower_vid];
             if (r_f > slot) {
               slot = r_f;
@@ -535,16 +533,18 @@ FrameOutput EdgeServer::process_frame(
   obs::StageSpan diss_span(metrics_, "stage.disseminate");
   const std::size_t budget = cfg_.wireless.downlink_budget_bytes();
   core::Selection sel;
-  switch (cfg_.strategy) {
-    case DisseminationStrategy::kRelevanceGreedy:
+  switch (cfg_.method) {
+    case Method::kOurs:
       sel = core::greedy_dissemination(candidates, budget);
       break;
-    case DisseminationStrategy::kRoundRobin:
+    case Method::kEmp:
       sel = core::round_robin_dissemination(candidates, budget, rr_cursor_);
       break;
-    case DisseminationStrategy::kBroadcast:
+    case Method::kUnlimited:
       sel = core::broadcast_dissemination(candidates);
       break;
+    case Method::kSingle:
+      break;  // refused on entry
   }
   diss_span.stop();
 

@@ -6,9 +6,9 @@
 // 1-3, predict representative trajectories, estimate relevance, and solve
 // the dissemination knapsack under the downlink budget.
 //
-// The same server runs all evaluated methods by switching the dissemination
-// strategy: relevance-greedy (Ours), Round-Robin (EMP) or Broadcast
-// (Unlimited).
+// The same server runs every sharing method (edge/method.hpp): relevance-
+// greedy dissemination for Ours, Round-Robin for EMP and Broadcast for
+// Unlimited. Rules, prediction and relevance run only for Ours.
 
 #include <map>
 #include <memory>
@@ -17,6 +17,7 @@
 #include "core/dissemination.hpp"
 #include "core/relevance.hpp"
 #include "edge/ingest_guard.hpp"
+#include "edge/method.hpp"
 #include "edge/redundancy.hpp"
 #include "edge/service.hpp"
 #include "geom/voronoi.hpp"
@@ -33,12 +34,6 @@
 
 namespace erpd::edge {
 
-enum class DisseminationStrategy : std::uint8_t {
-  kRelevanceGreedy,  // Ours (Algorithm 1)
-  kRoundRobin,       // EMP
-  kBroadcast,        // Unlimited
-};
-
 /// Server-side object detection for blob uploads (EMP / Unlimited): voxel
 /// thinning, then density clustering.
 inline constexpr double kDetectVoxel = 0.3;
@@ -50,20 +45,23 @@ inline constexpr double kVisibilityRadius = 2.2;
 /// vehicle.
 inline constexpr double kSelfRadius = 2.5;
 static_assert(kVisibilityRadius > 0.0 && kSelfRadius > 0.0);
+/// Candidates below this relevance are never disseminated.
+inline constexpr double kMinRelevance = 1e-3;
+static_assert(kMinRelevance >= 0.0);
 
 struct EdgeConfig {
-  DisseminationStrategy strategy{DisseminationStrategy::kRelevanceGreedy};
+  /// Picks the dissemination strategy; the server refuses to process a
+  /// frame under kSingle. SystemRunner overwrites it with
+  /// RunnerConfig::method.
+  Method method{Method::kOurs};
   /// Sets the downlink budget. SystemRunner overwrites it with
   /// RunnerConfig::wireless.
   net::WirelessConfig wireless{};
   track::TrackerConfig tracker{};
-  track::RuleConfig rules{};
   track::PredictorConfig predictor{};
   core::FollowerRelevanceConfig follower{};
   /// Toggle §III-A.2 follower relevance (ablation E13).
   bool follower_relevance{true};
-  /// Candidates below this relevance are never disseminated.
-  double min_relevance{1e-3};
   /// Staleness penalty for relevance computed from coasting tracks: a track
   /// last updated m frames ago scores relevance * (1 - staleness_decay)^m.
   /// Coasted positions drift from the truth, so acting on them as if fresh
@@ -94,7 +92,7 @@ struct FrameOutput {
   /// Confirmed tracks that are currently moving (> 1 m/s) and fresh —
   /// the paper's Fig. 12(b) "objects detected" counts moving objects.
   std::size_t moving_tracks{0};
-  /// Tracks Rules 1-3 chose to predict (relevance-greedy only; 0 otherwise).
+  /// Tracks Rules 1-3 chose to predict (Ours only; 0 otherwise).
   std::size_t predicted_tracks{0};
   std::size_t candidates{0};
   /// Confirmed tracks carried this frame purely on Kalman prediction
@@ -117,7 +115,7 @@ struct FrameOutput {
   std::uint64_t dbscan_distance_tests{0};
   /// Route-path projections of map matching: one per route for each scan
   /// of the network, by the rules' snaps and by predictions the rules did
-  /// not snap (relevance-greedy only; 0 otherwise).
+  /// not snap (Ours only; 0 otherwise).
   std::uint64_t route_projections{0};
   /// Relevance work: hypothesis-set pairs scored, exact collision estimates
   /// run (pairs passing the AABB reject) and estimates found.

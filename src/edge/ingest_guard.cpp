@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/check.hpp"
 #include "pointcloud/encoding.hpp"
 
 namespace erpd::edge {
@@ -18,25 +17,7 @@ bool finite_pose(const geom::Pose& pose) {
 
 }  // namespace
 
-void IngestConfig::validate() const {
-  ERPD_REQUIRE(max_pose_speed > 0.0,
-               "IngestConfig: max_pose_speed must be > 0, got ",
-               max_pose_speed);
-  ERPD_REQUIRE(max_abs_coord > 0.0,
-               "IngestConfig: max_abs_coord must be > 0, got ", max_abs_coord);
-  ERPD_REQUIRE(max_timestamp_ahead >= 0.0,
-               "IngestConfig: max_timestamp_ahead must be >= 0, got ",
-               max_timestamp_ahead);
-  ERPD_REQUIRE(strike_threshold >= 1,
-               "IngestConfig: strike_threshold must be >= 1, got ",
-               strike_threshold);
-  ERPD_REQUIRE(strike_decay >= 0.0,
-               "IngestConfig: strike_decay must be >= 0, got ", strike_decay);
-  ERPD_REQUIRE(quarantine_base > 0.0 && quarantine_max >= quarantine_base,
-               "IngestConfig: need 0 < quarantine_base <= quarantine_max");
-}
-
-IngestGuard::IngestGuard(IngestConfig cfg) : cfg_(cfg) { cfg_.validate(); }
+IngestGuard::IngestGuard(IngestConfig cfg) : cfg_(cfg) {}
 
 bool IngestGuard::should_run(
     const std::vector<net::UploadFrame>& uploads) const {
@@ -57,18 +38,17 @@ bool IngestGuard::quarantined(sim::AgentId vehicle, double t) const {
 void IngestGuard::note_offense(VehicleState& vs, double t,
                                IngestStats* stats) {
   vs.strikes += 1.0;
-  if (vs.strikes < static_cast<double>(cfg_.strike_threshold)) return;
+  if (vs.strikes < static_cast<double>(kStrikeThreshold)) return;
   vs.strikes = 0.0;
   // Saturating exponential backoff: the window doubles per repeat offense
-  // exactly quarantine_base -> quarantine_max and then holds. The exponent
+  // exactly kQuarantineBase -> kQuarantineMax and then holds. The exponent
   // stops advancing once the window is clamped, so a vehicle that misbehaves
   // for hours can never overflow exp2 past the max.
-  const double backoff =
-      std::min(cfg_.quarantine_base * std::exp2(static_cast<double>(
-                                          vs.quarantines)),
-               cfg_.quarantine_max);
+  const double backoff = std::min(
+      kQuarantineBase * std::exp2(static_cast<double>(vs.quarantines)),
+      kQuarantineMax);
   vs.quarantine_until = t + backoff;
-  if (backoff < cfg_.quarantine_max) ++vs.quarantines;
+  if (backoff < kQuarantineMax) ++vs.quarantines;
   ++stats->quarantine_events;
 }
 
@@ -99,20 +79,20 @@ std::vector<net::UploadFrame> IngestGuard::admit(
       seen.push_back(f.vehicle);
       reject =
           duplicate || !finite_pose(f.pose) ||
-          std::abs(f.pose.position.x) > cfg_.max_abs_coord ||
-          std::abs(f.pose.position.y) > cfg_.max_abs_coord ||
+          std::abs(f.pose.position.x) > kMaxAbsCoord ||
+          std::abs(f.pose.position.y) > kMaxAbsCoord ||
           !std::isfinite(f.timestamp) ||
-          f.timestamp > t + cfg_.max_timestamp_ahead ||
+          f.timestamp > t + kMaxTimestampAhead ||
           (vs.has_last && f.timestamp <= vs.last_timestamp) ||
-          f.objects.size() > cfg_.max_objects_per_frame ||
-          frame_points > cfg_.max_points_per_frame;
+          f.objects.size() > kMaxObjectsPerFrame ||
+          frame_points > kMaxPointsPerFrame;
       if (!reject && vs.has_last) {
         // Pose jump: the implied speed since the last accepted frame must be
         // physically plausible (timestamp monotonicity above guarantees
         // dt > 0).
         const double dt = f.timestamp - vs.last_timestamp;
         const double dist = distance(f.pose.position.xy(), vs.last_position);
-        reject = dist > cfg_.max_pose_speed * dt;
+        reject = dist > kMaxPoseSpeed * dt;
       }
     }
     if (reject) {
@@ -181,8 +161,8 @@ std::vector<net::UploadFrame> IngestGuard::admit(
       if (cfg_.enabled &&
           (!std::isfinite(o.centroid_world.x) ||
            !std::isfinite(o.centroid_world.y) ||
-           std::abs(o.centroid_world.x) > cfg_.max_abs_coord ||
-           std::abs(o.centroid_world.y) > cfg_.max_abs_coord)) {
+           std::abs(o.centroid_world.x) > kMaxAbsCoord ||
+           std::abs(o.centroid_world.y) > kMaxAbsCoord)) {
         ++dropped_objects;
         ++stats->rejected_semantic;
         continue;
@@ -194,10 +174,10 @@ std::vector<net::UploadFrame> IngestGuard::admit(
       if (dropped_objects > 0) {
         note_offense(vs, t, stats);
       } else {
-        vs.strikes = std::max(0.0, vs.strikes - cfg_.strike_decay);
+        vs.strikes = std::max(0.0, vs.strikes - kStrikeDecay);
         // Clean readmission: a clean frame after the quarantine window has
         // expired resets the backoff ladder, so the vehicle's next
-        // quarantine starts at quarantine_base again (the readmission
+        // quarantine starts at kQuarantineBase again (the readmission
         // contract documented in ingest_guard.hpp).
         if (vs.quarantines > 0 && t >= vs.quarantine_until) vs.quarantines = 0;
       }

@@ -28,43 +28,45 @@
 
 namespace erpd::edge {
 
+/// Upper bound on plausible vehicle speed implied by the pose displacement
+/// between consecutive accepted frames (m/s). ~250 km/h.
+inline constexpr double kMaxPoseSpeed = 70.0;
+/// Map bounds: poses and object centroids with |x| or |y| beyond this are
+/// rejected (meters; the intersection scenarios live within a few hundred).
+inline constexpr double kMaxAbsCoord = 2000.0;
+/// Per-frame structural caps.
+inline constexpr std::size_t kMaxObjectsPerFrame = 64;
+inline constexpr std::size_t kMaxPointsPerFrame = 200000;
+/// Uploads stamped further than this into the future are rejected (s).
+inline constexpr double kMaxTimestampAhead = 0.25;
+/// Strikes (one per offending frame) that trigger a quarantine.
+inline constexpr int kStrikeThreshold = 3;
+/// Strikes forgiven per clean frame (slow decay: a vehicle must behave for
+/// a while to erase a reputation).
+inline constexpr double kStrikeDecay = 0.25;
+/// First quarantine lasts kQuarantineBase seconds; each repeat doubles the
+/// window exactly kQuarantineBase -> kQuarantineMax and then saturates (a
+/// perpetual offender sits at kQuarantineMax, never beyond). A clean frame
+/// admitted after the window expires resets the ladder: the next
+/// quarantine starts at kQuarantineBase again.
+inline constexpr double kQuarantineBase = 1.0;
+inline constexpr double kQuarantineMax = 16.0;
+static_assert(kMaxPoseSpeed > 0.0 && kMaxAbsCoord > 0.0);
+static_assert(kMaxTimestampAhead >= 0.0);
+static_assert(kStrikeThreshold >= 1 && kStrikeDecay >= 0.0);
+static_assert(kQuarantineBase > 0.0 && kQuarantineMax >= kQuarantineBase);
+
 struct IngestConfig {
   /// Master switch for semantic validation + quarantine + the point budget.
-  /// Wire
-  /// payload validation (try_decode of ObjectUpload::wire) always runs when
-  /// a payload is present, independent of this flag: a corrupted buffer must
-  /// never be trusted just because admission control is off.
+  /// Wire payload validation (try_decode of ObjectUpload::wire) always runs
+  /// when a payload is present, independent of this flag: a corrupted
+  /// buffer must never be trusted just because admission control is off.
   bool enabled{false};
-  /// Upper bound on plausible vehicle speed implied by the pose displacement
-  /// between consecutive accepted frames (m/s). ~250 km/h.
-  double max_pose_speed{70.0};
-  /// Map bounds: poses and object centroids with |x| or |y| beyond this are
-  /// rejected (meters; the intersection scenarios live within a few hundred).
-  double max_abs_coord{2000.0};
-  /// Per-frame structural caps.
-  std::size_t max_objects_per_frame{64};
-  std::size_t max_points_per_frame{200000};
-  /// Uploads stamped further than this into the future are rejected (s).
-  double max_timestamp_ahead{0.25};
-  /// Strikes (one per offending frame) that trigger a quarantine.
-  int strike_threshold{3};
-  /// Strikes forgiven per clean frame (slow decay: a vehicle must behave for
-  /// a while to erase a reputation).
-  double strike_decay{0.25};
-  /// First quarantine lasts quarantine_base seconds; each repeat doubles the
-  /// window exactly quarantine_base -> quarantine_max and then saturates (a
-  /// perpetual offender sits at quarantine_max, never beyond). A clean frame
-  /// admitted after the window expires resets the ladder: the next
-  /// quarantine starts at quarantine_base again.
-  double quarantine_base{1.0};
-  double quarantine_max{16.0};
   /// Total points admitted per frame across the fleet; 0 disables shedding.
   /// Under overload the largest uploads are kept (they carry the most
   /// perception value per header) and the rest shed deterministically, by
   /// EdgeServer's point-budget admission stage.
   std::size_t point_budget_per_frame{0};
-
-  void validate() const;
 };
 
 /// Per-process_frame admission outcome: the guard's whole tally. The runner

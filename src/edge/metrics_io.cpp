@@ -52,21 +52,11 @@ obs::RunManifest make_manifest(const RunnerConfig& cfg,
       .fold(cfg.wireless.downlink_mbps)
       .fold(cfg.wireless.frame_interval)
       .fold(cfg.wireless.base_latency);
-  fp.fold(static_cast<int>(cfg.edge.strategy))
-      .fold(cfg.edge.follower_relevance)
-      .fold(cfg.edge.min_relevance)
+  fp.fold(cfg.edge.follower_relevance)
       .fold(cfg.edge.staleness_decay)
       .fold(cfg.edge.follower.alpha)
       .fold(static_cast<int>(cfg.edge.follower.criterion));
-  fp.fold(cfg.edge.tracker.gate)
-      .fold(cfg.edge.tracker.confirm_hits)
-      .fold(cfg.edge.tracker.max_misses)
-      .fold(cfg.edge.tracker.max_coast_frames)
-      .fold(cfg.edge.tracker.kalman.accel_noise)
-      .fold(cfg.edge.tracker.kalman.meas_sigma)
-      .fold(cfg.edge.tracker.kalman.init_vel_sigma)
-      .fold(cfg.edge.tracker.vel_meas_sigma);
-  fp.fold(static_cast<int>(cfg.client.policy));
+  fp.fold(cfg.edge.tracker.max_coast_frames);
   fp.fold(cfg.duration);
   fp.fold(cfg.fault.seed)
       .fold(cfg.fault.uplink_loss)
@@ -88,15 +78,6 @@ obs::RunManifest make_manifest(const RunnerConfig& cfg,
     fp.fold(static_cast<std::int64_t>(b.vehicle)).fold(b.start);
   }
   fp.fold(cfg.edge.ingest.enabled ? 1 : 0)
-      .fold(cfg.edge.ingest.max_pose_speed)
-      .fold(cfg.edge.ingest.max_abs_coord)
-      .fold(static_cast<std::int64_t>(cfg.edge.ingest.max_objects_per_frame))
-      .fold(static_cast<std::int64_t>(cfg.edge.ingest.max_points_per_frame))
-      .fold(cfg.edge.ingest.max_timestamp_ahead)
-      .fold(cfg.edge.ingest.strike_threshold)
-      .fold(cfg.edge.ingest.strike_decay)
-      .fold(cfg.edge.ingest.quarantine_base)
-      .fold(cfg.edge.ingest.quarantine_max)
       .fold(static_cast<std::int64_t>(cfg.edge.ingest.point_budget_per_frame));
   fp.fold(cfg.redundancy.enabled ? 1 : 0);
   fp.fold(cfg.service.enabled ? 1 : 0)

@@ -76,9 +76,10 @@ std::uint64_t behavior_fingerprint(const MethodMetrics& m);
 
 /// Build the provenance manifest for a run of `cfg`, stamped with the thread
 /// count and configure-time git revision. The config fingerprint folds the
-/// method, link, edge strategy/relevance/follower knobs, TrackerConfig, client
-/// policy, duration, fault schedule, ingest guard, redundancy and service
-/// settings; not the rule, predictor, extractor or encoding configs.
+/// method, link, the edge's relevance/follower/staleness knobs, the track
+/// coasting limit, duration, fault schedule, ingest switch and point budget,
+/// redundancy and service settings; not the predictor, extractor or encoding
+/// configs. Tuning fixed as named constants is not folded.
 obs::RunManifest make_manifest(const RunnerConfig& cfg,
                                std::string_view scenario, std::uint64_t seed);
 

@@ -13,39 +13,15 @@
 
 namespace erpd::edge {
 
-const char* to_string(Method m) {
-  switch (m) {
-    case Method::kSingle: return "Single";
-    case Method::kEmp: return "EMP";
-    case Method::kOurs: return "Ours";
-    case Method::kUnlimited: return "Unlimited";
-  }
-  return "?";
-}
-
 RunnerConfig make_runner_config(Method method,
                                 const net::WirelessConfig& wireless) {
   RunnerConfig rc;
   rc.method = method;
   rc.wireless = wireless;
-  switch (method) {
-    case Method::kSingle:
-      break;
-    case Method::kEmp:
-      rc.client.policy = UploadPolicy::kEmpVoronoi;
-      rc.edge.strategy = DisseminationStrategy::kRoundRobin;
-      break;
-    case Method::kOurs:
-      rc.client.policy = UploadPolicy::kOursMovingObjects;
-      rc.edge.strategy = DisseminationStrategy::kRelevanceGreedy;
-      break;
-    case Method::kUnlimited:
-      rc.client.policy = UploadPolicy::kUnlimitedRaw;
-      rc.edge.strategy = DisseminationStrategy::kBroadcast;
-      // Effectively uncapped pipes.
-      rc.wireless.uplink_mbps = 1e6;
-      rc.wireless.downlink_mbps = 1e6;
-      break;
+  if (method == Method::kUnlimited) {
+    // Effectively uncapped pipes.
+    rc.wireless.uplink_mbps = 1e6;
+    rc.wireless.downlink_mbps = 1e6;
   }
   return rc;
 }
@@ -685,8 +661,10 @@ void for_each_count(
 SystemRunner::SystemRunner(RunnerConfig cfg) : cfg_(cfg) {
   cfg_.wireless.validate();
   cfg_.fault.validate();
-  // One source of truth: the edge's downlink budget and both ends of the
-  // link use the runner's settings.
+  // One source of truth: the method, the edge's downlink budget and both
+  // ends of the link use the runner's settings.
+  cfg_.client.method = cfg_.method;
+  cfg_.edge.method = cfg_.method;
   cfg_.edge.wireless = cfg_.wireless;
   cfg_.client.redundancy = cfg_.redundancy;
   cfg_.edge.redundancy = cfg_.redundancy;

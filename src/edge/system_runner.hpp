@@ -9,14 +9,8 @@
 // (lossy, deadline-bound delivery back to drivers, who react one reaction
 // time later). The tallies form the frame's FrameTrace, which the runner
 // books into its registry at one site and hands to RunnerConfig::on_frame;
-// then the world advances.
-//
-// The four evaluated methods:
-//   kSingle    — no sharing at all;
-//   kEmp       — EMP [9]: Voronoi-partitioned uploads + Round-Robin
-//                dissemination, both bandwidth-capped;
-//   kOurs      — moving-object uploads + relevance-greedy dissemination;
-//   kUnlimited — raw uploads + full-map broadcast, no caps.
+// then the world advances. The four evaluated methods are in
+// edge/method.hpp.
 
 #include <functional>
 #include <map>
@@ -24,6 +18,7 @@
 #include <vector>
 
 #include "edge/edge_server.hpp"
+#include "edge/method.hpp"
 #include "edge/vehicle_client.hpp"
 #include "net/channel.hpp"
 #include "net/fault.hpp"
@@ -31,10 +26,6 @@
 #include "sim/scenario.hpp"
 
 namespace erpd::edge {
-
-enum class Method : std::uint8_t { kSingle, kEmp, kOurs, kUnlimited };
-
-const char* to_string(Method m);
 
 /// Uplink fates of one frame. Every offered byte has exactly one fate:
 /// offered = lost (channel faults) + backpressure (service-mode drain cap) +
@@ -95,6 +86,8 @@ void for_each_count(
     const std::function<void(const char* name, std::uint64_t amount)>& f);
 
 struct RunnerConfig {
+  /// The one method switch: the runner copies it into ClientConfig and
+  /// EdgeConfig, so upload policy and dissemination strategy always match.
   Method method{Method::kOurs};
   /// The one link config: the runner copies it into EdgeConfig, whose
   /// downlink budget therefore always matches the runner's transfer delays.
@@ -240,7 +233,8 @@ class SystemRunner {
   RunnerConfig cfg_;
 };
 
-/// Convenience: build the ClientConfig/EdgeConfig pair implied by a method.
+/// Convenience: a RunnerConfig for `method` over `wireless`; Unlimited's
+/// pipes are effectively uncapped.
 RunnerConfig make_runner_config(Method method,
                                 const net::WirelessConfig& wireless = {});
 

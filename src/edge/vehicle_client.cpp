@@ -11,7 +11,10 @@
 namespace erpd::edge {
 
 VehicleClient::VehicleClient(sim::AgentId vehicle, ClientConfig cfg)
-    : vehicle_(vehicle), cfg_(cfg), extractor_(cfg.extractor) {}
+    : vehicle_(vehicle), cfg_(cfg), extractor_(cfg.extractor) {
+  ERPD_REQUIRE(cfg_.method != Method::kSingle,
+               "VehicleClient: Single shares nothing");
+}
 
 void VehicleClient::reset_pipeline() {
   extractor_.reset();
@@ -148,8 +151,8 @@ net::UploadFrame VehicleClient::make_upload(
 
   obs::StageSpan extract_span(cfg_.metrics, "stage.extract");
 
-  switch (cfg_.policy) {
-    case UploadPolicy::kOursMovingObjects: {
+  switch (cfg_.method) {
+    case Method::kOurs: {
       const pc::ExtractionResult ex =
           extractor_.process(scan.cloud, frame.pose, world.time(), sc.extract);
       if (stats != nullptr) {
@@ -249,7 +252,7 @@ net::UploadFrame VehicleClient::make_upload(
       }
       break;
     }
-    case UploadPolicy::kEmpVoronoi: {
+    case Method::kEmp: {
       // EMP: ground-removed cloud, cropped to this vehicle's Voronoi cell.
       // One pass: each point above the ground cutoff goes to the world frame
       // and is kept if it lies in the cell. The crop gathers in scratch and
@@ -273,7 +276,7 @@ net::UploadFrame VehicleClient::make_upload(
       frame.objects.push_back(std::move(up));
       break;
     }
-    case UploadPolicy::kUnlimitedRaw: {
+    case Method::kUnlimited: {
       const geom::Mat4 t_lw = geom::Mat4::from_pose(frame.pose);
       net::ObjectUpload up;
       up.point_count = scan.cloud.size();
@@ -284,6 +287,8 @@ net::UploadFrame VehicleClient::make_upload(
       frame.objects.push_back(std::move(up));
       break;
     }
+    case Method::kSingle:
+      break;  // refused by the constructor
   }
 
   extract_span.stop();

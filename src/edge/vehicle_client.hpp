@@ -2,12 +2,13 @@
 // On-vehicle pipeline (paper Fig. 2, left box).
 //
 // Per LiDAR frame a connected vehicle produces an UploadFrame according to
-// the method under evaluation:
-//   - kOursMovingObjects: ground removal + DBSCAN + frame differencing; only
+// the method under evaluation (edge/method.hpp):
+//   - kOurs:      ground removal + DBSCAN + frame differencing; only
 //     moving-object clouds are uploaded (paper §II-B);
-//   - kEmpVoronoi:        EMP [9] — ground-removed cloud cropped to the
-//     vehicle's Voronoi cell over the connected fleet;
-//   - kUnlimitedRaw:      the whole raw frame.
+//   - kEmp:       EMP [9] — ground-removed cloud cropped to the vehicle's
+//     Voronoi cell over the connected fleet;
+//   - kUnlimited: the whole raw frame.
+// kSingle shares nothing, so no client exists under it.
 //
 // truth_id tagging: the extractor does not know agent identities; the
 // harness attaches them afterwards by nearest-centroid matching against the
@@ -18,6 +19,7 @@
 #include <optional>
 #include <vector>
 
+#include "edge/method.hpp"
 #include "edge/redundancy.hpp"
 #include "geom/voronoi.hpp"
 #include "net/message.hpp"
@@ -31,14 +33,10 @@ namespace erpd::edge {
 /// agent for harness bookkeeping.
 inline constexpr double kTruthMatchRadius = 2.5;
 
-enum class UploadPolicy : std::uint8_t {
-  kOursMovingObjects,
-  kEmpVoronoi,
-  kUnlimitedRaw,
-};
-
 struct ClientConfig {
-  UploadPolicy policy{UploadPolicy::kOursMovingObjects};
+  /// Picks the upload policy; kSingle is refused. SystemRunner overwrites
+  /// it with RunnerConfig::method.
+  Method method{Method::kOurs};
   pc::MovingExtractorConfig extractor{};
   pc::EncodingConfig encoding{};
   /// Redundancy-aware uplink switch (coverage-feedback suppression + delta
@@ -60,7 +58,7 @@ struct ClientFrameStats {
   /// suppression savings plus delta-vs-keyframe savings. Zero when
   /// RedundancyConfig is off.
   std::size_t suppressed_bytes{0};
-  /// Distance tests of this frame's on-vehicle DBSCAN (zero for policies
+  /// Distance tests of this frame's on-vehicle DBSCAN (zero for methods
   /// that do not extract objects).
   std::uint64_t dbscan_distance_tests{0};
 };
@@ -84,7 +82,7 @@ class VehicleClient {
   sim::AgentId vehicle() const { return vehicle_; }
 
   /// Run the local pipeline on this frame and build the upload.
-  /// `voronoi` must cover the connected fleet when policy is kEmpVoronoi
+  /// `voronoi` must cover the connected fleet under kEmp
   /// (cell index = position of this vehicle among the sites).
   /// `truth` optionally supplies a precomputed world snapshot for truth
   /// matching so that N clients sharing one frame do not each re-snapshot the

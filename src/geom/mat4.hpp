@@ -55,12 +55,6 @@ class Mat4 {
             at(1, 0) * p.x + at(1, 1) * p.y + at(1, 2) * p.z + at(1, 3),
             at(2, 0) * p.x + at(2, 1) * p.y + at(2, 2) * p.z + at(2, 3)};
   }
-  /// Apply to a direction (homogeneous w = 0; ignores translation).
-  Vec3 transform_direction(Vec3 d) const {
-    return {at(0, 0) * d.x + at(0, 1) * d.y + at(0, 2) * d.z,
-            at(1, 0) * d.x + at(1, 1) * d.y + at(1, 2) * d.z,
-            at(2, 0) * d.x + at(2, 1) * d.y + at(2, 2) * d.z};
-  }
 
   /// Inverse of a rigid (rotation + translation) transform. The result is
   /// exact for matrices built from from_pose/translation/rotation_*.

@@ -90,8 +90,6 @@ class FrameBudget {
     return g;
   }
 
-  void reset() { used_ = 0; }
-
  private:
   std::uint64_t capacity_;
   std::uint64_t used_{0};

@@ -219,16 +219,6 @@ void RoadNetwork::build_crosswalks() {
   }
 }
 
-std::vector<int> RoadNetwork::routes_from(LaneRef lane) const {
-  std::vector<int> out;
-  for (const Route& r : routes_) {
-    if (r.entry_arm == lane.arm && r.entry_lane == lane.lane) {
-      out.push_back(r.id);
-    }
-  }
-  return out;
-}
-
 std::optional<int> RoadNetwork::find_route(Arm entry, int lane,
                                            Maneuver m) const {
   for (const Route& r : routes_) {

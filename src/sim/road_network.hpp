@@ -110,9 +110,6 @@ class RoadNetwork {
     return routes_[static_cast<std::size_t>(id)];
   }
 
-  /// Routes entering from a given approach lane.
-  std::vector<int> routes_from(LaneRef lane) const;
-
   /// The route for (arm, lane, maneuver), if the lane permits that maneuver.
   std::optional<int> find_route(Arm entry, int lane, Maneuver m) const;
 

@@ -4,17 +4,15 @@
 
 namespace erpd::track {
 
-KalmanCV::KalmanCV(geom::Vec2 position, Config cfg)
-    : KalmanCV(position, geom::Vec2{}, cfg) {
+KalmanCV::KalmanCV(geom::Vec2 position) : KalmanCV(position, geom::Vec2{}) {
   // Unknown velocity: widen the velocity covariance.
-  p_[2][2] = cfg_.init_vel_sigma * cfg_.init_vel_sigma;
-  p_[3][3] = cfg_.init_vel_sigma * cfg_.init_vel_sigma;
+  p_[2][2] = kInitVelSigma * kInitVelSigma;
+  p_[3][3] = kInitVelSigma * kInitVelSigma;
 }
 
-KalmanCV::KalmanCV(geom::Vec2 position, geom::Vec2 velocity, Config cfg)
-    : cfg_(cfg) {
+KalmanCV::KalmanCV(geom::Vec2 position, geom::Vec2 velocity) {
   x_ = {position.x, position.y, velocity.x, velocity.y};
-  const double pv = cfg_.meas_sigma * cfg_.meas_sigma;
+  const double pv = kMeasSigma * kMeasSigma;
   p_ = {};
   p_[0][0] = pv;
   p_[1][1] = pv;
@@ -29,7 +27,7 @@ void KalmanCV::predict(double dt) {
   x_[1] += dt * x_[3];
 
   // P' = F P F^T + Q (discrete white-noise acceleration model).
-  const double q = cfg_.accel_noise;
+  const double q = kAccelNoise;
   const double dt2 = dt * dt;
   const double dt3 = dt2 * dt;
 
@@ -64,7 +62,7 @@ void KalmanCV::predict(double dt) {
 void KalmanCV::update(geom::Vec2 z) {
   // H = [I2 0]; R = meas_sigma^2 I2. Sequential scalar updates are exact for
   // diagonal R.
-  const double r = cfg_.meas_sigma * cfg_.meas_sigma;
+  const double r = kMeasSigma * kMeasSigma;
   const double zv[2] = {z.x, z.y};
   for (int m = 0; m < 2; ++m) {
     const double innov = zv[m] - x_[m];

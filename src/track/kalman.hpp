@@ -11,21 +11,18 @@
 
 namespace erpd::track {
 
-struct KalmanConfig {
-  /// Process noise: white acceleration spectral density (m^2/s^3).
-  double accel_noise{2.0};
-  /// Measurement noise std-dev on positions (meters).
-  double meas_sigma{0.4};
-  /// Initial velocity uncertainty std-dev (m/s).
-  double init_vel_sigma{4.0};
-};
+/// Process noise: white acceleration spectral density (m^2/s^3).
+inline constexpr double kAccelNoise = 2.0;
+/// Measurement noise std-dev on positions (meters).
+inline constexpr double kMeasSigma = 0.4;
+/// Initial velocity uncertainty std-dev (m/s).
+inline constexpr double kInitVelSigma = 4.0;
+static_assert(kAccelNoise >= 0.0 && kMeasSigma > 0.0 && kInitVelSigma > 0.0);
 
 class KalmanCV {
  public:
-  using Config = KalmanConfig;
-
-  explicit KalmanCV(geom::Vec2 position, Config cfg = {});
-  KalmanCV(geom::Vec2 position, geom::Vec2 velocity, Config cfg = {});
+  explicit KalmanCV(geom::Vec2 position);
+  KalmanCV(geom::Vec2 position, geom::Vec2 velocity);
 
   geom::Vec2 position() const { return {x_[0], x_[1]}; }
   geom::Vec2 velocity() const { return {x_[2], x_[3]}; }
@@ -47,7 +44,6 @@ class KalmanCV {
   double var_vx() const { return p_[2][2]; }
 
  private:
-  Config cfg_;
   std::array<double, 4> x_{};
   std::array<std::array<double, 4>, 4> p_{};  // covariance
 };

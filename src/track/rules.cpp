@@ -4,9 +4,8 @@
 
 namespace erpd::track {
 
-RuleEngine::RuleEngine(const sim::RoadNetwork& net, RuleConfig cfg,
-                       PredictorConfig matcher)
-    : net_(net), cfg_(cfg), matcher_(matcher) {}
+RuleEngine::RuleEngine(const sim::RoadNetwork& net, PredictorConfig matcher)
+    : net_(net), matcher_(matcher) {}
 
 RepresentativeSet RuleEngine::select(
     const std::vector<const Track*>& tracks) const {
@@ -14,7 +13,7 @@ RepresentativeSet RuleEngine::select(
 
   // --- Vehicles: lane queues (Rule 1) and boundary vehicles (Rule 2) ------
   const geom::Aabb boundary =
-      net_.intersection_box().inflated(cfg_.boundary_margin);
+      net_.intersection_box().inflated(kBoundaryMargin);
 
   struct QueueEntry {
     int track_id;
@@ -34,7 +33,7 @@ RepresentativeSet RuleEngine::select(
 
     // Rule 2: moving vehicles inside the red boundary are always predicted.
     if (boundary.contains(pos)) {
-      if (speed >= cfg_.min_moving_speed) {
+      if (speed >= kMinMovingSpeed) {
         out.boundary_vehicles.push_back(tr->id);
         out.predicted_tracks.push_back(tr->id);
       }
@@ -83,7 +82,7 @@ RepresentativeSet RuleEngine::select(
       e.speed = std::max(tr->velocity().norm(), 0.1);
       entities.push_back(e);
     }
-    const CrowdClusterResult cc = cluster_crowd(entities, cfg_.crowd);
+    const CrowdClusterResult cc = cluster_crowd(entities, CrowdClusterConfig{});
     for (const CrowdCluster& cluster : cc.clusters) {
       const int rep_track = pedestrians[cluster.representative]->id;
       out.pedestrian_representatives.push_back(rep_track);

@@ -62,28 +62,25 @@ struct RepresentativeSet {
   }
 };
 
-struct RuleConfig {
-  /// Extra margin around the intersection box for the Rule-2 red boundary
-  /// (covers the crosswalk strip).
-  double boundary_margin{3.0};
-  /// Minimum speed for a boundary vehicle to count as moving (m/s).
-  double min_moving_speed{0.5};
-  CrowdClusterConfig crowd{};
-};
+/// Extra margin around the intersection box for the Rule-2 red boundary
+/// (covers the crosswalk strip).
+inline constexpr double kBoundaryMargin = 3.0;
+/// Minimum speed for a boundary vehicle to count as moving (m/s).
+inline constexpr double kMinMovingSpeed = 0.5;
+static_assert(kBoundaryMargin >= 0.0 && kMinMovingSpeed >= 0.0);
 
 class RuleEngine {
  public:
   /// `matcher` holds the lane-snap gates of Rule 1's route matching: the
   /// edge passes its TrajectoryPredictor's config, so prediction can read
   /// the rules' route fits as its own.
-  RuleEngine(const sim::RoadNetwork& net, RuleConfig cfg = {},
-             PredictorConfig matcher = {});
+  explicit RuleEngine(const sim::RoadNetwork& net,
+                      PredictorConfig matcher = {});
 
   RepresentativeSet select(const std::vector<const Track*>& tracks) const;
 
  private:
   const sim::RoadNetwork& net_;
-  RuleConfig cfg_;
   PredictorConfig matcher_;
 };
 

@@ -22,7 +22,7 @@ void MultiObjectTracker::step(const std::vector<Detection>& detections,
   std::vector<bool> det_used(detections.size(), false);
   std::vector<bool> trk_used(tracks_.size(), false);
   while (true) {
-    double best_d = cfg_.gate;
+    double best_d = kAssociationGate;
     std::size_t best_tr = tracks_.size();
     std::size_t best_de = detections.size();
     for (std::size_t i = 0; i < tracks_.size(); ++i) {
@@ -57,7 +57,7 @@ void MultiObjectTracker::step(const std::vector<Detection>& detections,
     Track& tr = tracks_[best_tr];
     const Detection& de = detections[best_de];
     if (de.velocity) {
-      tr.filter.update(de.position, *de.velocity, cfg_.vel_meas_sigma);
+      tr.filter.update(de.position, *de.velocity, kVelMeasSigma);
     } else {
       tr.filter.update(de.position);
     }
@@ -81,7 +81,7 @@ void MultiObjectTracker::step(const std::vector<Detection>& detections,
   // frames before aging out (tentative tracks get no such grace).
   std::erase_if(tracks_, [this](const Track& tr) {
     const int limit =
-        cfg_.max_misses + (tr.confirmed(cfg_) ? cfg_.max_coast_frames : 0);
+        kMaxMisses + (tr.confirmed() ? cfg_.max_coast_frames : 0);
     return tr.misses > limit;
   });
 
@@ -91,8 +91,8 @@ void MultiObjectTracker::step(const std::vector<Detection>& detections,
     const Detection& de = detections[j];
     Track tr{next_id_++,
              de.kind,
-             de.velocity ? KalmanCV(de.position, *de.velocity, cfg_.kalman)
-                         : KalmanCV(de.position, cfg_.kalman),
+             de.velocity ? KalmanCV(de.position, *de.velocity)
+                         : KalmanCV(de.position),
              /*hits=*/1,
              /*misses=*/0,
              /*last_update=*/t,
@@ -107,7 +107,7 @@ void MultiObjectTracker::step(const std::vector<Detection>& detections,
 std::vector<const Track*> MultiObjectTracker::confirmed() const {
   std::vector<const Track*> out;
   for (const Track& tr : tracks_) {
-    if (tr.confirmed(cfg_)) out.push_back(&tr);
+    if (tr.confirmed()) out.push_back(&tr);
   }
   return out;
 }

@@ -34,23 +34,25 @@ struct Detection {
   sim::AgentId truth_id{sim::kInvalidAgent};
 };
 
+/// Association gate (meters).
+inline constexpr double kAssociationGate = 3.5;
+/// Updates needed to confirm a track.
+inline constexpr int kConfirmHits = 2;
+/// Missed frames before a track is dropped.
+inline constexpr int kMaxMisses = 4;
+/// Measurement sigma assumed for velocity observations (m/s).
+inline constexpr double kVelMeasSigma = 1.0;
+static_assert(kAssociationGate > 0.0 && kConfirmHits >= 1 &&
+              kMaxMisses >= 0 && kVelMeasSigma > 0.0);
+
 struct TrackerConfig {
-  /// Association gate (meters).
-  double gate{3.5};
-  /// Updates needed to confirm a track.
-  int confirm_hits{2};
-  /// Missed frames before a track is dropped.
-  int max_misses{4};
-  /// Extra missed frames a *confirmed* track survives beyond max_misses,
+  /// Extra missed frames a *confirmed* track survives beyond kMaxMisses,
   /// coasting on its Kalman constant-velocity prediction. This is the
   /// graceful-degradation knob for lossy uplinks: when a vehicle's upload is
   /// dropped, the object it was reporting keeps a (staler) track instead of
   /// vanishing from the traffic map. 0 (default) preserves the exact
   /// lossless-pipeline lifetime rule.
   int max_coast_frames{0};
-  KalmanCV::Config kalman{};
-  /// Measurement sigma assumed for velocity observations (m/s).
-  double vel_meas_sigma{1.0};
 };
 
 struct Track {
@@ -67,14 +69,7 @@ struct Track {
   std::size_t point_count{0};
   sim::AgentId truth_id{sim::kInvalidAgent};
 
-  bool confirmed(const TrackerConfig& cfg) const {
-    return hits >= cfg.confirm_hits;
-  }
-  /// A confirmed track carried purely on prediction this frame (no matched
-  /// detection since at least one frame).
-  bool coasting(const TrackerConfig& cfg) const {
-    return confirmed(cfg) && misses > 0;
-  }
+  bool confirmed() const { return hits >= kConfirmHits; }
   geom::Vec2 position() const { return filter.position(); }
   geom::Vec2 velocity() const { return filter.velocity(); }
 };

@@ -63,13 +63,6 @@ TEST(FrameBudget, PartialGrant) {
   EXPECT_EQ(b.grant_partial(10), 0u);
 }
 
-TEST(FrameBudget, Reset) {
-  FrameBudget b(100);
-  b.grant_partial(100);
-  b.reset();
-  EXPECT_EQ(b.remaining(), 100u);
-}
-
 TEST(FrameBudget, ZeroCapacityNeverUnderflows) {
   FrameBudget b(0);
   EXPECT_EQ(b.remaining(), 0u);
@@ -108,9 +101,6 @@ TEST(FrameBudget, RandomizedGrantsPreserveInvariants) {
       ASSERT_EQ(b.used(), granted);
       ASSERT_EQ(b.remaining() + b.used(), b.capacity());
     }
-    b.reset();
-    ASSERT_EQ(b.remaining(), cap);
-    ASSERT_EQ(b.used(), 0u);
   }
 }
 

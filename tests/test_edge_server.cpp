@@ -2,6 +2,7 @@
 
 #include "edge/edge_server.hpp"
 
+#include "core/check.hpp"
 #include "geom/angle.hpp"
 #include "obs/metrics.hpp"
 
@@ -124,23 +125,30 @@ TEST_F(EdgeServerTest, TracksConfirmAndCount) {
 TEST_F(EdgeServerTest, MapMatchingRunsOnlyWhereRelevanceReadsIt) {
   // Rules 1-3 and prediction feed relevance-greedy scoring alone: round
   // robin and broadcast predict nothing and snap nothing to the map.
-  for (const DisseminationStrategy strategy :
-       {DisseminationStrategy::kRelevanceGreedy,
-        DisseminationStrategy::kRoundRobin,
-        DisseminationStrategy::kBroadcast}) {
+  for (const Method method : {Method::kOurs, Method::kEmp, Method::kUnlimited}) {
     EdgeConfig cfg;
-    cfg.strategy = strategy;
+    cfg.method = method;
     EdgeServer server(net_, cfg);
     FrameOutput out;
     for (int k = 0; k < 4; ++k) {
       out = server.process_frame(frames_at(0.1 * k), 0.1 * k, nullptr);
     }
-    const bool greedy = strategy == DisseminationStrategy::kRelevanceGreedy;
+    const bool greedy = method == Method::kOurs;
     EXPECT_EQ(out.predicted_tracks > 0, greedy);
     EXPECT_EQ(out.route_projections > 0, greedy);
     // Whole scans only: one projection per route.
     EXPECT_EQ(out.route_projections % net_.routes().size(), 0u);
   }
+}
+
+// The runner builds its edge under every method, Single included, but a
+// Single run never hands it a frame.
+TEST_F(EdgeServerTest, SingleConstructsButRefusesFrames) {
+  EdgeConfig cfg;
+  cfg.method = Method::kSingle;
+  EdgeServer server(net_, cfg);
+  EXPECT_THROW(server.process_frame(frames_at(0.0), 0.0, nullptr),
+               erpd::ContractViolation);
 }
 
 TEST_F(EdgeServerTest, OneFrameTimesEachEdgeStageOnce) {
@@ -156,7 +164,7 @@ TEST_F(EdgeServerTest, OneFrameTimesEachEdgeStageOnce) {
 
 TEST_F(EdgeServerTest, RoundRobinSendsIrrespectiveOfRelevance) {
   EdgeConfig cfg;
-  cfg.strategy = DisseminationStrategy::kRoundRobin;
+  cfg.method = Method::kEmp;
   EdgeServer server(net_, cfg);
   FrameOutput out;
   for (int k = 0; k < 6; ++k) {
@@ -172,7 +180,7 @@ TEST_F(EdgeServerTest, RoundRobinSendsIrrespectiveOfRelevance) {
 
 TEST_F(EdgeServerTest, BroadcastSendsToAllVehicles) {
   EdgeConfig cfg;
-  cfg.strategy = DisseminationStrategy::kBroadcast;
+  cfg.method = Method::kUnlimited;
   EdgeServer server(net_, cfg);
   FrameOutput out;
   for (int k = 0; k < 4; ++k) {
@@ -183,14 +191,33 @@ TEST_F(EdgeServerTest, BroadcastSendsToAllVehicles) {
 }
 
 TEST_F(EdgeServerTest, MinRelevanceFiltersWeakCandidates) {
-  EdgeConfig cfg;
-  cfg.min_relevance = 0.99;  // nothing should clear this bar
-  EdgeServer server(net_, cfg);
-  FrameOutput out;
-  for (int k = 0; k < 6; ++k) {
-    out = server.process_frame(frames_at(0.1 * k), 0.1 * k, nullptr);
-  }
-  EXPECT_TRUE(out.selected.empty());
+  // The threat is relevant while V2 reports it; then V2's uploads stop
+  // carrying it and its track coasts. A staleness decay close to 1 pushes
+  // the coasting relevance below kMinRelevance, so it is never a
+  // candidate; without the decay the same coasting track is.
+  const auto coasting_frame = [&](double staleness_decay) {
+    EdgeConfig cfg;
+    cfg.staleness_decay = staleness_decay;
+    EdgeServer server(net_, cfg);
+    FrameOutput out;
+    for (int k = 0; k < 6; ++k) {
+      out = server.process_frame(frames_at(0.1 * k), 0.1 * k, nullptr);
+    }
+    EXPECT_FALSE(out.selected.empty()) << "the reported threat is relevant";
+    std::vector<net::UploadFrame> blind = frames_at(0.6);
+    blind[1].objects.clear();
+    return server.process_frame(std::move(blind), 0.6, nullptr);
+  };
+  const FrameOutput fresh = coasting_frame(0.0);
+  EXPECT_EQ(fresh.coasting_tracks, 1u);
+  EXPECT_EQ(fresh.stale_candidates, 1u);
+  EXPECT_FALSE(fresh.selected.empty());
+
+  const FrameOutput decayed = coasting_frame(0.9999);
+  EXPECT_EQ(decayed.coasting_tracks, 1u);
+  EXPECT_EQ(decayed.stale_candidates, 0u);
+  EXPECT_EQ(decayed.candidates, 0u);
+  EXPECT_TRUE(decayed.selected.empty());
 }
 
 TEST_F(EdgeServerTest, BlobUploadsAreDetectedServerSide) {

@@ -8,8 +8,8 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
-#include "core/check.hpp"
 #include "edge/edge_server.hpp"
 #include "edge/ingest_guard.hpp"
 #include "edge/system_runner.hpp"
@@ -45,21 +45,15 @@ IngestConfig enabled_config() {
   return cfg;
 }
 
-TEST(IngestConfig, ValidateRejectsBadValues) {
-  IngestConfig cfg;
-  cfg.max_pose_speed = 0.0;
-  EXPECT_THROW(cfg.validate(), erpd::ContractViolation);
-  cfg = {};
-  cfg.max_abs_coord = -1.0;
-  EXPECT_THROW(cfg.validate(), erpd::ContractViolation);
-  cfg = {};
-  cfg.strike_threshold = 0;
-  EXPECT_THROW(cfg.validate(), erpd::ContractViolation);
-  cfg = {};
-  cfg.quarantine_base = 2.0;
-  cfg.quarantine_max = 1.0;
-  EXPECT_THROW(cfg.validate(), erpd::ContractViolation);
-  EXPECT_NO_THROW(IngestConfig{}.validate());
+/// kStrikeThreshold offending frames from `vehicle`, 10 ms apart from `t`
+/// on: enough to start a quarantine. Returns the last offense's time.
+double offend_to_quarantine(IngestGuard& guard, sim::AgentId vehicle, double t,
+                            IngestStats* stats) {
+  for (int s = 0; s < kStrikeThreshold; ++s) {
+    if (s > 0) t += 0.01;
+    guard.admit({make_frame(vehicle, t, {kNan, 0.0})}, t, stats);
+  }
+  return t;
 }
 
 TEST(IngestGuard, DisabledGuardWithoutWirePayloadsNeverRuns) {
@@ -148,16 +142,18 @@ TEST(IngestGuard, RejectsImplausiblePoseJump) {
 }
 
 TEST(IngestGuard, RejectsStructuralCapViolations) {
-  IngestConfig cfg = enabled_config();
-  cfg.max_objects_per_frame = 2;
-  cfg.max_points_per_frame = 100;
-  IngestGuard guard(cfg);
+  static_assert(kMaxPointsPerFrame % kMaxObjectsPerFrame == 0);
+  IngestGuard guard(enabled_config());
   IngestStats stats;
   const auto admitted = guard.admit(
       {
-          make_frame(1, 0.1, {0.0, 0.0}, /*objects=*/3),   // too many objects
-          make_frame(2, 0.1, {0.0, 0.0}, 2, /*points=*/60),  // 120 points
-          make_frame(3, 0.1, {0.0, 0.0}, 2, 50),             // exactly at cap
+          // One object too many.
+          make_frame(1, 0.1, {0.0, 0.0}, kMaxObjectsPerFrame + 1),
+          // One point too many.
+          make_frame(2, 0.1, {0.0, 0.0}, 1, kMaxPointsPerFrame + 1),
+          // Exactly at both caps.
+          make_frame(3, 0.1, {0.0, 0.0}, kMaxObjectsPerFrame,
+                     kMaxPointsPerFrame / kMaxObjectsPerFrame),
       },
       0.2, &stats);
   ASSERT_EQ(admitted.size(), 1u);
@@ -179,112 +175,124 @@ TEST(IngestGuard, OutOfBoundsObjectIsDroppedButFrameSurvives) {
 }
 
 TEST(IngestGuard, StrikesTriggerQuarantineWithExponentialBackoff) {
-  IngestConfig cfg = enabled_config();
-  cfg.strike_threshold = 3;
-  cfg.quarantine_base = 1.0;
-  cfg.quarantine_max = 16.0;
-  IngestGuard guard(cfg);
+  IngestGuard guard(enabled_config());
   IngestStats stats;
 
-  // Three offending frames: the third strike starts a quarantine.
-  double t = 0.0;
-  for (int i = 0; i < 3; ++i) {
-    t += 0.1;
+  // One offense short of the threshold starts nothing...
+  double t = 0.1;
+  for (int i = 1; i < kStrikeThreshold; ++i, t += 0.1) {
     guard.admit({make_frame(7, t, {kNan, 0.0})}, t, &stats);
   }
+  EXPECT_EQ(stats.quarantine_events, 0u);
+  // ...the threshold-th strike starts a quarantine of the base window.
+  guard.admit({make_frame(7, t, {kNan, 0.0})}, t, &stats);
   EXPECT_EQ(stats.quarantine_events, 1u);
-  EXPECT_TRUE(guard.quarantined(7, t + 0.5));
-  EXPECT_TRUE(guard.quarantined(7, t + 0.99));
-  EXPECT_FALSE(guard.quarantined(7, t + 1.0));  // base window over
+  EXPECT_TRUE(guard.quarantined(7, t + 0.5 * kQuarantineBase));
+  EXPECT_TRUE(guard.quarantined(7, t + kQuarantineBase - 0.01));
+  EXPECT_FALSE(guard.quarantined(7, t + kQuarantineBase));  // window over
 
   // While quarantined, even clean frames are dropped at the gate.
-  const auto during =
-      guard.admit({make_frame(7, t + 0.5, {0.0, 0.0})}, t + 0.5, &stats);
+  const double mid = t + 0.5 * kQuarantineBase;
+  const auto during = guard.admit({make_frame(7, mid, {0.0, 0.0})}, mid, &stats);
   EXPECT_TRUE(during.empty());
   EXPECT_EQ(stats.quarantine_dropped, 1u);
 
-  // After readmission, three more strikes double the window (2 s).
-  double t2 = t + 1.0;
-  for (int i = 0; i < 3; ++i) {
-    t2 += 0.1;
-    guard.admit({make_frame(7, t2, {kNan, 0.0})}, t2, &stats);
-  }
+  // After readmission, a second quarantine doubles the window.
+  const double t2 =
+      offend_to_quarantine(guard, 7, t + kQuarantineBase + 0.1, &stats);
   EXPECT_EQ(stats.quarantine_events, 2u);
-  EXPECT_TRUE(guard.quarantined(7, t2 + 1.5));
-  EXPECT_FALSE(guard.quarantined(7, t2 + 2.0));
+  EXPECT_TRUE(guard.quarantined(7, t2 + 2.0 * kQuarantineBase - 0.01));
+  EXPECT_FALSE(guard.quarantined(7, t2 + 2.0 * kQuarantineBase));
 
   // Other vehicles are unaffected throughout.
   EXPECT_FALSE(guard.quarantined(8, t2 + 1.0));
 }
 
-// Regression: the backoff ladder must double exactly quarantine_base ->
-// quarantine_max and then saturate — a perpetual offender sits at the max
+// Regression: the backoff ladder must double exactly kQuarantineBase ->
+// kQuarantineMax and then saturate — a perpetual offender sits at the max
 // window forever, never beyond it, no matter how many quarantines accumulate.
 TEST(IngestGuard, QuarantineBackoffSaturatesAtMax) {
-  IngestConfig cfg = enabled_config();
-  cfg.strike_threshold = 1;  // quarantine on every offense
-  cfg.quarantine_base = 1.0;
-  cfg.quarantine_max = 4.0;
-  IngestGuard guard(cfg);
+  IngestGuard guard(enabled_config());
   IngestStats stats;
 
-  // Expected windows: 1, 2, 4, then 4 forever (saturated).
-  const double expected[] = {1.0, 2.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0};
+  // Expected windows: kQuarantineBase doubling up to kQuarantineMax, then
+  // kQuarantineMax forever (saturated).
+  std::vector<double> expected;
+  for (double w = kQuarantineBase; w < kQuarantineMax; w *= 2.0) {
+    expected.push_back(w);
+  }
+  expected.insert(expected.end(), 4, kQuarantineMax);
+  ASSERT_GE(expected.size(), 6u);
   double t = 0.1;
   for (const double window : expected) {
-    guard.admit({make_frame(7, t, {kNan, 0.0})}, t, &stats);
+    t = offend_to_quarantine(guard, 7, t, &stats);
     EXPECT_TRUE(guard.quarantined(7, t + window - 0.01)) << "window " << window;
     EXPECT_FALSE(guard.quarantined(7, t + window)) << "window " << window;
     t += window + 0.1;  // re-offend just after readmission
   }
-  EXPECT_EQ(stats.quarantine_events, std::size(expected));
+  EXPECT_EQ(stats.quarantine_events, expected.size());
 }
 
 // Regression: a clean frame admitted after the quarantine window expires
-// resets the ladder, so the next quarantine starts at quarantine_base again
+// resets the ladder, so the next quarantine starts at kQuarantineBase again
 // (the readmission contract documented in ingest_guard.hpp).
 TEST(IngestGuard, CleanReadmissionResetsBackoff) {
-  IngestConfig cfg = enabled_config();
-  cfg.strike_threshold = 1;
-  cfg.quarantine_base = 1.0;
-  cfg.quarantine_max = 4.0;
-  IngestGuard guard(cfg);
+  IngestGuard guard(enabled_config());
   IngestStats stats;
 
-  // Climb the ladder to a 2 s window.
-  guard.admit({make_frame(7, 0.1, {kNan, 0.0})}, 0.1, &stats);  // 1 s
-  guard.admit({make_frame(7, 1.2, {kNan, 0.0})}, 1.2, &stats);  // 2 s
-  EXPECT_FALSE(guard.quarantined(7, 3.2));
+  // Climb the ladder to the doubled window.
+  double t = offend_to_quarantine(guard, 7, 0.1, &stats);
+  t = offend_to_quarantine(guard, 7, t + kQuarantineBase + 0.1, &stats);
+  t += 2.0 * kQuarantineBase;
+  EXPECT_FALSE(guard.quarantined(7, t));
 
   // One clean frame after readmission wipes the reputation...
   IngestStats clean_stats;
+  t += 0.1;
   const auto admitted =
-      guard.admit({make_frame(7, 3.3, {0.0, 0.0})}, 3.3, &clean_stats);
+      guard.admit({make_frame(7, t, {0.0, 0.0})}, t, &clean_stats);
   ASSERT_EQ(admitted.size(), 1u);
   EXPECT_EQ(clean_stats.quarantine_dropped, 0u);
 
-  // ...so the next offense starts over at the 1 s base window, not the 4 s
-  // the ladder would otherwise have reached.
-  guard.admit({make_frame(7, 3.4, {kNan, 0.0})}, 3.4, &stats);
-  EXPECT_TRUE(guard.quarantined(7, 4.39));
-  EXPECT_FALSE(guard.quarantined(7, 4.4));
+  // ...so the next quarantine starts over at the base window, not the
+  // fourfold one the ladder would otherwise have reached.
+  t = offend_to_quarantine(guard, 7, t + 0.1, &stats);
+  EXPECT_TRUE(guard.quarantined(7, t + kQuarantineBase - 0.01));
+  EXPECT_FALSE(guard.quarantined(7, t + kQuarantineBase));
 }
 
+// Each clean frame forgives exactly kStrikeDecay strikes.
 TEST(IngestGuard, CleanFramesDecayStrikes) {
-  IngestConfig cfg = enabled_config();
-  cfg.strike_threshold = 3;
-  cfg.strike_decay = 1.0;  // one clean frame forgives one strike
-  IngestGuard guard(cfg);
+  const int forgive_one = static_cast<int>(std::lround(1.0 / kStrikeDecay));
+  ASSERT_DOUBLE_EQ(forgive_one * kStrikeDecay, 1.0);
+  IngestGuard guard(enabled_config());
   IngestStats stats;
-  // Offense, clean, offense, clean, ... never reaches three live strikes.
   double t = 0.0;
-  for (int i = 0; i < 6; ++i) {
+  const auto cycle = [&](sim::AgentId vehicle, int clean_frames) {
     t += 0.1;
-    const bool offend = (i % 2 == 0);
-    guard.admit({make_frame(9, offend ? kNan : t, {0.0, 0.0})}, t, &stats);
-  }
+    guard.admit({make_frame(vehicle, kNan, {0.0, 0.0})}, t, &stats);
+    for (int c = 0; c < clean_frames; ++c) {
+      t += 0.1;
+      guard.admit({make_frame(vehicle, t, {0.0, 0.0})}, t, &stats);
+    }
+  };
+
+  // An offense followed by enough clean frames to forgive it, over and
+  // over, never reaches the threshold.
+  for (int i = 0; i < 4 * kStrikeThreshold; ++i) cycle(9, forgive_one);
   EXPECT_EQ(stats.quarantine_events, 0u);
   EXPECT_FALSE(guard.quarantined(9, t));
+
+  // One clean frame fewer leaves kStrikeDecay strikes per cycle, so the
+  // offense that lifts the remainder to the threshold quarantines: not one
+  // cycle earlier.
+  const int cycles_before = static_cast<int>(
+      std::lround((kStrikeThreshold - 1) / kStrikeDecay));
+  for (int i = 0; i < cycles_before; ++i) cycle(10, forgive_one - 1);
+  EXPECT_EQ(stats.quarantine_events, 0u);
+  cycle(10, 0);
+  EXPECT_EQ(stats.quarantine_events, 1u);
+  EXPECT_TRUE(guard.quarantined(10, t));
 }
 
 // The ingest point budget is the admission controller under the point
@@ -347,13 +355,12 @@ TEST(PointStage, NoSheddingWithinBudget) {
 }
 
 TEST(IngestGuard, StatsTallyEveryFate) {
-  IngestConfig cfg = enabled_config();
-  cfg.strike_threshold = 1;  // quarantine on the first offense
-  IngestGuard guard(cfg);
+  IngestGuard guard(enabled_config());
   IngestStats stats;
-  guard.admit({make_frame(1, 0.1, {kNan, 0.0})}, 0.1, &stats);
-  guard.admit({make_frame(1, 0.3, {0.0, 0.0})}, 0.3, &stats);  // quarantined
-  EXPECT_EQ(stats.rejected_semantic, 1u);
+  const double t = offend_to_quarantine(guard, 1, 0.1, &stats);
+  guard.admit({make_frame(1, t + 0.2, {0.0, 0.0})}, t + 0.2, &stats);
+  EXPECT_EQ(stats.rejected_semantic,
+            static_cast<std::size_t>(kStrikeThreshold));
   EXPECT_EQ(stats.quarantine_events, 1u);
   EXPECT_EQ(stats.quarantine_dropped, 1u);
 }

@@ -174,9 +174,31 @@ TEST(Integration, RunnerWirelessSetsTheEdgeDownlinkBudget) {
 
 TEST(Integration, UnlimitedIsUncapped) {
   const RunnerConfig rc = make_runner_config(Method::kUnlimited);
+  EXPECT_EQ(rc.method, Method::kUnlimited);
   EXPECT_GT(rc.wireless.uplink_mbps, 1e5);
-  EXPECT_EQ(rc.edge.strategy, DisseminationStrategy::kBroadcast);
-  EXPECT_EQ(rc.client.policy, UploadPolicy::kUnlimitedRaw);
+  EXPECT_GT(rc.wireless.downlink_mbps, 1e5);
+  // The other methods keep the given link.
+  const RunnerConfig emp = make_runner_config(Method::kEmp, test_wireless());
+  EXPECT_EQ(emp.wireless.uplink_mbps, test_wireless().uplink_mbps);
+  EXPECT_EQ(emp.wireless.downlink_mbps, test_wireless().downlink_mbps);
+}
+
+// RunnerConfig::method alone picks both ends: a config built without
+// make_runner_config runs EMP's Voronoi uploads and round-robin edge, not
+// Ours' moving-object uploads and relevance scoring.
+TEST(Integration, MethodAlonePicksUploadAndDissemination) {
+  RunnerConfig rc;
+  rc.method = Method::kEmp;
+  rc.duration = 3.0;
+  obs::MetricsRegistry reg;
+  rc.metrics = &reg;
+  sim::Scenario sc = sim::make_unprotected_left_turn(fast_scenario());
+  SystemRunner(rc).run(sc);
+  // Blob uploads: no DBSCAN on the vehicles, re-segmentation at the edge.
+  EXPECT_EQ(reg.counter("client.dbscan_distance_tests").value(), 0u);
+  EXPECT_GT(reg.counter("edge.dbscan_distance_tests").value(), 0u);
+  // No rules or prediction: nothing was snapped to the map.
+  EXPECT_EQ(reg.counter("edge.route_projections").value(), 0u);
 }
 
 }  // namespace

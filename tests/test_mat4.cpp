@@ -14,8 +14,6 @@ TEST(Mat4, IdentityLeavesPointsAlone) {
 TEST(Mat4, TranslationMovesPoints) {
   const Mat4 t = Mat4::translation({1.0, 2.0, 3.0});
   EXPECT_EQ(t.transform_point({0.0, 0.0, 0.0}), Vec3(1.0, 2.0, 3.0));
-  // Directions ignore translation.
-  EXPECT_EQ(t.transform_direction({1.0, 0.0, 0.0}), Vec3(1.0, 0.0, 0.0));
 }
 
 TEST(Mat4, RotationZQuarterTurn) {

@@ -276,19 +276,46 @@ TEST(Schema, ExportedJsonCarriesEveryKey) {
 
 TEST(Manifest, FingerprintIsStableAndSensitive) {
   const edge::RunnerConfig a = edge::make_runner_config(edge::Method::kOurs);
-  edge::RunnerConfig b = a;
-  b.duration += 1.0;
-  // Track coasting changes behaviour under uplink loss; the degraded bench
-  // profile, the soak and the benchmark all set it.
-  edge::RunnerConfig coast = a;
-  coast.edge.tracker.max_coast_frames = 6;
   const obs::RunManifest ma = edge::make_manifest(a, "s", 42);
   EXPECT_EQ(ma.config_fingerprint,
             edge::make_manifest(a, "s", 42).config_fingerprint);
-  EXPECT_NE(ma.config_fingerprint,
-            edge::make_manifest(b, "s", 42).config_fingerprint);
-  EXPECT_NE(ma.config_fingerprint,
-            edge::make_manifest(coast, "s", 42).config_fingerprint);
+  // Every setting that callers vary moves the fingerprint.
+  using Flip = void (*)(edge::RunnerConfig&);
+  const std::pair<const char*, Flip> flips[] = {
+      {"method", [](edge::RunnerConfig& c) { c.method = edge::Method::kEmp; }},
+      {"duration", [](edge::RunnerConfig& c) { c.duration += 1.0; }},
+      {"staleness_decay",
+       [](edge::RunnerConfig& c) { c.edge.staleness_decay = 0.1; }},
+      {"follower_relevance",
+       [](edge::RunnerConfig& c) { c.edge.follower_relevance = false; }},
+      {"follower.alpha",
+       [](edge::RunnerConfig& c) { c.edge.follower.alpha = 0.5; }},
+      {"follower.criterion",
+       [](edge::RunnerConfig& c) {
+         c.edge.follower.criterion = core::FollowerCriterion::kViolatesBoth;
+       }},
+      {"tracker.max_coast_frames",
+       [](edge::RunnerConfig& c) { c.edge.tracker.max_coast_frames = 6; }},
+      {"ingest.enabled",
+       [](edge::RunnerConfig& c) { c.edge.ingest.enabled = true; }},
+      {"ingest.point_budget_per_frame",
+       [](edge::RunnerConfig& c) { c.edge.ingest.point_budget_per_frame = 9; }},
+      {"redundancy.enabled",
+       [](edge::RunnerConfig& c) { c.redundancy.enabled = true; }},
+      {"service.enabled",
+       [](edge::RunnerConfig& c) { c.service.enabled = true; }},
+      {"service.queue_drain_max",
+       [](edge::RunnerConfig& c) { c.service.queue_drain_max = 4; }},
+      {"service.decode_merge_budget_us",
+       [](edge::RunnerConfig& c) { c.service.decode_merge_budget_us = 300; }},
+  };
+  for (const auto& [name, flip] : flips) {
+    edge::RunnerConfig b = a;
+    flip(b);
+    EXPECT_NE(ma.config_fingerprint,
+              edge::make_manifest(b, "s", 42).config_fingerprint)
+        << name;
+  }
   EXPECT_EQ(ma.method, std::string("Ours"));
   EXPECT_EQ(ma.seed, 42u);
   EXPECT_FALSE(ma.git_sha.empty());

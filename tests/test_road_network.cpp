@@ -143,10 +143,11 @@ TEST(RoadNetwork, CrosswalksSpanTheRoad) {
   EXPECT_LT(cw.path.point_at(0.0).y, -net.box_half());
 }
 
-TEST(RoadNetwork, RoutesFromLaneListsAllManeuvers) {
+TEST(RoadNetwork, FindRouteHonoursLanePermissions) {
   const RoadNetwork net{RoadConfig{}};
-  const auto lane0 = net.routes_from({Arm::kEast, 0});
-  EXPECT_EQ(lane0.size(), 2u);  // left + straight
+  // The inner lane turns left or goes straight; only the outer turns right.
+  EXPECT_TRUE(net.find_route(Arm::kEast, 0, Maneuver::kLeft).has_value());
+  EXPECT_TRUE(net.find_route(Arm::kEast, 0, Maneuver::kStraight).has_value());
   EXPECT_FALSE(net.find_route(Arm::kEast, 0, Maneuver::kRight).has_value());
   EXPECT_TRUE(net.find_route(Arm::kEast, 1, Maneuver::kRight).has_value());
 }

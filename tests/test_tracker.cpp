@@ -89,21 +89,20 @@ TEST(Tracker, KindUpgradesWithExtent) {
 }
 
 TEST(Tracker, MissedTracksEventuallyDropped) {
-  TrackerConfig cfg;
-  cfg.max_misses = 2;
-  MultiObjectTracker mot(cfg);
+  MultiObjectTracker mot;
   mot.step({det({5.0, 5.0})}, 0.0);
-  mot.step({}, 0.1);
-  mot.step({}, 0.2);
+  double t = 0.0;
+  for (int miss = 0; miss < kMaxMisses; ++miss) {
+    t += 0.1;
+    mot.step({}, t);
+  }
   EXPECT_EQ(mot.tracks().size(), 1u);
-  mot.step({}, 0.3);  // third miss > max
+  mot.step({}, t + 0.1);  // one miss past the limit
   EXPECT_TRUE(mot.tracks().empty());
 }
 
 TEST(Tracker, ReacquireResetsMisses) {
-  TrackerConfig cfg;
-  cfg.max_misses = 2;
-  MultiObjectTracker mot(cfg);
+  MultiObjectTracker mot;
   mot.step({det({5.0, 5.0})}, 0.0);
   mot.step({}, 0.1);
   mot.step({det({5.1, 5.0})}, 0.2);

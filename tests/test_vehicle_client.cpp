@@ -18,9 +18,7 @@ struct Rig {
   AgentId ego;
   AgentId mover;
 
-  explicit Rig(UploadPolicy policy_unused = UploadPolicy::kOursMovingObjects)
-      : world(sim::RoadNetwork{sim::RoadConfig{}}, make_world_config()) {
-    (void)policy_unused;
+  Rig() : world(sim::RoadNetwork{sim::RoadConfig{}}, make_world_config()) {
     const int ego_route =
         *world.network().find_route(Arm::kSouth, 1, Maneuver::kStraight);
     sim::VehicleParams ep;
@@ -80,7 +78,7 @@ TEST(VehicleClient, UploadCarriesEgoPose) {
 TEST(VehicleClient, EmpUploadsVoronoiCellBlob) {
   Rig rig;
   ClientConfig cfg;
-  cfg.policy = UploadPolicy::kEmpVoronoi;
+  cfg.method = Method::kEmp;
   VehicleClient client(rig.ego, cfg);
 
   // Two sites: the ego and a phantom far north. Points outside the ego's
@@ -103,7 +101,7 @@ TEST(VehicleClient, EmpKeepsStaticStructure) {
   Rig rig;
   ClientConfig ours_cfg;
   ClientConfig emp_cfg;
-  emp_cfg.policy = UploadPolicy::kEmpVoronoi;
+  emp_cfg.method = Method::kEmp;
   VehicleClient ours(rig.ego, ours_cfg);
   VehicleClient emp(rig.ego, emp_cfg);
   const geom::Vec2 ego_pos =
@@ -122,7 +120,7 @@ TEST(VehicleClient, EmpKeepsStaticStructure) {
 TEST(VehicleClient, UnlimitedUploadsRawFrame) {
   Rig rig;
   ClientConfig cfg;
-  cfg.policy = UploadPolicy::kUnlimitedRaw;
+  cfg.method = Method::kUnlimited;
   VehicleClient client(rig.ego, cfg);
   ClientFrameStats stats{};
   const net::UploadFrame f = client.make_upload(rig.world, nullptr, 0, &stats);
@@ -133,6 +131,12 @@ TEST(VehicleClient, UnlimitedUploadsRawFrame) {
   EXPECT_GT(stats.raw_points, 1000u);
   // No on-vehicle clustering for raw uploads.
   EXPECT_EQ(stats.dbscan_distance_tests, 0u);
+}
+
+TEST(VehicleClient, SingleHasNoClient) {
+  ClientConfig cfg;
+  cfg.method = Method::kSingle;
+  EXPECT_THROW(VehicleClient(1, cfg), erpd::ContractViolation);
 }
 
 TEST(VehicleClient, MissingVehicleYieldsEmptyFrame) {
