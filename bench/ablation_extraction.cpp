@@ -40,9 +40,8 @@ void reduction_table() {
   Scene scene = Scene::make(64, 0.2);
   sim::World& w = scene.sc.world;
 
-  pc::MovingExtractorConfig mcfg;
-  mcfg.ground.sensor_height = w.config().sensor_height;
-  pc::MovingObjectExtractor ex(mcfg);
+  // The closed loop's extractor: VehicleClient runs the default config.
+  pc::MovingObjectExtractor ex(pc::MovingExtractorConfig{});
 
   // Warm up motion history, then measure the steady-state frame.
   pc::ExtractionResult res;
@@ -50,9 +49,7 @@ void reduction_table() {
   for (int f = 0; f < 8; ++f) {
     scan = w.scan_from(scene.viewer);
     const sim::Vehicle* v = w.find_vehicle(scene.viewer);
-    res = ex.process(scan.cloud,
-                     v->sensor_pose(w.network(), w.config().sensor_height),
-                     w.time());
+    res = ex.process(scan.cloud, v->sensor_pose(w.network()), w.time());
     w.step();
   }
 
@@ -83,13 +80,10 @@ BENCHMARK(BM_LidarScan)->Arg(16)->Arg(32)->Arg(64);
 void BM_Extraction(benchmark::State& state) {
   Scene scene = Scene::make(32, 0.4);
   sim::World& w = scene.sc.world;
-  pc::MovingExtractorConfig mcfg;
-  mcfg.ground.sensor_height = w.config().sensor_height;
-  pc::MovingObjectExtractor ex(mcfg);
+  pc::MovingObjectExtractor ex(pc::MovingExtractorConfig{});
   const sim::LidarScan scan = w.scan_from(scene.viewer);
   const sim::Vehicle* v = w.find_vehicle(scene.viewer);
-  const geom::Pose pose =
-      v->sensor_pose(w.network(), w.config().sensor_height);
+  const geom::Pose pose = v->sensor_pose(w.network());
   double t = 0.0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(ex.process(scan.cloud, pose, t));

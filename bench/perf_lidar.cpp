@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
 
       const sim::LidarSensor sensor(cfg);
       const std::vector<sim::LidarTarget> targets =
-          make_scene(n_targets, cfg.max_range, 7u * n_targets + 1u);
+          make_scene(n_targets, sim::kSensorRange, 7u * n_targets + 1u);
 
       const auto accel = [&](std::mt19937_64& rng) {
         return sensor.scan(pose, targets, rng);

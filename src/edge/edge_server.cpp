@@ -11,6 +11,7 @@
 namespace erpd::edge {
 
 using geom::Vec2;
+using track::kCarMinExtent;
 
 AdmissionPolicy point_budget_policy(const IngestConfig& ingest) {
   return {.capacity = ingest.point_budget_per_frame, .cost_per_point = 1};
@@ -43,14 +44,14 @@ EdgeServer::EdgeServer(const sim::RoadNetwork& net, EdgeConfig cfg)
 sim::AgentKind EdgeServer::classify_extent(const geom::Aabb& box) {
   if (box.empty()) return sim::AgentKind::kPedestrian;
   const Vec2 e = box.extent();
-  return std::max(e.x, e.y) < 1.4 ? sim::AgentKind::kPedestrian
-                                  : sim::AgentKind::kCar;
+  return std::max(e.x, e.y) < kCarMinExtent ? sim::AgentKind::kPedestrian
+                                            : sim::AgentKind::kCar;
 }
 
 sim::AgentId EdgeServer::match_truth(
-    const std::vector<sim::AgentSnapshot>& truth, Vec2 pos, double radius) {
+    const std::vector<sim::AgentSnapshot>& truth, Vec2 pos) {
   sim::AgentId best = sim::kInvalidAgent;
-  double best_d = radius;
+  double best_d = track::kTruthMatchRadius;
   for (const sim::AgentSnapshot& a : truth) {
     const double d = distance(a.position, pos);
     if (d < best_d) {
@@ -115,7 +116,7 @@ std::vector<track::Detection> EdgeServer::build_detections(
           merged.payload_bytes = out[j].payload_bytes;
         }
         merged.extent = std::max(merged.extent, out[j].extent);
-        if (merged.extent > 1.4) merged.kind = sim::AgentKind::kCar;
+        if (merged.extent > kCarMinExtent) merged.kind = sim::AgentKind::kCar;
         if (merged.truth_id == sim::kInvalidAgent) {
           merged.truth_id = out[j].truth_id;
         }
@@ -138,7 +139,7 @@ std::vector<track::Detection> EdgeServer::build_detections(
     merged.clear();
     for (const pc::PointCloud* blob : blobs) {
       for (const geom::Vec3& p : blob->points()) {
-        if (p.z > 0.25) merged.push_back(p);
+        if (p.z > kBlobGroundStrip) merged.push_back(p);
       }
     }
     pc::voxel_downsample(merged, kDetectVoxel, merged, sc.voxel);
@@ -156,7 +157,7 @@ std::vector<track::Detection> EdgeServer::build_detections(
       d.point_count = c.point_count();
       d.payload_bytes = pc::encoded_size_bytes(c.point_count());
       if (truth != nullptr) {
-        d.truth_id = match_truth(*truth, d.position, 2.5);
+        d.truth_id = match_truth(*truth, d.position);
       }
       out.push_back(std::move(d));
     }

@@ -38,13 +38,17 @@ namespace erpd::edge {
 /// thinning, then density clustering.
 inline constexpr double kDetectVoxel = 0.3;
 inline constexpr pc::DbscanConfig kDetectDbscan{.eps = 1.2, .min_pts = 4};
+/// Blob points at or below this world-frame height (meters) are ground: the
+/// vehicle's ground cutoff at the real mount (DESIGN.md §8).
+inline constexpr double kBlobGroundStrip = 0.25;
 /// An object is visible to an uploader if that upload contains >= 3 points
 /// (or an object centroid) within this radius of the track.
 inline constexpr double kVisibilityRadius = 2.2;
 /// A track this close to a connected vehicle's reported pose *is* that
 /// vehicle.
 inline constexpr double kSelfRadius = 2.5;
-static_assert(kVisibilityRadius > 0.0 && kSelfRadius > 0.0);
+static_assert(kVisibilityRadius > 0.0 && kSelfRadius > 0.0 &&
+              kBlobGroundStrip > 0.0);
 /// Candidates below this relevance are never disseminated.
 inline constexpr double kMinRelevance = 1e-3;
 static_assert(kMinRelevance >= 0.0);
@@ -212,7 +216,7 @@ class EdgeServer {
 
   static sim::AgentKind classify_extent(const geom::Aabb& box);
   static sim::AgentId match_truth(const std::vector<sim::AgentSnapshot>& truth,
-                                  geom::Vec2 pos, double radius);
+                                  geom::Vec2 pos);
 };
 
 }  // namespace erpd::edge

@@ -48,10 +48,7 @@ obs::RunManifest make_manifest(const RunnerConfig& cfg,
                                std::uint64_t seed) {
   obs::Fingerprint fp;
   fp.fold(static_cast<int>(cfg.method));
-  fp.fold(cfg.wireless.uplink_mbps)
-      .fold(cfg.wireless.downlink_mbps)
-      .fold(cfg.wireless.frame_interval)
-      .fold(cfg.wireless.base_latency);
+  fp.fold(cfg.wireless.uplink_mbps).fold(cfg.wireless.downlink_mbps);
   fp.fold(cfg.edge.follower_relevance)
       .fold(cfg.edge.staleness_decay)
       .fold(cfg.edge.follower.alpha)

@@ -76,10 +76,11 @@ std::uint64_t behavior_fingerprint(const MethodMetrics& m);
 
 /// Build the provenance manifest for a run of `cfg`, stamped with the thread
 /// count and configure-time git revision. The config fingerprint folds the
-/// method, link, the edge's relevance/follower/staleness knobs, the track
-/// coasting limit, duration, fault schedule, ingest switch and point budget,
-/// redundancy and service settings; not the predictor, extractor or encoding
-/// configs. Tuning fixed as named constants is not folded.
+/// method, the two link rates, the edge's relevance/follower/staleness
+/// knobs, the track coasting limit, duration, fault schedule, ingest switch
+/// and point budget, redundancy and service settings; not the predictor,
+/// extractor or encoding configs, nor named constants (sim::kFrameInterval,
+/// net::kBaseLatency, ...).
 obs::RunManifest make_manifest(const RunnerConfig& cfg,
                                std::string_view scenario, std::uint64_t seed);
 

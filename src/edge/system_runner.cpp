@@ -206,7 +206,6 @@ std::size_t total_bytes(const std::vector<net::UploadFrame>& frames) {
   X(pipeline_frames, "frames.pipeline", 1)                                    \
   X(downlink_bytes, "downlink.bytes", edge.downlink_bytes)                    \
   X(selected_msgs, "diss.selected_msgs", edge.selected.size())                \
-  X(selected_bytes, "diss.selected_bytes", edge.downlink_bytes)               \
   X(detections, "edge.detections", edge.detections)                           \
   X(edge_dbscan, "edge.dbscan_distance_tests", edge.dbscan_distance_tests)    \
   X(route_projections, "edge.route_projections", edge.route_projections)      \
@@ -422,8 +421,7 @@ class FrameStages {
                                           client_cfg_.encoding, replay_cache_);
     u->delivered_bytes = total_bytes(uploads);
     u->t_upload = net::transfer_delay(u->delivered_bytes,
-                                      cfg_.wireless.uplink_mbps,
-                                      cfg_.wireless.base_latency) +
+                                      cfg_.wireless.uplink_mbps) +
                   channel_.uplink_jitter(frame);
     return uploads;
   }
@@ -452,9 +450,7 @@ class FrameStages {
       const double jit = channel_.downlink_jitter(msg.to, msg.track_id, frame);
       max_jitter = std::max(max_jitter, jit);
       const double delay =
-          net::transfer_delay(msg.bytes, cfg_.wireless.downlink_mbps,
-                              cfg_.wireless.base_latency) +
-          jit;
+          net::transfer_delay(msg.bytes, cfg_.wireless.downlink_mbps) + jit;
       if (cfg_.fault.downlink_deadline > 0.0 &&
           delay > cfg_.fault.downlink_deadline) {
         ++d.deadline_miss_msgs;
@@ -478,8 +474,7 @@ class FrameStages {
       if (it != clients_.end()) it->second.receive_feedback(fb);
     }
     d.t_down = net::transfer_delay(fo.downlink_bytes + fo.feedback_bytes,
-                                   cfg_.wireless.downlink_mbps,
-                                   cfg_.wireless.base_latency) +
+                                   cfg_.wireless.downlink_mbps) +
                max_jitter;
     return d;
   }
@@ -688,7 +683,7 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
   const core::PoolStats pool_start = core::global_pool().stats();
 
   const int steps =
-      static_cast<int>(std::llround(cfg_.duration / world.config().dt));
+      static_cast<int>(std::llround(cfg_.duration / sim::kFrameInterval));
   for (int frame = 0; frame < steps; ++frame) {
     // Host time of the whole iteration: pipeline frame plus world step.
     obs::StageSpan frame_span(&reg, "host.frame");

@@ -95,7 +95,7 @@ struct RunnerConfig {
   EdgeConfig edge{};
   ClientConfig client{};
   /// Simulated duration (seconds). The perception pipeline runs on every
-  /// LiDAR frame (the world dt).
+  /// LiDAR frame (sim::kFrameInterval).
   double duration{25.0};
   /// Optional per-frame observer (the perf harness, the golden scenario):
   /// called from run() on the caller's thread with each pipeline frame's

@@ -7,6 +7,7 @@
 #include "core/rng.hpp"
 #include "obs/span.hpp"
 #include "pointcloud/ground_filter.hpp"
+#include "track/tracker.hpp"
 
 namespace erpd::edge {
 
@@ -113,7 +114,7 @@ sim::AgentId VehicleClient::match_truth(
     const std::vector<sim::AgentSnapshot>& truth, geom::Vec2 centroid,
     sim::AgentId self) {
   sim::AgentId best = sim::kInvalidAgent;
-  double best_d = kTruthMatchRadius;
+  double best_d = track::kTruthMatchRadius;
   for (const sim::AgentSnapshot& a : truth) {
     if (a.id == self || a.parked) continue;
     const double d = distance(a.position, centroid);
@@ -134,7 +135,7 @@ net::UploadFrame VehicleClient::make_upload(
   frame.timestamp = world.time();
   const sim::Vehicle* me = world.find_vehicle(vehicle_);
   if (me == nullptr) return frame;
-  frame.pose = me->sensor_pose(world.network(), world.config().sensor_height);
+  frame.pose = me->sensor_pose(world.network());
   require_finite_pose(frame.pose);
 
   // The sensor and the local extraction pipeline are timed separately:

@@ -29,10 +29,6 @@
 
 namespace erpd::edge {
 
-/// Distance within which an extracted object is matched to a ground-truth
-/// agent for harness bookkeeping.
-inline constexpr double kTruthMatchRadius = 2.5;
-
 struct ClientConfig {
   /// Picks the upload policy; kSingle is refused. SystemRunner overwrites
   /// it with RunnerConfig::method.

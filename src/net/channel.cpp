@@ -4,7 +4,7 @@
 
 namespace erpd::net {
 
-double transfer_delay(std::size_t bytes, double mbps, double base_latency) {
+double transfer_delay(std::size_t bytes, double mbps) {
   // A non-positive rate used to silently return the bare base latency —
   // i.e. an infinitely fast link — which turned a config typo into
   // optimistic latency numbers. It is a contract violation instead: every
@@ -12,7 +12,7 @@ double transfer_delay(std::size_t bytes, double mbps, double base_latency) {
   // requires to be positive.
   ERPD_REQUIRE(mbps > 0.0, "transfer_delay: bandwidth must be > 0 Mbit/s, got ",
                mbps);
-  return base_latency + static_cast<double>(bytes) * 8.0 / (mbps * 1e6);
+  return kBaseLatency + static_cast<double>(bytes) * 8.0 / (mbps * 1e6);
 }
 
 }  // namespace erpd::net

@@ -4,49 +4,47 @@
 // The paper inherits EMP's [9] measured cellular bandwidth: a shared uplink
 // cap and a downlink cap. We model each direction as a per-frame byte budget
 // (capacity x frame interval) plus a latency model for end-to-end timing
-// (Fig. 14): transfer delay = base latency + bytes / bandwidth.
+// (Fig. 14): transfer delay = kBaseLatency + bytes / bandwidth.
 
 #include <cstddef>
 #include <cstdint>
 
 #include "core/check.hpp"
+#include "sim/types.hpp"
 
 namespace erpd::net {
 
+/// Propagation + protocol overhead per message, seconds.
+inline constexpr double kBaseLatency = 0.008;
+static_assert(kBaseLatency >= 0.0);
+
+/// The two link rates. Each budget spans one LiDAR frame
+/// (sim::kFrameInterval).
 struct WirelessConfig {
   /// Shared uplink capacity (all vehicles to the edge), Mbit/s.
   double uplink_mbps{40.0};
   /// Shared downlink capacity (edge to all vehicles), Mbit/s.
   double downlink_mbps{80.0};
-  /// LiDAR frame interval (10 Hz sensors).
-  double frame_interval{0.1};
-  /// Propagation + protocol overhead per message, seconds.
-  double base_latency{0.008};
 
-  /// Contract-checks that every rate/interval a byte budget depends on is
-  /// positive; a zero or negative rate silently truncates to a 0-byte budget
-  /// and stalls the whole pipeline.
+  /// Contract-checks that both rates are positive; a zero or negative rate
+  /// silently truncates to a 0-byte budget and stalls the whole pipeline.
   void validate() const {
     ERPD_REQUIRE(uplink_mbps > 0.0,
                  "WirelessConfig: uplink_mbps must be > 0, got ", uplink_mbps);
     ERPD_REQUIRE(downlink_mbps > 0.0,
                  "WirelessConfig: downlink_mbps must be > 0, got ",
                  downlink_mbps);
-    ERPD_REQUIRE(frame_interval > 0.0,
-                 "WirelessConfig: frame_interval must be > 0, got ",
-                 frame_interval);
-    ERPD_REQUIRE(base_latency >= 0.0,
-                 "WirelessConfig: base_latency must be >= 0, got ",
-                 base_latency);
   }
 
   std::size_t uplink_budget_bytes() const {
     validate();
-    return static_cast<std::size_t>(uplink_mbps * 1e6 / 8.0 * frame_interval);
+    return static_cast<std::size_t>(uplink_mbps * 1e6 / 8.0 *
+                                    sim::kFrameInterval);
   }
   std::size_t downlink_budget_bytes() const {
     validate();
-    return static_cast<std::size_t>(downlink_mbps * 1e6 / 8.0 * frame_interval);
+    return static_cast<std::size_t>(downlink_mbps * 1e6 / 8.0 *
+                                    sim::kFrameInterval);
   }
 };
 
@@ -96,9 +94,9 @@ class FrameBudget {
 };
 
 /// Transfer completion delay for a message of `bytes` over a link of
-/// `mbps`, including base latency. Contract-checks (ERPD_REQUIRE ->
+/// `mbps`, including kBaseLatency. Contract-checks (ERPD_REQUIRE ->
 /// ContractViolation) that the bandwidth is positive: a non-positive rate
 /// has no physical delay and must never silently model a free link.
-double transfer_delay(std::size_t bytes, double mbps, double base_latency);
+double transfer_delay(std::size_t bytes, double mbps);
 
 }  // namespace erpd::net

@@ -31,10 +31,9 @@ geom::Obb Vehicle::obb(const RoadNetwork& net) const {
           params_.dims.width};
 }
 
-geom::Pose Vehicle::sensor_pose(const RoadNetwork& net,
-                                double sensor_height) const {
+geom::Pose Vehicle::sensor_pose(const RoadNetwork& net) const {
   geom::Pose p;
-  p.position = {position(net), sensor_height};
+  p.position = {position(net), kSensorHeight};
   p.yaw = heading(net);
   return p;
 }

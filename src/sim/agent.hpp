@@ -63,8 +63,8 @@ class Vehicle {
   geom::Vec2 position(const RoadNetwork& net) const;
   double heading(const RoadNetwork& net) const;
   geom::Obb obb(const RoadNetwork& net) const;
-  /// Sensor pose: roof-mounted LiDAR at standard height.
-  geom::Pose sensor_pose(const RoadNetwork& net, double sensor_height) const;
+  /// Sensor pose: roof-mounted LiDAR at kSensorHeight.
+  geom::Pose sensor_pose(const RoadNetwork& net) const;
   geom::Vec2 velocity(const RoadNetwork& net) const;
 
   bool finished(const RoadNetwork& net) const;

@@ -25,17 +25,9 @@ LidarSensor::LidarSensor(LidarConfig cfg) : cfg_(cfg) {
                "LidarSensor: azimuth_step_deg must be <= 360 (at least one "
                "azimuth per scan), got ",
                cfg_.azimuth_step_deg);
-  ERPD_REQUIRE(cfg_.max_range > 0.0, "LidarSensor: max_range must be > 0, got ",
-               cfg_.max_range);
-  ERPD_REQUIRE(-90.0 < cfg_.vertical_fov_min_deg &&
-                   cfg_.vertical_fov_min_deg <= cfg_.vertical_fov_max_deg &&
-                   cfg_.vertical_fov_max_deg < 90.0,
-               "LidarSensor: need -90 < vertical_fov_min_deg <= "
-               "vertical_fov_max_deg < 90, got [",
-               cfg_.vertical_fov_min_deg, ", ", cfg_.vertical_fov_max_deg, "]");
   elevations_.reserve(static_cast<std::size_t>(cfg_.channels));
-  const double lo = geom::deg_to_rad(cfg_.vertical_fov_min_deg);
-  const double hi = geom::deg_to_rad(cfg_.vertical_fov_max_deg);
+  const double lo = geom::deg_to_rad(kVerticalFovMinDeg);
+  const double hi = geom::deg_to_rad(kVerticalFovMaxDeg);
   for (int c = 0; c < cfg_.channels; ++c) {
     const double t =
         cfg_.channels == 1 ? 0.5 : static_cast<double>(c) / (cfg_.channels - 1);
@@ -47,7 +39,7 @@ LidarSensor::LidarSensor(LidarConfig cfg) : cfg_(cfg) {
   }
   // The scan's channel resolution binary-searches the beam height
   // z(c) = sensor_z + dist * tan(elev_c), which needs z non-decreasing in c.
-  // The FOV contract above makes the elevations non-decreasing and keeps
+  // The FOV's static_assert makes the elevations non-decreasing and keeps
   // them inside tan's monotone branch; checked once on the actual values.
   ERPD_ENSURE(std::is_sorted(tan_elevations_.begin(), tan_elevations_.end()),
               "LidarSensor: tan(elevation) table is not non-decreasing");
@@ -187,7 +179,7 @@ void LidarSensor::scan(const geom::Pose& pose,
   bin_spans.reserve(targets.size());
   for (const LidarTarget& t : targets) {
     const double d = (t.footprint.center() - eye).norm();
-    if (d - t.footprint.max_extent() > cfg_.max_range) continue;
+    if (d - t.footprint.max_extent() > kSensorRange) continue;
     candidates.push_back({&t, subtended(eye, t.footprint)});
     soa.add(t.footprint, eye);
     bin_spans.push_back(
@@ -205,7 +197,7 @@ void LidarSensor::scan(const geom::Pose& pose,
     if (tan_e < 0.0) {
       const double ground_d = -sensor_z / tan_e;
       ground_dist[c] = ground_d;
-      if (ground_d <= cfg_.max_range) {
+      if (ground_d <= kSensorRange) {
         ground_ok[c] = 1;
         ground_channels.push_back(static_cast<std::uint32_t>(c));
       }
@@ -290,13 +282,13 @@ void LidarSensor::scan(const geom::Pose& pose,
           hits.clear();
           const std::span<const std::uint32_t> bin = index.bin(ia);
           if (!bin.empty()) {
-            const geom::Segment ray{eye, eye + dir * cfg_.max_range};
+            const geom::Segment ray{eye, eye + dir * kSensorRange};
             for (const std::uint32_t j : bin) {
               const Candidate& c = candidates[j];
               if (!c.span.covers(az_world)) continue;
               const double t = soa.ray_hit(j, ray);
               if (t >= 0.0) {
-                hits.push_back({t * cfg_.max_range, c.target, j});
+                hits.push_back({t * kSensorRange, c.target, j});
               }
             }
             // (dist, cand) is a total order — cand is unique per entry —

@@ -28,13 +28,18 @@
 
 namespace erpd::sim {
 
+/// Vertical field of view (degrees), ordered and inside tan's monotone
+/// branch, as the scan's channel search needs (DESIGN.md §14).
+inline constexpr double kVerticalFovMinDeg = -24.0;
+inline constexpr double kVerticalFovMaxDeg = 4.0;
+static_assert(-90.0 < kVerticalFovMinDeg &&
+              kVerticalFovMinDeg <= kVerticalFovMaxDeg &&
+              kVerticalFovMaxDeg < 90.0);
+
 struct LidarConfig {
   int channels{32};
-  double vertical_fov_min_deg{-24.0};
-  double vertical_fov_max_deg{4.0};
   /// Horizontal angular resolution (degrees); 0.4 deg -> 900 azimuths.
   double azimuth_step_deg{0.4};
-  double max_range{50.0};
   /// Gaussian range noise (meters); 0 disables.
   double noise_sigma{0.01};
 
@@ -79,9 +84,8 @@ struct LidarScan {
 
 class LidarSensor {
  public:
-  /// Contract: channels >= 1, azimuth_step_deg in (0, 360] (at least one
-  /// azimuth), max_range > 0 and -90 < vertical_fov_min_deg <=
-  /// vertical_fov_max_deg < 90; anything else throws ContractViolation.
+  /// Contract: channels >= 1 and azimuth_step_deg in (0, 360] (at least one
+  /// azimuth); anything else throws ContractViolation.
   explicit LidarSensor(LidarConfig cfg = {});
 
   const LidarConfig& config() const { return cfg_; }

@@ -45,6 +45,14 @@ inline const char* to_string(Maneuver m) {
   return "?";
 }
 
+/// LiDAR frame period (s): the world tick and the span of a link budget.
+inline constexpr double kFrameInterval = 0.1;
+/// Range (m) of the LiDAR and of the driver's line of sight.
+inline constexpr double kSensorRange = 50.0;
+/// LiDAR roof mount height above the road (m).
+inline constexpr double kSensorHeight = 1.9;
+static_assert(kFrameInterval > 0 && kSensorRange > 0 && kSensorHeight > 0);
+
 constexpr double kmh_to_ms(double kmh) { return kmh / 3.6; }
 constexpr double mph_to_ms(double mph) { return mph * 0.44704; }
 constexpr double ms_to_mph(double ms) { return ms / 0.44704; }

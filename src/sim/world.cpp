@@ -164,7 +164,7 @@ std::optional<std::size_t> World::find_leader(std::size_t vi) const {
   const double my_s = me.s();
   const Vec2 my_point = path.point_at(my_s);
   std::optional<std::size_t> best;
-  double best_gap = cfg_.leader_lookahead;
+  double best_gap = kLeaderLookahead;
   for (std::size_t j = 0; j < vehicles_.size(); ++j) {
     if (j == vi) continue;
     const Vehicle& other = vehicles_[j];
@@ -172,7 +172,7 @@ std::optional<std::size_t> World::find_leader(std::size_t vi) const {
     // A vehicle out of leader reach fails the lateral or the gap test
     // below, so its projection is skipped.
     if (distance(vehicle_boxes_[j].center(), my_point) >
-        leader_reach(cfg_.leader_lookahead, net_.config().lane_width,
+        leader_reach(kLeaderLookahead, net_.config().lane_width,
                      me.params().dims.length, other.params().dims.length)) {
       continue;
     }
@@ -230,7 +230,7 @@ std::optional<World::ConflictInfo> World::hazard_conflict(
   // passed the crossing no longer conflicts.
   const geom::Polyline hpath{
       {hpos,
-       hpos + hvel.normalized() * (hspeed * (cfg_.hazard_horizon + 3.0) + hlen)}};
+       hpos + hvel.normalized() * (hspeed * (kHazardHorizon + 3.0) + hlen)}};
   const auto crossing = ahead.first_crossing(hpath);
   if (!crossing) return std::nullopt;
   return ConflictInfo{me.s() + crossing->s_this, crossing->s_this / my_speed,
@@ -296,18 +296,16 @@ double World::control_vehicle(std::size_t vi) {
   // 3) Hazard reaction: hard brake `reaction_time` after becoming aware of a
   //    conflicting object. Per the paper's evaluation setup, awareness comes
   //    from disseminated perception data; own-sensor sightings only count
-  //    when react_to_visible_hazards is enabled.
-  const bool reacts_to_visible =
-      me.params().attentive || cfg_.react_to_visible_hazards;
+  //    for attentive drivers.
   // My route over the hazard lookahead, sliced once for every hazard.
   std::optional<geom::Polyline> ahead;
   for (const auto& [hazard_id, knowledge] : me.known_hazards()) {
-    if (!knowledge.from_dissemination && !reacts_to_visible) continue;
+    if (!knowledge.from_dissemination && !me.params().attentive) continue;
     if (time_ - knowledge.aware_since < me.params().reaction_time) continue;
 
     if (!ahead) {
       const double lookahead =
-          std::max(25.0, me.speed() * cfg_.hazard_horizon + 15.0);
+          std::max(25.0, me.speed() * kHazardHorizon + 15.0);
       ahead = route.path.slice(me.s(), me.s() + lookahead);
     }
     const auto conflict = hazard_conflict(me, *ahead, hazard_id);
@@ -323,10 +321,10 @@ double World::control_vehicle(std::size_t vi) {
       }
     } else {
       if (!conflict) continue;
-      const bool imminent = conflict->t_me < cfg_.hazard_horizon &&
-                            conflict->t_hazard < cfg_.hazard_horizon &&
+      const bool imminent = conflict->t_me < kHazardHorizon &&
+                            conflict->t_hazard < kHazardHorizon &&
                             std::abs(conflict->t_me - conflict->t_hazard) <
-                                cfg_.conflict_margin + 2.0;
+                                kConflictMargin + 2.0;
       if (!imminent) continue;
       me.start_yield(hazard_id,
                      conflict->s_conflict - 6.0 - 0.5 * me.params().dims.length);
@@ -360,7 +358,7 @@ void World::load_occluders(std::size_t vi, std::span<const Obb> boxes,
 
 bool World::sees(const SightOccluders& sight, Vec2 target, std::size_t skip,
                  std::uint64_t& ray_tests) const {
-  return distance(sight.eye(), target) <= cfg_.sensor_range &&
+  return distance(sight.eye(), target) <= kSensorRange &&
          sight.visible(target, skip, ray_tests);
 }
 
@@ -418,13 +416,13 @@ StepStats World::step() {
   for (std::size_t i = 0; i < vehicles_.size(); ++i) {
     Vehicle& v = vehicles_[i];
     if (v.finished(net_)) continue;
-    v.advance(accels[i], cfg_.dt);
+    v.advance(accels[i], kFrameInterval);
   }
   for (Pedestrian& p : pedestrians_) {
-    if (!p.finished()) p.advance(cfg_.dt);
+    if (!p.finished()) p.advance(kFrameInterval);
   }
 
-  time_ += cfg_.dt;
+  time_ += kFrameInterval;
 
   // Record speed history for delayed perception.
   for (const Vehicle& v : vehicles_) {
@@ -536,11 +534,11 @@ void World::scan_from(AgentId vehicle_id, LidarScan& out) const {
   // Per-scan RNG seeded from (world seed, vehicle, tick): the noise stream
   // is a pure function of who scans when, never of which other vehicles
   // scanned first — scans can run concurrently and stay deterministic.
-  const auto tick = static_cast<std::uint64_t>(std::llround(time_ / cfg_.dt));
+  const auto tick =
+      static_cast<std::uint64_t>(std::llround(time_ / kFrameInterval));
   std::mt19937_64 scan_rng = core::seeded_rng(core::seed_mix(
       cfg_.seed, static_cast<std::uint64_t>(vehicle_id), tick));
-  lidar_.scan(v->sensor_pose(net_, cfg_.sensor_height), targets, scan_rng,
-              out);
+  lidar_.scan(v->sensor_pose(net_), targets, scan_rng, out);
 }
 
 bool World::agent_visible_from(AgentId viewer, AgentId target) const {

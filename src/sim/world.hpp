@@ -28,23 +28,19 @@
 
 namespace erpd::sim {
 
+/// How far ahead (seconds) drivers project hazards.
+inline constexpr double kHazardHorizon = 6.0;
+/// Passing-time difference below which a crossing is a conflict (seconds).
+inline constexpr double kConflictMargin = 2.5;
+/// Leader search distance along the route (meters).
+inline constexpr double kLeaderLookahead = 60.0;
+static_assert(kHazardHorizon > 0.0 && kConflictMargin >= 0.0 &&
+              kLeaderLookahead > 0.0);
+
 struct WorldConfig {
-  double dt{0.1};
-  /// LiDAR mount height above ground (roof).
-  double sensor_height{1.9};
-  /// Perception range for both LiDAR and driver line-of-sight (meters).
-  double sensor_range{50.0};
-  /// How far ahead (seconds) drivers project hazards.
-  double hazard_horizon{6.0};
-  /// Passing-time difference below which a crossing is a conflict (seconds).
-  double conflict_margin{2.5};
-  /// Leader search distance along the route (meters).
-  double leader_lookahead{60.0};
-  /// Force-override: when true, even inattentive vehicles react to hazards
-  /// they can see. Per-vehicle behaviour is VehicleParams::attentive; the
-  /// scripted conflict vehicles are inattentive so that (per the paper's
-  /// setup, §IV-C.1) only disseminated perception data makes them brake.
-  bool react_to_visible_hazards{false};
+  /// The tick, fixed at the LiDAR frame period. Kept as a member name for
+  /// callers that read `config().dt`.
+  static constexpr double dt = kFrameInterval;
   SignalController::Timing signal{};
   LidarConfig lidar{};
   /// Maneuver layer above car_following (DESIGN.md §15). Disabled by
@@ -129,7 +125,7 @@ class World {
   const Vehicle* find_vehicle(AgentId id) const;
   const Pedestrian* find_pedestrian(AgentId id) const;
 
-  /// Advance the world by one tick (cfg.dt).
+  /// Advance the world by one tick (kFrameInterval).
   StepStats step();
 
   // --- Perception support -------------------------------------------------

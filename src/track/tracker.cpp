@@ -69,7 +69,7 @@ void MultiObjectTracker::step(const std::vector<Detection>& detections,
     tr.max_extent = std::max(tr.max_extent, de.extent);
     // A pedestrian-sized first view of a car corrects itself once any view
     // shows a car-sized footprint.
-    if (tr.max_extent > 1.4) tr.kind = sim::AgentKind::kCar;
+    if (tr.max_extent > kCarMinExtent) tr.kind = sim::AgentKind::kCar;
     if (de.truth_id != sim::kInvalidAgent) tr.truth_id = de.truth_id;
   }
 

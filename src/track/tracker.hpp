@@ -34,6 +34,12 @@ struct Detection {
   sim::AgentId truth_id{sim::kInvalidAgent};
 };
 
+/// Planar extent (m) from which a view is car-sized.
+inline constexpr double kCarMinExtent = 1.4;
+/// Radius (m) matching a detection to a ground-truth agent (harness only).
+inline constexpr double kTruthMatchRadius = 2.5;
+static_assert(kCarMinExtent > 0.0 && kTruthMatchRadius > 0.0);
+
 /// Association gate (meters).
 inline constexpr double kAssociationGate = 3.5;
 /// Updates needed to confirm a track.

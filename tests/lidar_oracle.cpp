@@ -27,8 +27,8 @@ LidarScan oracle_scan(const LidarConfig& cfg, const geom::Pose& pose,
 
   // Channel elevations, evenly spread over the vertical field of view.
   std::vector<double> elevations;
-  const double lo = geom::deg_to_rad(cfg.vertical_fov_min_deg);
-  const double hi = geom::deg_to_rad(cfg.vertical_fov_max_deg);
+  const double lo = geom::deg_to_rad(kVerticalFovMinDeg);
+  const double hi = geom::deg_to_rad(kVerticalFovMaxDeg);
   for (int c = 0; c < cfg.channels; ++c) {
     const double t =
         cfg.channels == 1 ? 0.5 : static_cast<double>(c) / (cfg.channels - 1);
@@ -47,7 +47,7 @@ LidarScan oracle_scan(const LidarConfig& cfg, const geom::Pose& pose,
     const geom::Obb& box = t.footprint;
     const Vec2 d = box.center() - eye;
     const double dist = d.norm();
-    if (dist - box.max_extent() > cfg.max_range) continue;
+    if (dist - box.max_extent() > kSensorRange) continue;
     const double radius = 0.5 * std::hypot(box.length(), box.width());
     const double half_width =
         dist <= radius ? geom::kPi
@@ -65,7 +65,7 @@ LidarScan oracle_scan(const LidarConfig& cfg, const geom::Pose& pose,
   for (std::size_t ia = 0; ia < static_cast<std::size_t>(n_az); ++ia) {
     const double az_world = -geom::kPi + static_cast<double>(ia) * az_step;
     const Vec2 dir = Vec2::from_heading(az_world);
-    const geom::Segment ray{eye, eye + dir * cfg.max_range};
+    const geom::Segment ray{eye, eye + dir * kSensorRange};
     core::SplitMix64 az_rng(core::seed_mix(noise_base, ia));
     // std::normal_distribution requires a positive stddev, so the
     // distribution exists only on the noisy path.
@@ -80,7 +80,7 @@ LidarScan oracle_scan(const LidarConfig& cfg, const geom::Pose& pose,
       const double off = geom::angle_dist(az_world, c.span_center);
       if (!(off <= c.span_half_width)) continue;
       const double t = c.target->footprint.ray_hit(ray);
-      if (t >= 0.0) hits.push_back({t * cfg.max_range, j});
+      if (t >= 0.0) hits.push_back({t * kSensorRange, j});
     }
     std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
       if (a.dist != b.dist) return a.dist < b.dist;
@@ -114,7 +114,7 @@ LidarScan oracle_scan(const LidarConfig& cfg, const geom::Pose& pose,
       // Nothing in the way: a downward beam returns from the ground.
       if (tan_e < 0.0) {
         const double ground_d = -sensor_z / tan_e;
-        if (ground_d <= cfg.max_range) {
+        if (ground_d <= kSensorRange) {
           const double d = ground_d + (noisy ? (*noise)(az_rng) : 0.0);
           world_points.push_back(Vec3{eye + dir * d, 0.0});
           ++out.ground_points;

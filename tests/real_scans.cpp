@@ -41,8 +41,7 @@ std::vector<PointCloud> real_clouds(const sim::ScenarioConfig& cfg,
         out.push_back(no_ground);
         continue;
       }
-      const geom::Pose pose =
-          v.sensor_pose(world.network(), world.config().sensor_height);
+      const geom::Pose pose = v.sensor_pose(world.network());
       merged.append(no_ground.transformed(geom::Mat4::from_pose(pose)));
     }
     if (merge) {

@@ -37,7 +37,6 @@ sim::LidarScan scan_noisy(std::size_t threads) {
   sim::LidarConfig cfg;
   cfg.channels = 16;
   cfg.azimuth_step_deg = 1.0;
-  cfg.max_range = 50.0;
   cfg.noise_sigma = 0.05;  // exercises the per-azimuth RNG derivation
   sim::LidarSensor lidar(cfg);
   std::mt19937_64 rng(42);

@@ -5,6 +5,7 @@
 #include "core/check.hpp"
 #include "geom/angle.hpp"
 #include "obs/metrics.hpp"
+#include "pointcloud/ground_filter.hpp"
 
 namespace erpd::edge {
 namespace {
@@ -259,6 +260,14 @@ TEST_F(EdgeServerTest, BlobUploadsAreDetectedServerSide) {
     if (tr.truth_id == kThreat) tagged = true;
   }
   EXPECT_TRUE(tagged);
+}
+
+// The vehicle drops ground in the sensor frame (pc::ground_cutoff of the
+// default extractor config); the edge strips raw blobs in the world frame.
+// At the simulated mount height the two are one plane.
+TEST(BlobGroundStrip, IsTheVehicleCutoffInTheWorldFrame) {
+  EXPECT_NEAR(sim::kSensorHeight + pc::ground_cutoff(pc::GroundFilterConfig{}),
+              kBlobGroundStrip, 1e-9);
 }
 
 TEST_F(EdgeServerTest, DuplicateUploadsFuseIntoOneTrack) {

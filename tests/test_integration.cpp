@@ -137,7 +137,7 @@ TEST(Integration, LatencyBreakdownPopulated) {
   EXPECT_LT(reg.histogram("stage.disseminate").mean(), 10e6);
   // Simulated transfer delays are results; sim.* holds the same per-frame
   // delays, truncated to whole nanoseconds.
-  EXPECT_GE(m.upload_seconds, test_wireless().base_latency);
+  EXPECT_GE(m.upload_seconds, net::kBaseLatency);
   EXPECT_NEAR(m.upload_seconds, reg.histogram("sim.upload").mean() * 1e-9,
               2e-9);
   EXPECT_NEAR(m.downlink_transfer_seconds,

@@ -22,7 +22,6 @@ LidarConfig small_lidar() {
   LidarConfig cfg;
   cfg.channels = 16;
   cfg.azimuth_step_deg = 1.0;
-  cfg.max_range = 50.0;
   cfg.noise_sigma = 0.0;
   return cfg;
 }
@@ -230,7 +229,9 @@ TEST(Lidar, EqualRangeHitsBreakTiesOnCandidateOrder) {
   }
 }
 
-// Every config the scan cannot serve is refused at construction.
+// Every config the scan cannot serve is refused at construction. The range
+// and the vertical field of view are constants; their contract is the
+// static_assert in sim/lidar.hpp and sim/types.hpp.
 TEST(Lidar, InvalidConfigThrows) {
   const auto rejects = [](auto&& mutate) {
     LidarConfig cfg = small_lidar();
@@ -247,39 +248,15 @@ TEST(Lidar, InvalidConfigThrows) {
   // A step over 360 degrees leaves azimuth_count() == 0: no rays at all.
   rejects([](LidarConfig& c) { c.azimuth_step_deg = 361.0; });
   rejects([](LidarConfig& c) { c.azimuth_step_deg = 720.0; });
-  rejects([](LidarConfig& c) { c.max_range = 0.0; });
-  rejects([](LidarConfig& c) { c.max_range = -5.0; });
-  rejects([](LidarConfig& c) {
-    c.max_range = std::numeric_limits<double>::quiet_NaN();
-  });
-  // Vertical field of view: ordered and strictly inside (-90, 90) degrees.
-  rejects([](LidarConfig& c) {
-    c.vertical_fov_min_deg = 5.0;
-    c.vertical_fov_max_deg = -5.0;
-  });
-  rejects([](LidarConfig& c) { c.vertical_fov_min_deg = -90.0; });
-  rejects([](LidarConfig& c) { c.vertical_fov_max_deg = 90.0; });
-  rejects([](LidarConfig& c) {
-    c.vertical_fov_min_deg = -120.0;
-    c.vertical_fov_max_deg = 120.0;
-  });
-  rejects([](LidarConfig& c) {
-    c.vertical_fov_max_deg = std::numeric_limits<double>::quiet_NaN();
-  });
 
-  // The boundary values that are still valid construct and scan.
+  // The boundary value that is still valid constructs and scans.
   LidarConfig edge = small_lidar();
   edge.azimuth_step_deg = 360.0;  // exactly one azimuth
-  edge.vertical_fov_min_deg = -89.0;
-  edge.vertical_fov_max_deg = 89.0;
   const LidarSensor one_ray(edge);
   EXPECT_EQ(one_ray.config().azimuth_count(), 1);
   std::mt19937_64 rng(3);
   EXPECT_LE(one_ray.scan(sensor_at({0.0, 0.0}), {}, rng).cloud.size(),
             edge.max_points());
-  LidarConfig flat = small_lidar();
-  flat.vertical_fov_min_deg = flat.vertical_fov_max_deg = 2.0;
-  EXPECT_NO_THROW(LidarSensor{flat});
 }
 
 // SightOccluders (src) and the plain loop (oracle) on one occluder list.

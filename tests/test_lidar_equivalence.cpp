@@ -71,7 +71,7 @@ LidarScan run_oracle(const LidarConfig& cfg, const Pose& pose,
 /// Seeded random scene: eye pose plus a target soup that deliberately covers
 /// the index's hard cases — spans wrapping across +-pi, long walls whose
 /// circumcircle swallows the eye (full-pi subtended span), boxes containing
-/// the eye, boxes straddling or beyond max_range, degenerate thin boxes.
+/// the eye, boxes straddling or beyond kSensorRange, degenerate thin boxes.
 struct RandomCase {
   Pose pose;
   std::vector<LidarTarget> targets;
@@ -90,7 +90,6 @@ RandomCase random_case(std::uint64_t case_seed) {
   RandomCase out;
   out.cfg.channels = 8;
   out.cfg.azimuth_step_deg = 2.0;
-  out.cfg.max_range = 50.0;
   // Mix noisy and noiseless sensors; noise exercises the NormalSampler
   // stream, noiseless the untouched-RNG contract.
   out.cfg.noise_sigma = u01(rng) < 0.8 ? 0.02 : 0.0;

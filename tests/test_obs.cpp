@@ -390,7 +390,7 @@ TEST(ObsContract, EachClockHasItsOwnHistogram) {
     edge::SystemRunner(rc).run(sc);
     const std::uint64_t frames = reg.counter("frames.pipeline").value();
     EXPECT_EQ(frames, static_cast<std::uint64_t>(
-                          std::llround(rc.duration / sc.world.config().dt)));
+                          std::llround(rc.duration / sim::kFrameInterval)));
     EXPECT_EQ(reg.histogram("host.frame").count(), frames);  // loop steps
     EXPECT_EQ(reg.histogram("sim.upload").count(), frames);
     EXPECT_EQ(reg.histogram("sim.downlink").count(), frames);

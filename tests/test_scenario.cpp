@@ -16,7 +16,7 @@ ScenarioConfig small_cfg(double speed_kmh = 30.0) {
 }
 
 void run_single(World& w, double seconds) {
-  const int steps = static_cast<int>(seconds / w.config().dt);
+  const int steps = static_cast<int>(seconds / kFrameInterval);
   for (int i = 0; i < steps; ++i) w.step();
 }
 

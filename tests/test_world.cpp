@@ -152,9 +152,9 @@ TEST(WorldVisibility, RangeLimit) {
 }
 
 TEST(WorldHazard, VisibleCrossingHazardTriggersBraking) {
-  WorldConfig wc;
-  wc.react_to_visible_hazards = true;  // opt in to sensor-based reaction
-  World w = make_world(wc);
+  // The ego is attentive (the VehicleParams default), so it reacts to what
+  // it sees.
+  World w = make_world();
   const int r1 = *w.network().find_route(Arm::kSouth, 1, Maneuver::kStraight);
   const int r2 = *w.network().find_route(Arm::kWest, 0, Maneuver::kStraight);
   const Route& route1 = w.network().route(r1);
@@ -226,7 +226,7 @@ TEST(WorldMetrics, PairDistanceTracksMinimum) {
 TEST(WorldLeader, ReachBoundsEveryCandidatePassingTheLeaderTests) {
   const RoadNetwork net{RoadConfig{}};
   const double lane = net.config().lane_width;
-  const double lookahead = WorldConfig{}.leader_lookahead;
+  const double lookahead = kLeaderLookahead;
   std::mt19937_64 rng{0x1ead'0001};
   const auto uni = [&](double lo, double hi) {
     return std::uniform_real_distribution<double>(lo, hi)(rng);
