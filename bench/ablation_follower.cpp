@@ -24,8 +24,7 @@ struct Row {
   double disseminations{0.0};
 };
 
-Row run_config(bool follower_relevance, double alpha,
-               core::FollowerCriterion crit) {
+Row run_config(double alpha, core::FollowerCriterion crit) {
   Row row;
   for (std::uint64_t seed : kSeeds) {
     sim::ScenarioConfig cfg;
@@ -44,7 +43,6 @@ Row run_config(bool follower_relevance, double alpha,
     edge::RunnerConfig rc =
         edge::make_runner_config(edge::Method::kOurs, bench::bench_wireless());
     rc.duration = 18.0;
-    rc.edge.follower_relevance = follower_relevance;
     rc.edge.follower.alpha = alpha;
     rc.edge.follower.criterion = crit;
     edge::SystemRunner runner(rc);
@@ -73,19 +71,20 @@ int main() {
   std::printf("%-26s %10s %14s %12s %8s\n", "configuration", "ego-safe%",
               "follower-safe%", "min-gap(m)", "#diss");
 
-  const Row off = run_config(false, 0.8, core::FollowerCriterion::kViolatesAny);
+  // alpha = 0 turns follower relevance off: no follower value reaches
+  // kMinRelevance.
+  const Row off = run_config(0.0, core::FollowerCriterion::kViolatesAny);
   std::printf("%-26s %10.0f %14.0f %12.2f %8.0f\n", "follower relevance OFF",
               off.ego_safe, off.follower_safe, off.follower_min_gap,
               off.disseminations);
 
   for (double alpha : {0.2, 0.5, 0.8, 1.0}) {
-    const Row r = run_config(true, alpha, core::FollowerCriterion::kViolatesAny);
+    const Row r = run_config(alpha, core::FollowerCriterion::kViolatesAny);
     std::printf("alpha=%.1f (violates-any)%*s %10.0f %14.0f %12.2f %8.0f\n",
                 alpha, 3, "", r.ego_safe, r.follower_safe, r.follower_min_gap,
                 r.disseminations);
   }
-  const Row both =
-      run_config(true, 0.8, core::FollowerCriterion::kViolatesBoth);
+  const Row both = run_config(0.8, core::FollowerCriterion::kViolatesBoth);
   std::printf("%-26s %10.0f %14.0f %12.2f %8.0f\n", "alpha=0.8 (violates-both)",
               both.ego_safe, both.follower_safe, both.follower_min_gap,
               both.disseminations);

@@ -19,9 +19,9 @@
 // equivalent comment form `// ERPD_ORDER_INSENSITIVE: <why>` also works
 // where a statement cannot appear.
 //
-// For everything that does NOT commute, do not annotate — refactor: iterate
-// a sorted snapshot (core::sorted_keys / core::sorted_items in
-// core/ordered.hpp) or use an ordered container outright.
+// For everything that does NOT commute, do not annotate — refactor: use an
+// ordered container (std::map, std::set), or iterate a sorted copy of the
+// keys.
 
 #define ERPD_ORDER_INSENSITIVE(justification)                               \
   static_assert(sizeof(justification) > 1,                                  \

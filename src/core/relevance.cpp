@@ -140,11 +140,4 @@ bool follower_unsafe(double gap, double follower_speed,
   return false;
 }
 
-double follower_relevance(double leader_relevance, double gap,
-                          double follower_speed,
-                          const FollowerRelevanceConfig& cfg) {
-  if (!follower_unsafe(gap, follower_speed, cfg)) return 0.0;
-  return cfg.alpha * leader_relevance;
-}
-
 }  // namespace erpd::core

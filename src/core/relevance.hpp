@@ -129,19 +129,15 @@ static_assert(kFollowerPipes.min_gap >= 0.0 &&
               kFollowerGipps.reaction_time > 0.0);
 
 struct FollowerRelevanceConfig {
-  /// Decay factor alpha in (0, 1]; paper uses 0.8.
+  /// Decay factor alpha in [0, 1]; paper uses 0.8. 0 turns follower
+  /// relevance off: no alpha x R_leader reaches the edge's minimum relevance.
   double alpha{0.8};
   FollowerCriterion criterion{FollowerCriterion::kViolatesAny};
 };
 
 /// True if the follower fails the configured safety criteria and therefore
-/// inherits relevance from its leader.
+/// inherits alpha x its leader's relevance.
 bool follower_unsafe(double gap, double follower_speed,
                      const FollowerRelevanceConfig& cfg);
-
-/// R_follower = alpha * R_leader if unsafe, else 0.
-double follower_relevance(double leader_relevance, double gap,
-                          double follower_speed,
-                          const FollowerRelevanceConfig& cfg);
 
 }  // namespace erpd::core

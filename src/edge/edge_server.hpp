@@ -1,17 +1,24 @@
 #pragma once
 // Edge-server pipeline (paper Fig. 2, right box).
 //
-// Per frame: merge uploads into the traffic map (Coordinate Transformation +
-// Point Cloud Merging), detect/track objects, apply the scalability Rules
-// 1-3, predict representative trajectories, estimate relevance, and solve
-// the dissemination knapsack under the downlink budget.
+// process_frame runs six stages in order (DESIGN.md §21): admit (ingest
+// guard, point budget, deadline admission), build_map (merge uploads into
+// detections, update the connected fleet), track_and_predict (tracking,
+// Rules 1-3, clipped hypotheses), coverage_feedback (delta-base acks and
+// coverage, when redundancy is on), candidates (under Ours
+// score_relevance's one RelevanceTable of direct, crowd-member and follower
+// values) and disseminate (the knapsack under the downlink budget).
 //
 // The same server runs every sharing method (edge/method.hpp): relevance-
 // greedy dissemination for Ours, Round-Robin for EMP and Broadcast for
-// Unlimited. Rules, prediction and relevance run only for Ours.
+// Unlimited. Rules, prediction and relevance run only for Ours, and under
+// Ours every upload is object-granular.
 
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/dissemination.hpp"
@@ -41,8 +48,8 @@ inline constexpr pc::DbscanConfig kDetectDbscan{.eps = 1.2, .min_pts = 4};
 /// Blob points at or below this world-frame height (meters) are ground: the
 /// vehicle's ground cutoff at the real mount (DESIGN.md §8).
 inline constexpr double kBlobGroundStrip = 0.25;
-/// An object is visible to an uploader if that upload contains >= 3 points
-/// (or an object centroid) within this radius of the track.
+/// An object is visible to an uploader if that upload holds an object
+/// centroid within this radius of the track.
 inline constexpr double kVisibilityRadius = 2.2;
 /// A track this close to a connected vehicle's reported pose *is* that
 /// vehicle.
@@ -63,9 +70,8 @@ struct EdgeConfig {
   net::WirelessConfig wireless{};
   track::TrackerConfig tracker{};
   track::PredictorConfig predictor{};
+  /// §III-A.2 follower relevance; alpha = 0 turns it off (ablation E13).
   core::FollowerRelevanceConfig follower{};
-  /// Toggle §III-A.2 follower relevance (ablation E13).
-  bool follower_relevance{true};
   /// Staleness penalty for relevance computed from coasting tracks: a track
   /// last updated m frames ago scores relevance * (1 - staleness_decay)^m.
   /// Coasted positions drift from the truth, so acting on them as if fresh
@@ -99,6 +105,9 @@ struct FrameOutput {
   /// Tracks Rules 1-3 chose to predict (Ours only; 0 otherwise).
   std::size_t predicted_tracks{0};
   std::size_t candidates{0};
+  /// Candidates whose (track, vehicle) pair an earlier candidate of the
+  /// frame already holds (RelevanceTable::duplicates).
+  std::size_t duplicate_candidates{0};
   /// Confirmed tracks carried this frame purely on Kalman prediction
   /// (misses > 0) — the coasting path under uplink loss.
   std::size_t coasting_tracks{0};
@@ -136,6 +145,71 @@ AdmissionPolicy point_budget_policy(const IngestConfig& ingest);
 /// nanoseconds of estimated decode+merge cost under the fixed cost model.
 AdmissionPolicy deadline_policy(const ServiceConfig& service);
 
+/// A track's or a vehicle's predicted trajectories, one per plausible
+/// maneuver, each clipped to its reach once per frame.
+using Hypotheses = std::vector<core::ClippedTrajectory>;
+
+/// A connected vehicle as relevance reads it: its pose, its hypotheses and
+/// its last admitted upload this frame (null if none). Under service mode a
+/// carried frame precedes the fresh one, whose objects it sees now.
+struct Recipient {
+  geom::Vec2 position{};
+  Hypotheses hypotheses;
+  const net::UploadFrame* own_frame{nullptr};
+};
+
+/// One relevance value and its source (paper §III-A): a collision of the
+/// object's and the vehicle's trajectories, the value of the Rule-3
+/// representative `via` for a crowd member, or alpha x the value for the
+/// lane leader `via`.
+struct RelevanceEntry {
+  enum class Source : std::uint8_t { kDirect, kCrowdMember, kFollower };
+  double value{0.0};
+  Source source{Source::kDirect};
+  int via{-1};
+  double alpha{1.0};
+};
+
+/// Relevance of each object (track id) to each connected vehicle, one entry
+/// per pair (the paper's z_ij), and the candidates that wrote it in write
+/// order. A pair written twice is sent twice (ROADMAP item 8, bug 1).
+struct RelevanceTable {
+  using Key = std::pair<int, sim::AgentId>;  // (track id, vehicle)
+  std::map<Key, RelevanceEntry> entries;
+  std::vector<core::Candidate> candidates;
+  /// Candidates written over a pair already in the table.
+  std::size_t duplicates{0};
+  /// Direct values of coasting tracks (FrameOutput::stale_candidates).
+  std::size_t stale{0};
+
+  /// Sets the pair (object.id, to) to `e` and emits its candidate.
+  void emit(const track::Track& object, sim::AgentId to, RelevanceEntry e);
+  const RelevanceEntry* find(int track_id, sim::AgentId to) const;
+  /// The first entry of track `track_id`'s row or of a later one.
+  std::map<Key, RelevanceEntry>::const_iterator row(int track_id) const;
+};
+
+/// What score_relevance reads; every map is ordered.
+struct RelevanceInputs {
+  const std::map<sim::AgentId, Recipient>& fleet;
+  const track::MultiObjectTracker& tracker;
+  const track::RepresentativeSet& reps;
+  /// Hypotheses of the tracks the rules predicted.
+  const std::map<int, Hypotheses>& objects;
+  /// Predicts a lane leader the rules did not; called at most once per
+  /// leader, on first need.
+  const std::function<Hypotheses(const track::Track&)>& predict_leader;
+  core::FollowerRelevanceConfig follower{};
+  double staleness_decay{0.0};
+};
+
+/// Ours' relevance stage, three passes writing one table: direct values,
+/// then each crowd member takes its representative's values, then each
+/// unsafe connected follower raises its values to alpha x its leader's.
+/// Requires every object of a recipient's own frame to be object-granular.
+RelevanceTable score_relevance(const RelevanceInputs& in,
+                               core::RelevanceTally& tally);
+
 class EdgeServer {
  public:
   EdgeServer(const sim::RoadNetwork& net, EdgeConfig cfg = {});
@@ -164,7 +238,6 @@ class EdgeServer {
   std::size_t service_parked() const { return admission_.parked_count(); }
 
  private:
-  const sim::RoadNetwork& net_;
   EdgeConfig cfg_;
   obs::MetricsRegistry* metrics_{nullptr};
   IngestGuard guard_;
@@ -182,7 +255,6 @@ class EdgeServer {
     geom::Vec2 position{};
     geom::Vec2 velocity{};
     double last_seen{0.0};
-    bool has_prev{false};
   };
   /// Ordered by AgentId (detlint D1): process_frame iterates the fleet when
   /// building candidates, so the registry's iteration order feeds straight
@@ -207,16 +279,34 @@ class EdgeServer {
   };
   std::shared_ptr<BlobScratch> blob_scratch_;
 
-  /// Adds the re-segmentation DBSCAN's distance tests to
-  /// `*dbscan_distance_tests`.
-  std::vector<track::Detection> build_detections(
-      const std::vector<net::UploadFrame>& uploads,
-      const std::vector<sim::AgentSnapshot>* truth,
-      std::uint64_t* dbscan_distance_tests);
+  /// The track stage's output; all but `confirmed` stay empty unless Ours.
+  struct Tracked {
+    std::vector<const track::Track*> confirmed;
+    track::RepresentativeSet reps;
+    std::map<int, Hypotheses> objects;        // predicted tracks
+    std::map<sim::AgentId, Recipient> fleet;  // connected vehicles
+  };
 
-  static sim::AgentKind classify_extent(const geom::Aabb& box);
-  static sim::AgentId match_truth(const std::vector<sim::AgentSnapshot>& truth,
-                                  geom::Vec2 pos);
+  // The frame's stages in order; each books its tallies into `out`.
+  std::vector<net::UploadFrame> admit(std::vector<net::UploadFrame> uploads,
+                                      double t, FrameOutput& out);
+  std::vector<track::Detection> build_map(
+      const std::vector<net::UploadFrame>& uploads, double t,
+      const std::vector<sim::AgentSnapshot>* truth, FrameOutput& out);
+  Tracked track_and_predict(const std::vector<track::Detection>& detections,
+                            double t, FrameOutput& out);
+  void coverage_feedback(const std::vector<net::UploadFrame>& uploads,
+                         const std::vector<const track::Track*>& confirmed,
+                         double t, FrameOutput& out);
+  std::vector<core::Candidate> candidates(
+      const std::vector<net::UploadFrame>& uploads, Tracked& tracked,
+      FrameOutput& out);
+  void disseminate(const std::vector<core::Candidate>& candidates,
+                   FrameOutput& out);
+
+  Hypotheses predict(const track::Track& tr,
+                     const track::RepresentativeSet& reps,
+                     std::uint64_t* route_projections) const;
 };
 
 }  // namespace erpd::edge

@@ -49,8 +49,7 @@ obs::RunManifest make_manifest(const RunnerConfig& cfg,
   obs::Fingerprint fp;
   fp.fold(static_cast<int>(cfg.method));
   fp.fold(cfg.wireless.uplink_mbps).fold(cfg.wireless.downlink_mbps);
-  fp.fold(cfg.edge.follower_relevance)
-      .fold(cfg.edge.staleness_decay)
+  fp.fold(cfg.edge.staleness_decay)
       .fold(cfg.edge.follower.alpha)
       .fold(static_cast<int>(cfg.edge.follower.criterion));
   fp.fold(cfg.edge.tracker.max_coast_frames);

@@ -213,6 +213,7 @@ std::size_t total_bytes(const std::vector<net::UploadFrame>& frames) {
   X(moving_tracks, "edge.moving_tracks", edge.moving_tracks)                  \
   X(coasting_tracks, "edge.coasting_tracks", edge.coasting_tracks)            \
   X(candidates, "edge.candidates", edge.candidates)                           \
+  X(duplicates, "edge.duplicate_candidates", edge.duplicate_candidates)       \
   X(relevance_pairs, "edge.relevance_pairs", edge.relevance.pairs)            \
   X(estimates, "edge.collision_estimates", edge.relevance.estimates)          \
   X(hits, "edge.collision_hits", edge.relevance.hits)                         \

@@ -286,8 +286,6 @@ TEST(Manifest, FingerprintIsStableAndSensitive) {
       {"duration", [](edge::RunnerConfig& c) { c.duration += 1.0; }},
       {"staleness_decay",
        [](edge::RunnerConfig& c) { c.edge.staleness_decay = 0.1; }},
-      {"follower_relevance",
-       [](edge::RunnerConfig& c) { c.edge.follower_relevance = false; }},
       {"follower.alpha",
        [](edge::RunnerConfig& c) { c.edge.follower.alpha = 0.5; }},
       {"follower.criterion",

@@ -119,20 +119,19 @@ TEST(Relevance, CollisionIntervalIoU) {
   EXPECT_NEAR(est->r_ci, 1.0, 0.05);
 }
 
-TEST(FollowerRelevance, UnsafeFollowerInheritsDecayedRelevance) {
+// What an unsafe follower inherits is checked through the edge's relevance
+// stage (tests/test_edge_server.cpp, RelevanceStage).
+TEST(FollowerRelevance, TailgaterIsUnsafe) {
   FollowerRelevanceConfig cfg;
-  cfg.alpha = 0.8;
   // 3 m gap at 10 m/s violates everything.
   EXPECT_TRUE(follower_unsafe(3.0, 10.0, cfg));
-  EXPECT_DOUBLE_EQ(follower_relevance(0.9, 3.0, 10.0, cfg), 0.72);
 }
 
-TEST(FollowerRelevance, SafeFollowerGetsZero) {
+TEST(FollowerRelevance, SafeGapIsSafe) {
   FollowerRelevanceConfig cfg;
   // 40 m gap at 10 m/s satisfies Pipes (10 m/s ~ 22 mph -> ~10 m) and
   // Gipps (15 m).
   EXPECT_FALSE(follower_unsafe(40.0, 10.0, cfg));
-  EXPECT_DOUBLE_EQ(follower_relevance(0.9, 40.0, 10.0, cfg), 0.0);
 }
 
 TEST(FollowerRelevance, CriterionModes) {
@@ -144,14 +143,6 @@ TEST(FollowerRelevance, CriterionModes) {
   EXPECT_TRUE(follower_unsafe(gap, v, cfg));
   cfg.criterion = FollowerCriterion::kViolatesBoth;
   EXPECT_FALSE(follower_unsafe(gap, v, cfg));
-}
-
-TEST(FollowerRelevance, AlphaScalesLinearly) {
-  FollowerRelevanceConfig cfg;
-  cfg.alpha = 0.5;
-  EXPECT_DOUBLE_EQ(follower_relevance(0.6, 1.0, 10.0, cfg), 0.3);
-  cfg.alpha = 1.0;
-  EXPECT_DOUBLE_EQ(follower_relevance(0.6, 1.0, 10.0, cfg), 0.6);
 }
 
 TEST(PassingInterval, EntryBeforeStartClipsToZero) {

@@ -308,10 +308,9 @@ def check_d1(ctx: FileContext, unordered_names: set[str]) -> list[Finding]:
             continue
         findings.append(Finding(
             ctx.path, line, "D1",
-            f"range-for over unordered container '{tid.group(1)}' — iterate "
-            "a sorted snapshot (core::sorted_keys), use an ordered "
-            "container, or annotate ERPD_ORDER_INSENSITIVE with the "
-            "reduction argument"))
+            f"range-for over unordered container '{tid.group(1)}' — use an "
+            "ordered container, iterate a sorted copy of the keys, or "
+            "annotate ERPD_ORDER_INSENSITIVE with the reduction argument"))
     # Explicit iterator walks over unordered containers.
     for m in re.finditer(r"([A-Za-z_]\w*)\s*\.\s*begin\s*\(\s*\)", ctx.code):
         if m.group(1) not in unordered_names:
